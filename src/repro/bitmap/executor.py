@@ -7,12 +7,12 @@ drop-in third path:
 
 1. AND/OR the per-bin compressed bitmaps into a candidate row superset
    (zero pages touched -- the whole point);
-2. map surviving rows to page ids, zone-prune, and pull the survivors
-   through the existing coalesced read-ahead;
-3. decode each candidate page once, apply the **full residual**
-   (polyhedron + memberships + tombstones) to the candidate rows only;
-4. merge-on-read the delta tier, which the bitmap (built at the last
-   merge) does not cover.
+2. hand the surviving rows, as per-page row offsets, to the fetch
+   kernel (:mod:`repro.db.fetch`), which zone-prunes the pages, pulls
+   the survivors through the coalesced read-ahead, decodes each once,
+   applies the **full residual** (polyhedron + memberships + tombstones)
+   to the candidate rows only, and merges the delta tier on read (the
+   bitmap, built at the last merge, does not cover it).
 
 Hybrid execution (bitmap prefilter -> kd residual) intersects the
 candidate rows with the kd traversal's INSIDE/PARTIAL clustered row
@@ -24,72 +24,34 @@ conservative supersets of the answer's main-tier rows.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.db.scan import (
-    SCAN_RETRY,
-    _alive_mask,
-    _coalesced_runs,
-    _read_page_retrying,
-)
+from repro.db.errors import StorageFault
+from repro.db.fetch import SCAN_RETRY, FetchMember, Outcome, fetch, offset_segments, solo
 from repro.db.stats import QueryStats
-from repro.geometry.boxes import BoxRelation
 from repro.geometry.halfspace import Polyhedron
 
 __all__ = ["bitmap_query", "batch_bitmap_query", "hybrid_query", "batch_hybrid_query"]
-
-
-def _membership_row_mask(
-    columns: dict[str, np.ndarray],
-    memberships: dict[str, np.ndarray],
-    take: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """AND of IN-list masks over (optionally row-sliced) column arrays."""
-    mask: np.ndarray | None = None
-    for col, values in memberships.items():
-        arr = columns[col]
-        if take is not None:
-            arr = arr[take]
-        piece = np.isin(arr, values)
-        mask = piece if mask is None else mask & piece
-    return mask
 
 
 def _restrict_to_ranges(
     candidates: np.ndarray, ranges: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Keep candidate rows falling in any ``[start, end)`` clustered range."""
-    if not ranges:
+    if not len(ranges) or not len(candidates):
         return candidates[:0]
-    pieces = []
-    for start, end in sorted(ranges):
-        lo = np.searchsorted(candidates, start, side="left")
-        hi = np.searchsorted(candidates, end, side="left")
-        if hi > lo:
-            pieces.append(candidates[lo:hi])
-    if not pieces:
-        return candidates[:0]
-    return np.unique(np.concatenate(pieces))
-
-
-def _delta_piece(snapshot, polyhedron, dims, memberships, stats):
-    """Delta-tier rows matching polyhedron + memberships (merge-on-read)."""
-    if snapshot is None or not snapshot.num_rows:
-        return None
-    stats.rows_examined += snapshot.num_rows
-    cols, row_ids = snapshot.match(polyhedron, dims=tuple(dims))
-    if memberships and len(row_ids):
-        mask = _membership_row_mask(cols, memberships)
-        if mask is not None:
-            cols = {name: arr[mask] for name, arr in cols.items()}
-            row_ids = row_ids[mask]
-    stats.rows_returned += len(row_ids)
-    piece = dict(cols)
-    piece["_row_id"] = row_ids
-    return piece
+    bounds = np.asarray(ranges, dtype=np.int64)
+    lo = np.searchsorted(candidates, bounds[:, 0], side="left")
+    hi = np.searchsorted(candidates, bounds[:, 1], side="left")
+    # Ranges open at ``lo`` and close at ``hi``; a candidate is kept while
+    # at least one is open (so overlapping ranges cost nothing extra).
+    size = len(candidates) + 1
+    depth = np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size)
+    return candidates[np.cumsum(depth[:-1]) > 0]
 
 
 def batch_bitmap_query(
@@ -100,13 +62,16 @@ def batch_bitmap_query(
     row_ranges_list: Sequence[Sequence[tuple[int, int]] | None] | None = None,
     use_zone_maps: bool = True,
     retry=SCAN_RETRY,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
+    candidate_rows_list: Sequence[np.ndarray | None] | None = None,
+) -> tuple[list[Outcome], dict]:
     """Serve a micro-batch of queries off shared candidate-page decodes.
 
     Per-member candidate bitmaps are computed independently (cheap word
-    ops), then the union of candidate pages is decoded once, each page
-    serving every member with candidates on it.  Member isolation and
-    the ``(results, counters)`` contract match
+    ops) and handed to the fetch kernel (:func:`repro.db.fetch.fetch`)
+    as per-page row-offset segments; the kernel decodes the union of
+    candidate pages once, each page serving every member with candidates
+    on it, and applies each member's full residual to its candidates.
+    Member isolation and the ``(results, counters)`` contract match
     :func:`repro.db.scan.batch_full_scan`; a :class:`StorageFault` from
     the shared read path propagates so the planner can degrade the group
     to solo execution.
@@ -114,6 +79,9 @@ def batch_bitmap_query(
     ``row_ranges_list`` (per-member clustered row ranges from a kd
     traversal) turns members into hybrid executions -- candidates are
     intersected with the ranges before any page is touched.
+    ``candidate_rows_list`` hands over candidate rows a caller already
+    computed from ``index`` for exactly these queries (the planner
+    prices the bitmap engine with them), sparing the second AND.
     """
     table = index.table
     # Residual filtering, zone pruning, and dim validation all happen in
@@ -121,173 +89,66 @@ def batch_bitmap_query(
     # column subset on a tuned replica.
     dims = getattr(index, "query_dims", None) or index.dims
     n = len(polyhedra)
-    checks = list(cancel_checks) if cancel_checks is not None else [None] * n
-    memberships_list = (
-        list(memberships_list) if memberships_list is not None else [None] * n
-    )
-    ranges_list = (
-        list(row_ranges_list) if row_ranges_list is not None else [None] * n
-    )
+
+    def per_member(values):
+        return list(values) if values is not None else [None] * n
+
+    checks = per_member(cancel_checks)
+    memberships_list = per_member(memberships_list)
+    ranges_list = per_member(row_ranges_list)
+    known_rows = per_member(candidate_rows_list)
     for polyhedron in polyhedra:
         if polyhedron is not None and polyhedron.dim != len(dims):
             raise ValueError(
                 f"polyhedron dim {polyhedron.dim} != index dim {len(dims)}"
             )
 
-    stats = [QueryStats() for _ in range(n)]
-    errors: list[BaseException | None] = [None] * n
-    wanted = table.column_names
-    chunks: list[dict[str, list[np.ndarray]]] = [
-        {name: [] for name in wanted} for _ in range(n)
-    ]
-    row_id_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
-    counters = {"pages_decoded": 0, "shared_decode_hits": 0}
-    rows_per_page = table.rows_per_page
-
     # One consistent snapshot serves planning and fetch for every member.
     snapshot = table.delta_snapshot()
-    tombstones = snapshot.tombstones if snapshot is not None else None
-    if tombstones is not None and not len(tombstones):
-        tombstones = None
     zone_map = table.zone_map() if use_zone_maps else None
 
-    # -- phase 1: candidate rows per member (compressed-word ops only) ----
-    candidates: list[np.ndarray | None] = [None] * n
-    pruners = [None] * n
-    for m in range(n):
-        check = checks[m]
-        if check is not None:
+    # Candidate rows per member: compressed-word ops only, no page read.
+    members: list[FetchMember] = []
+    segments = []
+    for m, polyhedron in enumerate(polyhedra):
+        member = FetchMember(
+            polyhedron=polyhedron,
+            dims=dims,
+            memberships=memberships_list[m],
+            cancel_check=checks[m],
+        )
+        members.append(member)
+        if member.cancel_check is not None:
             try:
-                check()
+                member.cancel_check()
             except BaseException as exc:
-                errors[m] = exc
+                member.error = exc
                 continue
-        rows = index.candidate_rows(polyhedra[m], memberships_list[m])
+        rows = known_rows[m]
+        if rows is None:
+            rows = index.candidate_rows(polyhedron, memberships_list[m])
         if rows is None:
             # Nothing constrained the index: every main-tier row is a
             # candidate (the residual filter still decides membership).
             rows = np.arange(table.num_rows, dtype=np.int64)
         if ranges_list[m] is not None:
             rows = _restrict_to_ranges(rows, ranges_list[m])
-        stats[m].extra["bitmap_candidate_rows"] = int(len(rows))
-        candidates[m] = rows
-        if zone_map is not None and polyhedra[m] is not None:
-            pruners[m] = zone_map.pruner(polyhedra[m], dims)
+        member.stats.extra["bitmap_candidate_rows"] = int(len(rows))
+        if zone_map is not None and polyhedron is not None:
+            member.pruner = zone_map.pruner(polyhedron, dims)
+        segments += offset_segments(table, m, rows)
 
-    # -- phase 2: shared decode of the candidate-page union ---------------
-    plan: dict[int, list[tuple[int, bool]]] = {}
-    for m in range(n):
-        if errors[m] is not None or candidates[m] is None:
-            continue
-        member_pages = np.unique(candidates[m] // rows_per_page)
-        for page_id in member_pages:
-            page_id = int(page_id)
-            inside = False
-            if pruners[m] is not None:
-                relation = pruners[m].classify(page_id)
-                if relation is BoxRelation.OUTSIDE:
-                    stats[m].pages_skipped += 1
-                    continue
-                inside = relation is BoxRelation.INSIDE
-            plan.setdefault(page_id, []).append((m, inside))
-
-    page_ids = sorted(plan)
-    window = table.readahead_pages
-    prefetch_at: dict[int, list[int]] = {}
-    if window > 1:
-        for run in _coalesced_runs(page_ids, window):
-            if len(run) > 1:
-                prefetch_at[run[0]] = run
-
-    for page_id in page_ids:
-        live: list[tuple[int, bool]] = []
-        for m, inside in plan[page_id]:
-            if errors[m] is not None:
-                continue
-            check = checks[m]
-            if check is not None:
-                try:
-                    check()
-                except BaseException as exc:
-                    errors[m] = exc
-                    continue
-            live.append((m, inside))
-        if not live:
-            continue
-        run = prefetch_at.get(page_id)
-        if run is not None:
-            stats[live[0][0]].pages_prefetched += table.prefetch(run)
-        page = _read_page_retrying(table, page_id, retry)
-        counters["pages_decoded"] += 1
-        counters["shared_decode_hits"] += len(live) - 1
-        page_start = page_id * rows_per_page
-        points = None
-        for m, inside in live:
-            member = candidates[m]
-            lo = np.searchsorted(member, page_start, side="left")
-            hi = np.searchsorted(member, page_start + page.num_rows, side="left")
-            local = (member[lo:hi] - page_start).astype(np.int64)
-            if not len(local):
-                continue
-            member_stats = stats[m]
-            member_stats.record_page(table.name, page_id)
-            member_stats.rows_examined += len(local)
-            row_ids = member[lo:hi]
-            if inside or polyhedra[m] is None:
-                mask = np.ones(len(local), dtype=bool)
-            else:
-                if points is None:
-                    # Stacked once per page, shared by every member on it.
-                    points = np.column_stack([page.columns[d] for d in dims])
-                mask = polyhedra[m].contains_points(points[local])
-            memberships = memberships_list[m]
-            if memberships:
-                extra = _membership_row_mask(page.columns, memberships, local)
-                if extra is not None:
-                    mask = mask & extra
-            if tombstones is not None:
-                mask = mask & _alive_mask(row_ids, tombstones)
-            matched = int(np.count_nonzero(mask))
-            if matched == 0:
-                continue
-            member_stats.rows_returned += matched
-            row_id_chunks[m].append(row_ids[mask])
-            take = local[mask]
-            for name in wanted:
-                chunks[m][name].append(page.columns[name][take])
-
-    # -- phase 3: per-member merge-on-read of the delta tier --------------
-    for m in range(n):
-        if errors[m] is not None:
-            continue
-        piece = _delta_piece(
-            snapshot, polyhedra[m], dims, memberships_list[m], stats[m]
-        )
-        if piece is not None and len(piece["_row_id"]):
-            row_id_chunks[m].append(piece["_row_id"])
-            for name in wanted:
-                chunks[m][name].append(piece[name])
-
-    results: list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]] = []
-    for m in range(n):
-        if errors[m] is not None:
-            results.append((None, stats[m], errors[m]))
-            continue
-        rows: dict[str, np.ndarray] = {}
-        for name in wanted:
-            parts = chunks[m][name]
-            rows[name] = (
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=table.dtype_of(name))
-            )
-        rows["_row_id"] = (
-            np.concatenate(row_id_chunks[m])
-            if row_id_chunks[m]
-            else np.empty(0, dtype=np.int64)
-        )
-        results.append((rows, stats[m], None))
-    return results, counters
+    # Page order (stable, so member order within a page): each member's
+    # candidates are sorted, their union across members is not.
+    segments.sort(key=itemgetter(0))
+    return fetch(
+        table,
+        members,
+        segments,
+        tombstones=snapshot.tombstones if snapshot is not None else None,
+        snapshot=snapshot,
+        retry=retry,
+    )
 
 
 def bitmap_query(
@@ -298,25 +159,25 @@ def bitmap_query(
     row_ranges: Sequence[tuple[int, int]] | None = None,
     use_zone_maps: bool = True,
     retry=SCAN_RETRY,
+    candidate_rows: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Answer one polyhedron + membership query through the bitmap index.
 
     The single-member case of :func:`batch_bitmap_query` (same code
     path, so solo and batched answers are identical by construction).
     """
-    results, _ = batch_bitmap_query(
-        index,
-        [polyhedron],
-        cancel_checks=[cancel_check],
-        memberships_list=[memberships],
-        row_ranges_list=[row_ranges] if row_ranges is not None else None,
-        use_zone_maps=use_zone_maps,
-        retry=retry,
+    return solo(
+        batch_bitmap_query(
+            index,
+            [polyhedron],
+            cancel_checks=[cancel_check],
+            memberships_list=[memberships],
+            row_ranges_list=[row_ranges],
+            use_zone_maps=use_zone_maps,
+            retry=retry,
+            candidate_rows_list=[candidate_rows],
+        )
     )
-    rows, stats, error = results[0]
-    if error is not None:
-        raise error
-    return rows, stats
 
 
 def hybrid_query(
@@ -327,6 +188,7 @@ def hybrid_query(
     cancel_check: Callable[[], None] | None = None,
     use_tight_boxes: bool = True,
     use_zone_maps: bool = True,
+    candidate_rows: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Bitmap prefilter intersected with the kd traversal's row ranges.
 
@@ -345,6 +207,7 @@ def hybrid_query(
         cancel_check=cancel_check,
         row_ranges=ranges,
         use_zone_maps=use_zone_maps,
+        candidate_rows=candidate_rows,
     )
     stats.merge(fetch_stats)
     return rows, stats
@@ -358,7 +221,8 @@ def batch_hybrid_query(
     memberships_list: Sequence[dict | None] | None = None,
     use_tight_boxes: bool = True,
     use_zone_maps: bool = True,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
+    candidate_rows_list: Sequence[np.ndarray | None] | None = None,
+) -> tuple[list[Outcome], dict]:
     """Hybrid execution for a member group, sharing the fetch pass.
 
     Each member's kd ranges are collected first (in-memory traversals),
@@ -377,11 +241,9 @@ def batch_hybrid_query(
                 use_tight_boxes=use_tight_boxes,
                 cancel_check=checks[m],
             )
+        except StorageFault:
+            raise
         except BaseException as exc:
-            from repro.db.errors import StorageFault
-
-            if isinstance(exc, StorageFault):
-                raise
             errors[m] = exc
             ranges_list[m] = []
     results, counters = batch_bitmap_query(
@@ -393,8 +255,9 @@ def batch_hybrid_query(
         memberships_list=memberships_list,
         row_ranges_list=ranges_list,
         use_zone_maps=use_zone_maps,
+        candidate_rows_list=candidate_rows_list,
     )
-    merged: list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]] = []
+    merged: list[Outcome] = []
     for m, (rows, stats, error) in enumerate(results):
         if errors[m] is not None:
             merged.append((None, traversal_stats[m] or QueryStats(), errors[m]))

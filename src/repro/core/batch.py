@@ -11,7 +11,8 @@ a micro-batch of queries:
   polyhedron still active there -- OUTSIDE members drop out of the
   subtree, INSIDE members bulk-claim the node's clustered row range, and
   PARTIAL members recurse.  The claimed ranges of all members are then
-  served by one shared fetch pass that decodes each needed page once.
+  served by one call of the fetch kernel (:func:`repro.db.fetch.fetch`),
+  which decodes each needed page once.
 * :class:`BatchResult` / :class:`BatchMemberResult` are the engine-level
   contract: per-member outcomes stay independent (one member's deadline
   or fault never drops its batch siblings), plus batch-level counters
@@ -25,12 +26,10 @@ the per-query planner front end is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.db.scan import SCAN_RETRY, _coalesced_runs, _read_page_retrying
-from repro.db.stats import QueryStats
+from repro.db.fetch import FetchMember, Outcome, fetch, range_segments
 from repro.geometry.boxes import BoxRelation
 from repro.geometry.halfspace import Polyhedron
 
@@ -68,10 +67,6 @@ class BatchResult:
     shared_decode_hits: int = 0
 
 
-#: A (start, end, needs_filter) clustered row range claimed by a member.
-_Range = tuple[int, int, bool]
-
-
 def batch_kd_query(
     index,
     polyhedra: Sequence[Polyhedron],
@@ -79,17 +74,18 @@ def batch_kd_query(
     use_tight_boxes: bool = True,
     use_zone_maps: bool = True,
     memberships_list: Sequence[dict | None] | None = None,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
+) -> tuple[list[Outcome], dict]:
     """Evaluate several polyhedron queries in one kd traversal + fetch.
 
     The traversal visits each node once, carrying the set of members for
-    whom the node is still unresolved; the fetch pass unions the claimed
-    row ranges of every member, applies each member's zone-map pruner to
-    its residual-filter ranges, and decodes each surviving page exactly
-    once, slicing and filtering it for every member that claimed rows on
-    it.  Per-member results are identical to running
-    :meth:`KdTreeIndex.query_polyhedron` solo (rows may come back in a
-    different order -- page order instead of traversal order).
+    whom the node is still unresolved; the claimed row ranges of every
+    member then go to the fetch kernel as one segment list, so each
+    surviving page is decoded exactly once and sliced for every member
+    that claimed rows on it (each member's zone-map pruner applies to
+    its residual-filter ranges only; INSIDE-subtree ranges are bulk
+    returns whose contract is "every clustered row in range").
+    Per-member results are identical to running
+    :meth:`KdTreeIndex.query_polyhedron` solo.
 
     Member isolation matches :func:`repro.db.scan.batch_full_scan`: a
     member whose ``cancel_check`` raises is dropped mid-batch with its
@@ -102,10 +98,8 @@ def batch_kd_query(
 
     ``memberships_list`` gives per-member IN-list filters (column ->
     values).  The traversal still classifies on the polyhedron alone (a
-    superset), and the fetch pass ANDs each member's vectorized
-    ``np.isin`` mask into every row slice -- including INSIDE-subtree
-    slices, whose geometric filter skip stays sound because the
-    membership mask is applied independently of it.
+    superset); the kernel ANDs each member's ``np.isin`` mask into
+    every row it returns, INSIDE-subtree rows included.
     """
     tree = index.tree
     table = index.table
@@ -120,30 +114,33 @@ def batch_kd_query(
             raise ValueError(
                 f"polyhedron dim {polyhedron.dim} != index dim {len(dims)}"
             )
-
-    stats = [QueryStats() for _ in range(n)]
-    errors: list[BaseException | None] = [None] * n
-    ranges: list[list[_Range]] = [[] for _ in range(n)]
     zone_map = table.zone_map() if use_zone_maps else None
-    pruners = [
-        zone_map.pruner(polyhedron, dims) if zone_map is not None else None
-        for polyhedron in polyhedra
+    members = [
+        FetchMember(
+            polyhedron=polyhedron,
+            dims=dims,
+            memberships=memberships[m],
+            pruner=zone_map.pruner(polyhedron, dims) if zone_map is not None else None,
+            cancel_check=checks[m],
+        )
+        for m, polyhedron in enumerate(polyhedra)
     ]
 
-    # -- phase 1: one multi-box traversal (Figure 4 over a query set) ------
+    # -- one multi-box traversal (Figure 4 over a query set) ---------------
+    ranges: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
     stack: list[tuple[int, tuple[int, ...]]] = [(1, tuple(range(n)))]
     while stack:
         node, active = stack.pop()
         live: list[int] = []
         for m in active:
-            if errors[m] is not None:
+            member = members[m]
+            if member.error is not None:
                 continue
-            check = checks[m]
-            if check is not None:
+            if member.cancel_check is not None:
                 try:
-                    check()
+                    member.cancel_check()
                 except BaseException as exc:
-                    errors[m] = exc
+                    member.error = exc
                     continue
             live.append(m)
         if not live:
@@ -153,15 +150,16 @@ def batch_kd_query(
             continue
         deeper: list[int] = []
         for m in live:
-            stats[m].nodes_visited += 1
+            stats = members[m].stats
+            stats.nodes_visited += 1
             relation = polyhedra[m].classify_box(box)
             if relation is BoxRelation.OUTSIDE:
-                stats[m].cells_outside += 1
+                stats.cells_outside += 1
             elif relation is BoxRelation.INSIDE:
-                stats[m].cells_inside += 1
+                stats.cells_inside += 1
                 ranges[m].append((start, end, False))
             elif tree.is_leaf(node):
-                stats[m].cells_partial += 1
+                stats.cells_partial += 1
                 ranges[m].append((start, end, True))
             else:
                 deeper.append(m)
@@ -169,195 +167,23 @@ def batch_kd_query(
             stack.append((2 * node + 1, tuple(deeper)))
             stack.append((2 * node, tuple(deeper)))
 
-    # -- phase 2: shared fetch of the union of claimed ranges --------------
     # One delta snapshot serves the whole batch: it suppresses tombstoned
     # rows in every member's fetch and contributes its matching inserts
     # to every member's result (merge-on-read).
     snapshot = table.delta_snapshot()
-    results, counters = _fetch_member_ranges(
-        table, dims, polyhedra, ranges, stats, checks, errors, pruners,
-        snapshot=snapshot, memberships_list=memberships,
-    )
-    return results, counters
-
-
-def _fetch_member_ranges(
-    table,
-    dims: list[str],
-    polyhedra: Sequence[Polyhedron],
-    ranges: list[list[_Range]],
-    stats: list[QueryStats],
-    checks: list[Callable[[], None] | None],
-    errors: list[BaseException | None],
-    pruners: list,
-    snapshot=None,
-    memberships_list: list[dict | None] | None = None,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
-    """Serve every member's claimed row ranges, decoding each page once.
-
-    ``segments[page_id]`` collects ``(member, lo, hi, filter)`` row
-    slices; INSIDE-subtree slices (``filter=False``) bypass both pruner
-    and residual filter (their contract is "every clustered row in
-    range"), while residual slices consult the member's pruner first --
-    a page the pruner proves OUTSIDE is skipped *for that member only*,
-    and one proven INSIDE keeps the rows but drops the filter.
-    """
-    rows_per_page = table.rows_per_page
-    wanted = table.column_names
-    n = len(ranges)
-    member_filters = (
-        memberships_list if memberships_list is not None else [None] * n
-    )
-    chunks: list[dict[str, list[np.ndarray]]] = [
-        {name: [] for name in wanted} for _ in range(n)
+    segments = [
+        segment
+        for m in range(n)
+        for start, end, needs_filter in ranges[m]
+        for segment in range_segments(table, m, start, end, needs_filter)
     ]
-    row_id_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
-    counters = {"pages_decoded": 0, "shared_decode_hits": 0}
-    suppress = snapshot is not None and snapshot.num_tombstones > 0
-
-    segments: dict[int, list[tuple[int, int, int, bool]]] = {}
-    for m in range(n):
-        if errors[m] is not None:
-            continue
-        pruner = pruners[m]
-        for start, end, needs_filter in ranges[m]:
-            first = start // rows_per_page
-            last = (end - 1) // rows_per_page
-            for page_id in range(first, last + 1):
-                page_filter = needs_filter
-                if needs_filter and pruner is not None:
-                    relation = pruner.classify(page_id)
-                    if relation is BoxRelation.OUTSIDE:
-                        stats[m].pages_skipped += 1
-                        continue
-                    page_filter = relation is not BoxRelation.INSIDE
-                page_start = page_id * rows_per_page
-                page_rows = min(rows_per_page, table.num_rows - page_start)
-                lo = max(start - page_start, 0)
-                hi = min(end - page_start, page_rows)
-                segments.setdefault(page_id, []).append((m, lo, hi, page_filter))
-
-    page_ids = sorted(segments)
-    window = table.readahead_pages
-    prefetch_at: dict[int, list[int]] = {}
-    if window > 1:
-        for run in _coalesced_runs(page_ids, window):
-            if len(run) > 1:
-                prefetch_at[run[0]] = run
-
-    for page_id in page_ids:
-        live: list[tuple[int, int, int, bool]] = []
-        checked: set[int] = set()
-        for m, lo, hi, page_filter in segments[page_id]:
-            if errors[m] is not None:
-                continue
-            if m not in checked:
-                checked.add(m)
-                check = checks[m]
-                if check is not None:
-                    try:
-                        check()
-                    except BaseException as exc:
-                        errors[m] = exc
-                        continue
-            if errors[m] is None:
-                live.append((m, lo, hi, page_filter))
-        if not live:
-            continue
-        run = prefetch_at.get(page_id)
-        if run is not None:
-            stats[live[0][0]].pages_prefetched += table.prefetch(run)
-        page = _read_page_retrying(table, page_id, SCAN_RETRY)
-        counters["pages_decoded"] += 1
-        counters["shared_decode_hits"] += len({m for m, _, _, _ in live}) - 1
-        points = None
-        page_alive = None
-        if suppress:
-            page_alive = snapshot.alive(page.row_ids())
-        for m, lo, hi, page_filter in live:
-            member_stats = stats[m]
-            member_stats.record_page(table.name, page_id)
-            member_stats.rows_examined += hi - lo
-            row_ids = np.arange(
-                page.start_row + lo, page.start_row + hi, dtype=np.int64
-            )
-            alive = page_alive[lo:hi] if page_alive is not None else None
-            member_memberships = member_filters[m]
-            membership_mask = None
-            if member_memberships:
-                for col, values in member_memberships.items():
-                    piece = np.isin(page.columns[col][lo:hi], values)
-                    membership_mask = (
-                        piece if membership_mask is None else membership_mask & piece
-                    )
-            if page_filter:
-                if points is None:
-                    # Stacked once per page, shared by every filtering member.
-                    points = np.column_stack([page.columns[d] for d in dims])
-                mask = polyhedra[m].contains_points(points[lo:hi])
-                if alive is not None:
-                    mask = mask & alive
-                if membership_mask is not None:
-                    mask = mask & membership_mask
-            elif membership_mask is not None:
-                mask = (
-                    membership_mask if alive is None else membership_mask & alive
-                )
-            elif alive is not None and not alive.all():
-                mask = alive
-            else:
-                member_stats.rows_returned += hi - lo
-                row_id_chunks[m].append(row_ids)
-                for name in wanted:
-                    chunks[m][name].append(page.columns[name][lo:hi])
-                continue
-            matched = int(np.count_nonzero(mask))
-            if matched == 0:
-                continue
-            member_stats.rows_returned += matched
-            row_id_chunks[m].append(row_ids[mask])
-            for name in wanted:
-                chunks[m][name].append(page.columns[name][lo:hi][mask])
-
-    if snapshot is not None and snapshot.num_rows:
-        # Per-member merge-on-read: each member gets the delta inserts
-        # inside its polyhedron (grid-accelerated, zero pages decoded).
-        for m in range(n):
-            if errors[m] is not None:
-                continue
-            stats[m].rows_examined += snapshot.num_rows
-            cols, delta_ids = snapshot.match(polyhedra[m], dims=tuple(dims))
-            if member_filters[m] and len(delta_ids):
-                dmask = None
-                for col, values in member_filters[m].items():
-                    piece = np.isin(cols[col], values)
-                    dmask = piece if dmask is None else dmask & piece
-                cols = {name: arr[dmask] for name, arr in cols.items()}
-                delta_ids = delta_ids[dmask]
-            if not len(delta_ids):
-                continue
-            stats[m].rows_returned += len(delta_ids)
-            row_id_chunks[m].append(delta_ids)
-            for name in wanted:
-                chunks[m][name].append(cols[name])
-
-    results: list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]] = []
-    for m in range(n):
-        if errors[m] is not None:
-            results.append((None, stats[m], errors[m]))
-            continue
-        rows: dict[str, np.ndarray] = {}
-        for name in wanted:
-            parts = chunks[m][name]
-            rows[name] = (
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=table.dtype_of(name))
-            )
-        rows["_row_id"] = (
-            np.concatenate(row_id_chunks[m])
-            if row_id_chunks[m]
-            else np.empty(0, dtype=np.int64)
-        )
-        results.append((rows, stats[m], None))
-    return results, counters
+    # Page order (stable, so member order within a page) lets the kernel
+    # coalesce reads across members' ranges.
+    segments.sort(key=itemgetter(0))
+    return fetch(
+        table,
+        members,
+        segments,
+        tombstones=snapshot.tombstones if snapshot is not None else None,
+        snapshot=snapshot,
+    )

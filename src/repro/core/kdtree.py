@@ -40,12 +40,8 @@ import numpy as np
 
 from repro.core.index_base import SpatialIndex, stack_coordinates
 from repro.db.catalog import Database
-from repro.db.scan import (
-    AUTO_TOMBSTONES,
-    PartialOnlyPruner,
-    membership_predicate,
-    range_scan,
-)
+from repro.db.fetch import FetchMember, delta_piece, fetch, range_segments, solo
+from repro.db.scan import AUTO_TOMBSTONES, range_scan
 from repro.db.stats import QueryStats
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box, BoxRelation
@@ -500,94 +496,61 @@ class KdTreeIndex(SpatialIndex):
     ) -> tuple[dict[str, np.ndarray], QueryStats]:
         """Evaluate a polyhedron query through the tree (Figure 4).
 
-        INSIDE subtrees are bulk-returned with a predicate-free range scan
-        over the clustered rows (the ``BETWEEN``); PARTIAL leaves get the
-        residual geometric filter.  ``cancel_check`` (when given) runs at
-        every node visit and inside the underlying range scans, so the
-        query service can abandon a traversal mid-flight (deadlines).
+        The traversal names the clustered row ranges (the ``BETWEEN``s):
+        INSIDE subtrees are bulk returns, PARTIAL leaves still need the
+        residual geometric filter.  One call of the fetch kernel
+        (:func:`repro.db.fetch.fetch`) then serves all of them.
+        ``cancel_check`` (when given) runs at every node visit and before
+        every page read, so the query service can abandon a query
+        mid-flight (deadlines).
 
         With ``use_zone_maps`` on (and a zone map in the catalog), the
-        partial-leaf scans also prune at page granularity: leaf boxes are
+        partial-leaf ranges also prune at page granularity: leaf boxes are
         coarser than page boxes (a leaf spans many pages), so a leaf that
         straddles the query boundary usually holds pages entirely outside
         it -- those are skipped -- and pages entirely inside it, whose
         per-point residual filter is skipped.  The pruner shares the
         query's geometry, so results are identical either way.  INSIDE
-        subtrees never see the pruner: their scans are predicate-free
-        bulk returns whose contract is "every clustered row in range".
+        subtrees never see the pruner: their contract is "every
+        clustered row in range".
 
-        Merge-on-read: one delta snapshot is taken up front; its
-        tombstones suppress deleted rows in every range scan of the
-        traversal, and its live inserts matching the polyhedron join the
-        result as a final piece (the snapshot's own layered grid does
-        the point-in-polyhedron work).
+        Merge-on-read: one delta snapshot serves the query; its
+        tombstones suppress deleted rows in every range, and its live
+        inserts matching the polyhedron join the result as a final piece
+        (the snapshot's own layered grid does the point-in-polyhedron
+        work).
 
         ``memberships`` (column -> IN-list values) degrades to a
-        vectorized ``np.isin`` filter here: it is ANDed into the
-        residual, applied to INSIDE subtrees (whose scans are otherwise
-        predicate-free), and demotes the zone pruner's INSIDE verdicts
-        -- the traversal itself still prunes on the polyhedron alone,
-        which stays a superset of the answer.
+        vectorized ``np.isin`` filter here: the kernel ANDs it into
+        every row it returns, INSIDE subtrees included -- the traversal
+        itself still prunes on the polyhedron alone, which stays a
+        superset of the answer.
         """
-        if polyhedron.dim != len(self._dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
-            )
-        stats = QueryStats()
-        pieces: list[dict[str, np.ndarray]] = []
-        pruner = self._pruner(polyhedron) if use_zone_maps else None
-        inside_predicate = None
-        if memberships:
-            inside_predicate = membership_predicate(memberships)
-            if pruner is not None:
-                pruner = PartialOnlyPruner(pruner)
-        snapshot = self._table.delta_snapshot()
-        tombstones = snapshot.tombstones if snapshot is not None else None
-        stack = [1]
-        while stack:
-            node = stack.pop()
-            if cancel_check is not None:
-                cancel_check()
-            start, end, box = self._tree.visit_info(node, use_tight_boxes)
-            if start == end:
-                continue
-            stats.nodes_visited += 1
-            relation = polyhedron.classify_box(box)
-            if relation is BoxRelation.OUTSIDE:
-                stats.cells_outside += 1
-                continue
-            if relation is BoxRelation.INSIDE:
-                stats.cells_inside += 1
-                rows, piece_stats = range_scan(
-                    self._table, start, end, predicate=inside_predicate,
-                    cancel_check=cancel_check, tombstones=tombstones,
-                )
-                stats.merge(piece_stats)
-                pieces.append(rows)
-                continue
-            if self._tree.is_leaf(node):
-                stats.cells_partial += 1
-                rows, piece_stats = range_scan(
-                    self._table,
-                    start,
-                    end,
-                    predicate=self._residual(polyhedron, memberships),
-                    cancel_check=cancel_check,
-                    pruner=pruner,
-                    tombstones=tombstones,
-                )
-                stats.merge(piece_stats)
-                pieces.append(rows)
-            else:
-                stack.append(2 * node)
-                stack.append(2 * node + 1)
-        piece = _delta_piece(
-            snapshot, polyhedron, tuple(self._dims), stats, memberships
+        ranges, stats = self._traverse(polyhedron, use_tight_boxes, cancel_check)
+        member = FetchMember(
+            polyhedron=polyhedron,
+            dims=self._dims,
+            memberships=memberships,
+            pruner=self._pruner(polyhedron) if use_zone_maps else None,
+            cancel_check=cancel_check,
+            stats=stats,
         )
-        if piece is not None:
-            pieces.append(piece)
-        result = _concat_results(self._table, pieces)
-        return result, stats
+        snapshot = self._table.delta_snapshot()
+        return solo(
+            fetch(
+                self._table,
+                [member],
+                [
+                    segment
+                    for start, end, needs_filter in ranges
+                    for segment in range_segments(
+                        self._table, 0, start, end, needs_filter
+                    )
+                ],
+                tombstones=snapshot.tombstones if snapshot is not None else None,
+                snapshot=snapshot,
+            )
+        )
 
     def candidate_ranges(
         self,
@@ -603,12 +566,23 @@ class KdTreeIndex(SpatialIndex):
         conservative superset of the answer's main-tier rows; the hybrid
         engine intersects it with the bitmap candidate set.
         """
+        ranges, stats = self._traverse(polyhedron, use_tight_boxes, cancel_check)
+        return [(start, end) for start, end, _ in ranges], stats
+
+    def _traverse(
+        self, polyhedron: Polyhedron, use_tight_boxes: bool = True, cancel_check=None
+    ) -> tuple[list[tuple[int, int, bool]], QueryStats]:
+        """The Figure 4 classification: ``(start, end, needs_filter)`` ranges.
+
+        ``needs_filter`` is off for INSIDE subtrees and on for PARTIAL
+        leaves; ranges come in traversal order and are disjoint.
+        """
         if polyhedron.dim != len(self._dims):
             raise ValueError(
                 f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
             )
         stats = QueryStats()
-        ranges: list[tuple[int, int]] = []
+        ranges: list[tuple[int, int, bool]] = []
         stack = [1]
         while stack:
             node = stack.pop()
@@ -623,10 +597,10 @@ class KdTreeIndex(SpatialIndex):
                 stats.cells_outside += 1
             elif relation is BoxRelation.INSIDE:
                 stats.cells_inside += 1
-                ranges.append((start, end))
+                ranges.append((start, end, False))
             elif self._tree.is_leaf(node):
                 stats.cells_partial += 1
-                ranges.append((start, end))
+                ranges.append((start, end, True))
             else:
                 stack.append(2 * node)
                 stack.append(2 * node + 1)
@@ -661,49 +635,31 @@ class KdTreeIndex(SpatialIndex):
     def query_polyhedron_stream(self, polyhedron: Polyhedron, use_tight_boxes: bool = True):
         """Streaming variant of :meth:`query_polyhedron`.
 
-        Yields ``(rows, relation)`` chunks as the traversal resolves
-        subtrees -- the index-level analog of §3.1's "stream the points
-        back to the client" idea: a caller (e.g. a visualization
-        producer) can start consuming INSIDE subtrees while partial
-        leaves are still being filtered.
+        Yields ``(rows, relation)`` chunks range by range -- the
+        index-level analog of §3.1's "stream the points back to the
+        client" idea: a caller (e.g. a visualization producer) can start
+        consuming INSIDE subtrees while partial leaves are still being
+        fetched and filtered.
         """
-        if polyhedron.dim != len(self._dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
-            )
+        ranges, _ = self._traverse(polyhedron, use_tight_boxes)
         pruner = self._pruner(polyhedron)
         snapshot = self._table.delta_snapshot()
         tombstones = snapshot.tombstones if snapshot is not None else None
-        stack = [1]
-        while stack:
-            node = stack.pop()
-            start, end, box = self._tree.visit_info(node, use_tight_boxes)
-            if start == end:
-                continue
-            relation = polyhedron.classify_box(box)
-            if relation is BoxRelation.OUTSIDE:
-                continue
-            if relation is BoxRelation.INSIDE:
-                rows, _ = range_scan(
-                    self._table, start, end, tombstones=tombstones
-                )
-                yield rows, relation
-            elif self._tree.is_leaf(node):
-                rows, _ = range_scan(
+        member = FetchMember(polyhedron=polyhedron, dims=self._dims, pruner=pruner)
+        for start, end, needs_filter in ranges:
+            rows, _ = solo(
+                fetch(
                     self._table,
-                    start,
-                    end,
-                    predicate=self._residual(polyhedron),
-                    pruner=pruner,
+                    [member],
+                    range_segments(self._table, 0, start, end, needs_filter),
                     tombstones=tombstones,
                 )
-                if len(rows["_row_id"]):
-                    yield rows, relation
-            else:
-                stack.append(2 * node)
-                stack.append(2 * node + 1)
-        piece = _delta_piece(snapshot, polyhedron, tuple(self._dims), QueryStats())
-        if piece is not None and len(piece["_row_id"]):
+            )
+            if needs_filter and not len(rows["_row_id"]):
+                continue
+            yield rows, BoxRelation.PARTIAL if needs_filter else BoxRelation.INSIDE
+        piece = delta_piece(snapshot, member)
+        if piece is not None:
             yield piece, BoxRelation.PARTIAL
 
     def _pruner(self, polyhedron: Polyhedron):
@@ -712,19 +668,6 @@ class KdTreeIndex(SpatialIndex):
         if zone_map is None:
             return None
         return zone_map.pruner(polyhedron, self._dims)
-
-    def _residual(
-        self, polyhedron: Polyhedron, memberships: dict | None = None
-    ):
-        dims = self._dims
-
-        def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-            pts = np.column_stack([columns[d] for d in dims])
-            return polyhedron.contains_points(pts)
-
-        if memberships:
-            return membership_predicate(memberships, base=predicate)
-        return predicate
 
     def leaf_rows(
         self, leaf: int, tombstones=AUTO_TOMBSTONES
@@ -736,32 +679,3 @@ class KdTreeIndex(SpatialIndex):
         """
         start, end = self._tree.node_rows(leaf)
         return range_scan(self._table, start, end, tombstones=tombstones)
-
-
-def _delta_piece(
-    snapshot, polyhedron, dims, stats, memberships: dict | None = None
-) -> dict[str, np.ndarray] | None:
-    """Delta-tier rows matching the polyhedron, shaped like a scan piece."""
-    if snapshot is None or not snapshot.num_rows:
-        return None
-    stats.rows_examined += snapshot.num_rows
-    cols, row_ids = snapshot.match(polyhedron, dims=dims)
-    if memberships and len(row_ids):
-        mask = membership_predicate(memberships)(cols)
-        cols = {name: arr[mask] for name, arr in cols.items()}
-        row_ids = row_ids[mask]
-    stats.rows_returned += len(row_ids)
-    piece = dict(cols)
-    piece["_row_id"] = row_ids
-    return piece
-
-
-def _concat_results(
-    table: Table, pieces: list[dict[str, np.ndarray]]
-) -> dict[str, np.ndarray]:
-    names = table.column_names + ["_row_id"]
-    if not pieces:
-        out = {n: np.empty(0, dtype=table.dtype_of(n)) for n in table.column_names}
-        out["_row_id"] = np.empty(0, dtype=np.int64)
-        return out
-    return {n: np.concatenate([p[n] for p in pieces]) for n in names}

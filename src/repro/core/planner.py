@@ -81,6 +81,13 @@ _ENGINES = ("kdtree", "scan", "bitmap", "hybrid")
 _INDEX_PAGE_READ_COST = 0.25
 
 
+def _rows_for(bitmap, candidates):
+    """The plan's candidate rows, if they came from this ``bitmap`` object."""
+    if candidates is not None and candidates[0] is bitmap:
+        return candidates[1]
+    return None
+
+
 @dataclass
 class PlannedQuery:
     """Outcome of a planned execution.
@@ -360,8 +367,15 @@ class QueryPlanner:
             fractions[axis] = max(float(inside.mean()), floor)
         return fractions
 
-    def _raw_costs(self, polyhedron: Polyhedron, memberships) -> dict[str, float]:
+    def _raw_costs(self, polyhedron: Polyhedron, memberships):
         """Predicted pages decoded per engine, before calibration.
+
+        Returns ``(costs, candidates)``.  ``candidates`` is ``(bitmap
+        index, candidate rows)`` when pricing the bitmap engine built
+        the exact candidate set, else ``None``: the execution this plan
+        is for reuses the rows instead of ANDing the bitmaps again --
+        only against that same index object, never a later query or a
+        layout a merge swapped in since.
 
         - ``scan``: every page.
         - ``kdtree``: leaves whose cell survives the per-axis slab
@@ -412,7 +426,8 @@ class QueryPlanner:
         if bitmap is None:
             costs["bitmap"] = float("inf")
             costs["hybrid"] = float("inf")
-            return costs
+            return costs, None
+        candidates = None
         candidate = bitmap.candidate_bitmap(polyhedron, memberships)
         if candidate is None:
             # Nothing constrains the index: fall back to the fraction
@@ -425,13 +440,13 @@ class QueryPlanner:
             fraction = min(1.0, max(1.0 / num_rows, fraction + bias))
             costs["bitmap"] = min(float(num_pages), max(1.0, fraction * num_rows))
         else:
-            candidate_pages = len(
-                np.unique(candidate.to_indices() // rows_per_page)
-            )
+            rows = candidate.to_indices()
+            candidates = (bitmap, rows)
+            candidate_pages = len(np.unique(rows // rows_per_page))
             costs["bitmap"] = min(float(num_pages), max(1.0, float(candidate_pages)))
         hybrid = max(1.0, costs["kdtree"] * costs["bitmap"] / num_pages)
         costs["hybrid"] = min(costs["kdtree"], costs["bitmap"], hybrid) + 2.0
-        return costs
+        return costs, candidates
 
     def _calibrated(self, raw: dict[str, float]) -> dict[str, float]:
         with self._cost_lock:
@@ -528,7 +543,7 @@ class QueryPlanner:
         page -- so a sick replica prices itself out of routing.
         """
         try:
-            raw = self._raw_costs(polyhedron, memberships)
+            raw, _ = self._raw_costs(polyhedron, memberships)
         except StorageFault:
             return float(max(1, self.index.table.num_pages))
         finite = [
@@ -587,9 +602,10 @@ class QueryPlanner:
         """Estimate + engine choice for one query.
 
         Returns ``(engine, estimate, probed, fallback, reason, raw,
-        calibrated)``.  The estimate folds the membership lists' bin-mass
-        fraction in (when a bitmap index can supply one), so an IN-list
-        query over a full-space box still reads as selective.
+        calibrated, candidates)`` -- ``candidates`` as from
+        :meth:`_raw_costs`.  The estimate folds the membership lists'
+        bin-mass fraction in (when a bitmap index can supply one), so an
+        IN-list query over a full-space box still reads as selective.
         """
         fallback = False
         reason = ""
@@ -606,13 +622,13 @@ class QueryPlanner:
                 if member_fraction is not None:
                     estimate *= member_fraction
         try:
-            raw = self._raw_costs(polyhedron, memberships)
+            raw, candidates = self._raw_costs(polyhedron, memberships)
         except StorageFault:
-            raw = {"scan": float(self.index.table.num_pages or 1)}
+            raw, candidates = {"scan": float(self.index.table.num_pages or 1)}, None
         engine, calibrated, forced_reason = self._choose_engine(estimate, raw)
         if forced_reason and not fallback:
             fallback, reason = True, forced_reason
-        return engine, estimate, probed, fallback, reason, raw, calibrated
+        return engine, estimate, probed, fallback, reason, raw, calibrated, candidates
 
     def execute(
         self, polyhedron: Polyhedron, cancel_check=None, memberships=None
@@ -662,27 +678,24 @@ class QueryPlanner:
                     raise
         return attempt()
 
-    def _run_engine(self, engine: str, polyhedron, cancel_check, memberships):
+    def _run_engine(
+        self, engine: str, polyhedron, cancel_check, memberships, candidates=None
+    ):
         """Dispatch one query to one engine; returns ``(rows, stats)``."""
         if engine == "kdtree":
             return self.index.query_polyhedron(
                 polyhedron, cancel_check=cancel_check, memberships=memberships
             )
-        if engine == "bitmap":
-            return bitmap_query(
-                self.bitmap_index,
-                polyhedron,
+        if engine in ("bitmap", "hybrid"):
+            bitmap = self.bitmap_index
+            common = dict(
                 memberships=memberships,
                 cancel_check=cancel_check,
+                candidate_rows=_rows_for(bitmap, candidates),
             )
-        if engine == "hybrid":
-            return hybrid_query(
-                self.index,
-                self.bitmap_index,
-                polyhedron,
-                memberships=memberships,
-                cancel_check=cancel_check,
-            )
+            if engine == "bitmap":
+                return bitmap_query(bitmap, polyhedron, **common)
+            return hybrid_query(self.index, bitmap, polyhedron, **common)
         return polyhedron_full_scan(
             self.index.table,
             self.index.dims,
@@ -697,14 +710,16 @@ class QueryPlanner:
         """One planning-and-execution attempt against the current layout."""
         if cancel_check is not None:
             cancel_check()
-        engine, estimate, probed, fallback, reason, raw, calibrated = (
+        engine, estimate, probed, fallback, reason, raw, calibrated, candidates = (
             self._plan_member(polyhedron, memberships)
         )
         if cancel_check is not None:
             cancel_check()
         started = time.perf_counter()
         try:
-            rows, stats = self._run_engine(engine, polyhedron, cancel_check, memberships)
+            rows, stats = self._run_engine(
+                engine, polyhedron, cancel_check, memberships, candidates
+            )
             path = engine
         except StorageFault as exc:
             if engine == "scan":
@@ -774,8 +789,8 @@ class QueryPlanner:
         result = BatchResult(
             members=[BatchMemberResult() for _ in range(n)], occupancy=n
         )
-        # (estimate, probed, fallback, reason, raw, calibrated) per
-        # member; None = errored before planning finished.
+        # (estimate, probed, fallback, reason, raw, calibrated,
+        # candidates) per member; None = errored before planning finished.
         plans: list[tuple | None] = [None] * n
         groups: dict[str, list[int]] = {name: [] for name in _ENGINES}
         for m, (polyhedron, check) in enumerate(zip(polyhedra, checks)):
@@ -785,26 +800,25 @@ class QueryPlanner:
                 except BaseException as exc:
                     result.members[m].error = exc
                     continue
-            engine, estimate, probed, fallback, reason, raw, calibrated = (
-                self._plan_member(polyhedron, member_filters[m])
-            )
-            plans[m] = (estimate, probed, fallback, reason, raw, calibrated)
+            engine, *plans[m] = self._plan_member(polyhedron, member_filters[m])
             groups[engine].append(m)
 
         bitmap = self.bitmap_index
         runners = {
-            "kdtree": lambda polys, chks, mlist: batch_kd_query(
+            "kdtree": lambda polys, chks, mlist, cands: batch_kd_query(
                 self.index, polys, chks, memberships_list=mlist
             ),
-            "scan": lambda polys, chks, mlist: polyhedron_batch_full_scan(
+            "scan": lambda polys, chks, mlist, cands: polyhedron_batch_full_scan(
                 self.index.table, self.index.dims, polys, chks,
                 memberships_list=mlist,
             ),
-            "bitmap": lambda polys, chks, mlist: batch_bitmap_query(
-                bitmap, polys, chks, memberships_list=mlist
+            "bitmap": lambda polys, chks, mlist, cands: batch_bitmap_query(
+                bitmap, polys, chks, memberships_list=mlist,
+                candidate_rows_list=[_rows_for(bitmap, c) for c in cands],
             ),
-            "hybrid": lambda polys, chks, mlist: batch_hybrid_query(
-                self.index, bitmap, polys, chks, memberships_list=mlist
+            "hybrid": lambda polys, chks, mlist, cands: batch_hybrid_query(
+                self.index, bitmap, polys, chks, memberships_list=mlist,
+                candidate_rows_list=[_rows_for(bitmap, c) for c in cands],
             ),
         }
         for engine in _ENGINES:
@@ -845,6 +859,7 @@ class QueryPlanner:
                 [polyhedra[m] for m in group],
                 [checks[m] for m in group],
                 [member_filters[m] for m in group],
+                [plans[m][-1] for m in group],
             )
         except StorageFault as exc:
             # The shared pass died; peel the members apart so each gets
@@ -876,7 +891,7 @@ class QueryPlanner:
             if error is not None:
                 result.members[m].error = error
                 continue
-            estimate, probed, fallback, reason, raw, calibrated = plans[m]
+            estimate, probed, fallback, reason, raw, calibrated, _ = plans[m]
             planned = self._finalize(
                 PlannedQuery(
                     rows=rows,

@@ -20,8 +20,12 @@ is a first-class, measurable quantity:
 * :mod:`repro.db.expressions` -- predicate ASTs evaluated page-at-a-time
   with numpy, plus extraction of linear inequalities into
   :class:`repro.geometry.Polyhedron` queries.
-* :mod:`repro.db.scan` -- full-scan and range-scan executors, with
-  zone-map pruning and coalesced read-ahead on their hot paths.
+* :mod:`repro.db.fetch` -- the fetch kernel: given an engine's candidate
+  segments it plans the pages (zone-map pruning, coalesced read-ahead),
+  reads each once, and runs the residual filter once per chunk of
+  gathered rows, with merge-on-read of the delta tier.
+* :mod:`repro.db.scan` -- full-scan and range-scan executors: the
+  index-free candidates ("every row of these pages") over that kernel.
 * :mod:`repro.db.zonemap` -- per-page min/max synopses that let scans
   skip pages before any read or decode.
 * :mod:`repro.db.procedures` -- the stored-procedure registry (the CLR

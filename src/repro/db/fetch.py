@@ -1,0 +1,477 @@
+"""The fetch kernel: everything a query does after candidate generation.
+
+The paper's query shape (Figure 4/5) is *index names candidate row
+ranges, a ``BETWEEN`` fetches them, a residual filter decides*.  Every
+engine here produces its candidates differently -- the scan names every
+page, the kd-tree names INSIDE/PARTIAL clustered row ranges, the bitmap
+index names candidate row offsets -- and then hands them to
+:func:`fetch` as **segments** ``(page_id, member, selection,
+needs_filter)``:
+
+* ``member`` indexes the :class:`FetchMember` (one per query of the
+  batch; solo is a batch of one) that claimed the rows;
+* ``selection`` is a local ``(lo, hi)`` row range of the page or an
+  int64 array of local row offsets;
+* ``needs_filter`` says the member's geometric residual (polyhedron or
+  generic predicate) still has to decide these rows.  Such a segment
+  first consults the member's zone pruner: OUTSIDE drops it before any
+  read (``pages_skipped``), INSIDE clears the flag.  A segment that
+  arrives with the flag off is an index-proven bulk return and never
+  sees the pruner.  IN-list memberships and tombstones apply to every
+  segment either way.
+
+The kernel owns the rest: the page plan and its coalesced read-ahead
+runs, one read of each page (per-member ``cancel_check`` before the
+member consumes a page, per-member ``QueryStats``, the ``pages_decoded``
+/ ``shared_decode_hits`` sharing counters), the gather of the selected
+rows, the residual, tombstone suppression, and the delta tier's
+merge-on-read piece.  Pages are read in the order the segment list first
+names them, and a page serves all of its segments at that one read.
+Engines therefore hand their segments over in page order -- the batch
+engines sort theirs, which is what lets read-ahead runs span members --
+except the solo kd query, which keeps the traversal's right-to-left
+range order: a query that ends on the low pages leaves in the buffer
+pool exactly what the next ascending scan starts with.  The residual runs **once per chunk**, not
+once per page: selections accumulate per member and are flushed every
+``_CHUNK_ROWS`` rows with one ``column_stack`` + ``contains_points``, one
+``np.isin`` per IN-list column, one tombstone mask and one boolean take
+per column.  Selections no residual applies to are kept as views of the
+cached pages and copied exactly once, at assembly.
+
+The kernel never writes into an array it did not allocate: masks and
+columns a predicate returns may alias a cached page.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from repro.db.faults import RetryPolicy, call_with_retries
+from repro.db.pages import Page
+from repro.db.stats import QueryStats
+from repro.db.table import Table
+from repro.db.zonemap import ZonePruner
+from repro.geometry.boxes import BoxRelation
+from repro.geometry.halfspace import Polyhedron
+
+__all__ = [
+    "SCAN_RETRY",
+    "FetchMember",
+    "delta_piece",
+    "fetch",
+    "offset_segments",
+    "range_segments",
+    "solo",
+]
+
+#: Per-page retry budget of the kernel, applied after (on top of) the
+#: buffer pool's own retries.
+SCAN_RETRY = RetryPolicy(attempts=2, backoff_s=0.002)
+
+#: Rows a member accumulates before its residual runs.  Large enough
+#: that the per-call numpy overhead vanishes (32 default pages per
+#: call), small enough that the gathered columns stay cache-resident
+#: (~300 KB) and that the residual's matrix product stays a size BLAS
+#: runs on the calling thread for the usual handful of halfspaces (its
+#: worker threads spin for milliseconds after every larger product).
+_CHUNK_ROWS = 4096
+
+#: ``(page_id, member, selection, needs_filter)``.
+Segment = tuple[int, int, "tuple[int, int] | np.ndarray", bool]
+
+Outcome = tuple["dict[str, np.ndarray] | None", QueryStats, "BaseException | None"]
+
+
+@dataclass
+class FetchMember:
+    """One query's residual, as the kernel applies it.
+
+    The geometric residual is either ``polyhedron`` over the columns
+    ``dims`` or a generic ``predicate`` over a column dict (what the
+    scans accept); ``memberships`` maps columns to IN-list values.
+    ``cancel_check`` may raise to drop this member from the rest of the
+    fetch: the exception lands in ``error``, its rows are discarded and
+    its siblings continue.  An engine that already did work for the
+    member (a traversal) passes the ``stats`` it counted into, and the
+    ``error`` it caught, so the kernel carries on from there.
+    """
+
+    polyhedron: Polyhedron | None = None
+    dims: Sequence[str] = ()
+    predicate: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None
+    memberships: dict[str, np.ndarray] | None = None
+    pruner: ZonePruner | None = None
+    cancel_check: Callable[[], None] | None = None
+    stats: QueryStats = field(default_factory=QueryStats)
+    error: BaseException | None = None
+
+
+class _Gathered(dict):
+    """A chunk's selected rows per column, materialized on first use.
+
+    Row ranges concatenate as views of their pages.  Row-offset arrays
+    are cheaper taken all at once: the pages' whole columns are
+    concatenated and indexed with one flat offset array, instead of one
+    small fancy-index per page and column.
+    """
+
+    def __init__(self, items: list):
+        super().__init__()
+        self._items = items
+        self._flat = None
+        if any(type(sel) is not slice for _, sel in items):
+            sizes = [page.num_rows for page, _ in items]
+            self._flat = _offsets(items, np.cumsum([0] + sizes[:-1]))
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if self._flat is None:
+            parts = [page.columns[name][sel] for page, sel in self._items]
+            arr = np.concatenate(parts)
+        else:
+            arr = np.concatenate([page.columns[name] for page, _ in self._items])
+            arr = arr.take(self._flat)
+        self[name] = arr
+        return arr
+
+
+class _Accumulator:
+    """One member's selections awaiting their residual, and finished pieces."""
+
+    __slots__ = ("member", "bulk", "pending", "pending_rows", "pieces")
+
+    def __init__(self, member: FetchMember):
+        self.member = member
+        #: ``(page, selection)`` pairs no residual applies to.
+        self.bulk: list[tuple[Page, slice | np.ndarray]] = []
+        #: Pairs awaiting a flush, keyed by "geometry still undecided".
+        self.pending: dict[bool, list] = {True: [], False: []}
+        self.pending_rows = {True: 0, False: 0}
+        self.pieces: list[dict[str, np.ndarray]] = []
+
+
+def range_segments(
+    table: Table, member: int, start: int, end: int, needs_filter: bool = True
+) -> list[Segment]:
+    """Segments covering the clustered row range ``[start, end)``."""
+    rows_per_page = table.rows_per_page
+    start = max(0, start)
+    end = min(table.num_rows, end)
+    if start >= end:
+        return []
+    first, last = start // rows_per_page, (end - 1) // rows_per_page
+    whole = (0, rows_per_page)
+    segments = [(page_id, member, whole, needs_filter) for page_id in range(first, last + 1)]
+    # Only the two end pages can be cut (or short: the table's last page).
+    for page_id in {first, last}:
+        base = page_id * rows_per_page
+        selection = (max(start - base, 0), min(end - base, rows_per_page))
+        segments[page_id - first] = (page_id, member, selection, needs_filter)
+    return segments
+
+
+def offset_segments(table: Table, member: int, rows: np.ndarray) -> list[Segment]:
+    """Segments for a sorted array of main-tier row positions."""
+    if not len(rows):
+        return []
+    rows_per_page = table.rows_per_page
+    pages = rows // rows_per_page
+    local = np.asarray(rows - pages * rows_per_page, dtype=np.int64)
+    cuts = (np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist()
+    return [
+        (page_id, member, local[start:stop], True)
+        for page_id, start, stop in zip(
+            pages[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rows)]
+        )
+    ]
+
+
+def solo(outcome: tuple[list[Outcome], dict]) -> tuple[dict[str, np.ndarray], QueryStats]:
+    """Unwrap a batch-of-one result, re-raising the member's error."""
+    rows, stats, error = outcome[0][0]
+    if error is not None:
+        raise error
+    return rows, stats
+
+
+def _alive_mask(row_ids: np.ndarray, tombstones: np.ndarray) -> np.ndarray:
+    """Rows not suppressed by a sorted tombstone array."""
+    pos = np.searchsorted(tombstones, row_ids)
+    pos = np.minimum(pos, len(tombstones) - 1)
+    return tombstones[pos] != row_ids
+
+
+def _membership_mask(columns, memberships: dict[str, np.ndarray]) -> np.ndarray:
+    """AND of one ``np.isin`` per IN-list column."""
+    mask = None
+    for name, values in memberships.items():
+        piece = np.isin(columns[name], values)
+        mask = piece if mask is None else mask & piece
+    return mask
+
+
+def _read_page_retrying(table: Table, page_id: int, retry: RetryPolicy | None) -> Page:
+    if retry is None:
+        return table.read_page(page_id)
+    return call_with_retries(lambda: table.read_page(page_id), retry)
+
+
+def _coalesced_runs(page_ids: list[int], window: int) -> list[list[int]]:
+    """Split page ids into runs of consecutive ids, each at most ``window``."""
+    runs: list[list[int]] = []
+    run: list[int] = []
+    for page_id in page_ids:
+        if run and (page_id != run[-1] + 1 or len(run) >= window):
+            runs.append(run)
+            run = []
+        run.append(page_id)
+    if run:
+        runs.append(run)
+    return runs
+
+
+def delta_piece(
+    snapshot, member: FetchMember, wanted: list[str] | None = None
+) -> dict[str, np.ndarray] | None:
+    """The delta tier's live inserts that pass ``member``'s residual.
+
+    Merge-on-read: pending inserts join a result as if they were one
+    more page, decoded zero pages.  Counts into ``member.stats``;
+    returns ``None`` when nothing matches.
+    """
+    if snapshot is None or not snapshot.num_rows:
+        return None
+    stats = member.stats
+    stats.rows_examined += snapshot.num_rows
+    if member.polyhedron is not None:
+        # The snapshot's own layered grid does the point-in-polyhedron work.
+        columns, row_ids = snapshot.match(member.polyhedron, dims=tuple(member.dims))
+        mask = None
+    else:
+        columns, row_ids = snapshot.columns, snapshot.row_ids
+        mask = None if member.predicate is None else np.asarray(
+            member.predicate(columns), dtype=bool
+        )
+    if member.memberships and len(row_ids):
+        listed = _membership_mask(columns, member.memberships)
+        mask = listed if mask is None else mask & listed
+    if mask is not None:
+        columns = {name: arr[mask] for name, arr in columns.items()}
+        row_ids = row_ids[mask]
+    if not len(row_ids):
+        return None
+    stats.rows_returned += len(row_ids)
+    piece = {name: columns[name] for name in (wanted or columns)}
+    piece["_row_id"] = row_ids
+    return piece
+
+
+def _offsets(items: list, bases) -> np.ndarray:
+    """``bases[i]`` + each local row offset item ``i`` selects, concatenated."""
+    local = [
+        np.arange(sel.start, sel.stop) if type(sel) is slice else sel
+        for _, sel in items
+    ]
+    return np.concatenate(local) + np.repeat(bases, [len(part) for part in local])
+
+
+def _row_ids(items: list) -> np.ndarray:
+    """Global row ids of ``(page, selection)`` pairs."""
+    return _offsets(items, [page.start_row for page, _ in items])
+
+
+def _flush(
+    acc: _Accumulator,
+    geometry: bool,
+    tombstones: np.ndarray | None,
+    wanted: list[str],
+    table_columns: list[str],
+) -> None:
+    """Run the residual over one member's pending chunk."""
+    items = acc.pending[geometry]
+    if not items:
+        return
+    acc.pending[geometry] = []
+    acc.pending_rows[geometry] = 0
+    member = acc.member
+    gathered = _Gathered(items)
+    row_ids = _row_ids(items)
+    mask = None
+    if geometry:
+        if member.polyhedron is not None:
+            points = np.column_stack([gathered[d] for d in member.dims])
+            mask = member.polyhedron.contains_points(points)
+        else:
+            # A generic predicate may read any column, by any dict method.
+            mask = np.asarray(
+                member.predicate({name: gathered[name] for name in table_columns}),
+                dtype=bool,
+            )
+    if member.memberships:
+        listed = _membership_mask(gathered, member.memberships)
+        mask = listed if mask is None else mask & listed
+    if tombstones is not None:
+        alive = _alive_mask(row_ids, tombstones)
+        mask = alive if mask is None else mask & alive
+    matched = int(np.count_nonzero(mask))
+    if matched == 0:
+        return
+    member.stats.rows_returned += matched
+    if matched == len(row_ids):
+        piece = {name: gathered[name] for name in wanted}
+    else:
+        piece = {name: gathered[name][mask] for name in wanted}
+        row_ids = row_ids[mask]
+    piece["_row_id"] = row_ids
+    acc.pieces.append(piece)
+
+
+def _assemble(table: Table, wanted: list[str], acc: _Accumulator) -> dict[str, np.ndarray]:
+    result: dict[str, np.ndarray] = {}
+    for name in wanted:
+        parts = [page.columns[name][sel] for page, sel in acc.bulk]
+        parts += [piece[name] for piece in acc.pieces]
+        result[name] = (
+            np.concatenate(parts) if parts else np.empty(0, dtype=table.dtype_of(name))
+        )
+    parts = [_row_ids(acc.bulk)] if acc.bulk else []
+    parts += [piece["_row_id"] for piece in acc.pieces]
+    result["_row_id"] = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return result
+
+
+def fetch(
+    table: Table,
+    members: Sequence[FetchMember],
+    segments: Iterable[Segment],
+    tombstones: np.ndarray | None = None,
+    snapshot=None,
+    columns: list[str] | None = None,
+    retry: RetryPolicy | None = SCAN_RETRY,
+    readahead: int | None = None,
+) -> tuple[list[Outcome], dict]:
+    """Serve every member's segments, reading each needed page once.
+
+    ``tombstones`` (a sorted row-id array) suppresses deleted rows in
+    every segment; ``snapshot`` (a delta snapshot) contributes its
+    matching live inserts to every member once, after the pages.  The
+    two are separate because a caller may own the query-level delta
+    merge itself and want suppression only.  ``columns`` projects the
+    result, ``retry`` bounds per-page re-attempts after the buffer
+    pool's own, ``readahead`` overrides the table's coalescing window
+    (``0``/``1`` disables).
+
+    Returns ``(results, counters)``: ``results[i]`` is ``(rows, stats,
+    error)`` with ``rows=None`` iff ``error`` is set -- rows carry the
+    ``wanted`` columns plus ``_row_id``, in no particular order;
+    ``counters`` holds ``pages_decoded`` (pages this call read) and
+    ``shared_decode_hits`` (additional members served per page beyond
+    the first).  A :class:`~repro.db.errors.StorageFault` from the
+    shared read path (after retries) propagates to the caller.
+    """
+    wanted = list(columns) if columns is not None else table.column_names
+    table_columns = table.column_names
+    if tombstones is not None and not len(tombstones):
+        tombstones = None
+    accumulators = [_Accumulator(member) for member in members]
+    has_geometry = [
+        member.polyhedron is not None or member.predicate is not None
+        for member in members
+    ]
+    counters = {"pages_decoded": 0, "shared_decode_hits": 0}
+
+    # Plan: which members take which page, and whether their geometric
+    # residual is still open there.
+    plan: dict[int, list] = {}
+    for page_id, m, selection, needs_filter in segments:
+        member = members[m]
+        if member.error is not None:
+            continue
+        if needs_filter and member.pruner is not None:
+            relation = member.pruner.classify(page_id)
+            if relation is BoxRelation.OUTSIDE:
+                member.stats.pages_skipped += 1
+                continue
+            needs_filter = relation is not BoxRelation.INSIDE
+        takers = plan.get(page_id)
+        if takers is None:
+            takers = plan[page_id] = []
+        takers.append((m, selection, needs_filter))
+
+    page_ids = list(plan)  # first-named order: see the module docstring
+    window = readahead if readahead is not None else table.readahead_pages
+    prefetch_at: dict[int, list[int]] = {}
+    if window > 1:
+        for run in _coalesced_runs(page_ids, window):
+            if len(run) > 1:
+                prefetch_at[run[0]] = run
+
+    namespace = table.name
+    checked_at = [-1] * len(members)
+    for page_id in page_ids:
+        live = []
+        sharers = 0
+        for taker in plan[page_id]:
+            m = taker[0]
+            member = members[m]
+            if member.error is not None:
+                continue
+            if checked_at[m] != page_id:
+                # Once per member per page, however many of its segments
+                # land here.
+                checked_at[m] = page_id
+                if member.cancel_check is not None:
+                    try:
+                        member.cancel_check()
+                    except BaseException as exc:
+                        member.error = exc
+                        continue
+                sharers += 1
+            live.append(taker)
+        if not live:
+            if all(member.error is not None for member in members):
+                break
+            continue
+        run = prefetch_at.get(page_id)
+        if run is not None:
+            # Attributed to the first live member so service-level sums
+            # still equal the pages actually prefetched.
+            members[live[0][0]].stats.pages_prefetched += table.prefetch(run)
+        page = _read_page_retrying(table, page_id, retry)
+        counters["pages_decoded"] += 1
+        counters["shared_decode_hits"] += sharers - 1
+        for m, selection, needs_filter in live:
+            acc = accumulators[m]
+            member = acc.member
+            member.stats.record_page(namespace, page_id)
+            if type(selection) is tuple:
+                rows = selection[1] - selection[0]
+                selection = slice(*selection)
+            else:
+                rows = len(selection)
+            member.stats.rows_examined += rows
+            geometry = bool(needs_filter) and has_geometry[m]
+            if not geometry and tombstones is None and not member.memberships:
+                member.stats.rows_returned += rows
+                acc.bulk.append((page, selection))
+                continue
+            acc.pending[geometry].append((page, selection))
+            acc.pending_rows[geometry] += rows
+            if acc.pending_rows[geometry] >= _CHUNK_ROWS:
+                _flush(acc, geometry, tombstones, wanted, table_columns)
+
+    results: list[Outcome] = []
+    for acc in accumulators:
+        member = acc.member
+        if member.error is not None:
+            results.append((None, member.stats, member.error))
+            continue
+        _flush(acc, True, tombstones, wanted, table_columns)
+        _flush(acc, False, tombstones, wanted, table_columns)
+        piece = delta_piece(snapshot, member, wanted)
+        if piece is not None:
+            acc.pieces.append(piece)
+        results.append((_assemble(table, wanted, acc), member.stats, None))
+    return results, counters

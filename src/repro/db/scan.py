@@ -4,36 +4,40 @@ Everything an index is compared against in the paper reduces to one of
 these: a full table scan with a residual predicate, or a clustered range
 scan (``BETWEEN`` over the clustered position).
 
-Scans are the engine's longest-running reads, so they carry their own
-(small) retry budget on top of the buffer pool's: when the pool exhausts
-its backoff on a page, the scan re-attempts that one page before giving
-up -- a page lost to a fault burst mid-scan does not forfeit the pages
-already processed.
+A scan's candidates are simply "every row of these pages"; reading,
+filtering and merge-on-read are the fetch kernel's
+(:mod:`repro.db.fetch`), which the executors here call with one member
+(or one per query for :func:`batch_full_scan`).  What they inherit from
+it:
 
-Both executors accept two optional accelerators:
-
+* a per-page retry budget (``retry``) on top of the buffer pool's: when
+  the pool exhausts its backoff on a page, the scan re-attempts that one
+  page before giving up -- a page lost to a fault burst mid-scan does
+  not forfeit the pages already processed;
 * a ``pruner`` (usually :meth:`repro.db.zonemap.ZoneMap.pruner`): pages
   it classifies ``OUTSIDE`` are skipped before any read or decode
   (counted as ``pages_skipped``), and pages classified ``INSIDE`` skip
-  the per-row predicate -- every row qualifies by construction.  The
-  pruner must be derived from the same geometry as the predicate, which
-  is the caller's contract.
+  the predicate -- every row qualifies by construction.  The pruner must
+  be derived from the same geometry as the predicate, which is the
+  caller's contract;
 * ``readahead``: surviving pages are grouped into runs of consecutive
   ids (at most ``readahead`` long) and each multi-page run is pulled
   into the buffer pool with one coalesced storage request before the
-  per-page loop touches it.
+  page loop touches it;
+* the predicate runs once per chunk of gathered rows, not once per page,
+  so it sees freshly allocated column arrays, never a cached page's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from repro.db.expressions import Expr
-from repro.db.faults import RetryPolicy, call_with_retries
-from repro.db.pages import Page
+from repro.db.faults import RetryPolicy
+from repro.db.fetch import SCAN_RETRY, FetchMember, Outcome, fetch, range_segments, solo
 from repro.db.stats import QueryStats
 from repro.db.table import Table
 from repro.db.zonemap import ZonePruner
@@ -51,22 +55,13 @@ __all__ = [
     "SCAN_RETRY",
 ]
 
-#: Per-page retry budget of the scan executors, applied after (on top
-#: of) the buffer pool's own retries.
-SCAN_RETRY = RetryPolicy(attempts=2, backoff_s=0.002)
-
 #: Sentinel for ``tombstones=``: resolve suppression from the table's
 #: own delta snapshot (the common case).  Callers that already hold a
 #: query-level snapshot pass its tombstone array explicitly so every
 #: scan of the query suppresses against the same consistent view.
 AUTO_TOMBSTONES = object()
 
-
-def _alive_mask(row_ids: np.ndarray, tombstones: np.ndarray) -> np.ndarray:
-    """Rows not suppressed by a sorted tombstone array."""
-    pos = np.searchsorted(tombstones, row_ids)
-    pos = np.minimum(pos, len(tombstones) - 1)
-    return tombstones[pos] != row_ids
+Predicate = Callable[[dict[str, np.ndarray]], np.ndarray]
 
 
 def _resolve_delta(table: Table, tombstones, include_delta: bool):
@@ -80,74 +75,15 @@ def _resolve_delta(table: Table, tombstones, include_delta: bool):
         snapshot = table.delta_snapshot()
     if tombstones is AUTO_TOMBSTONES:
         tombstones = snapshot.tombstones if snapshot is not None else None
-    if tombstones is not None and len(tombstones) == 0:
-        tombstones = None
     if not include_delta:
         snapshot = None
     return tombstones, snapshot
 
 
-def _read_page_retrying(
-    table: Table, page_id: int, retry: RetryPolicy | None
-) -> Page:
-    if retry is None:
-        return table.read_page(page_id)
-    return call_with_retries(lambda: table.read_page(page_id), retry)
-
-
-def _coalesced_runs(page_ids: list[int], window: int) -> list[list[int]]:
-    """Split page ids into runs of consecutive ids, each at most ``window``."""
-    runs: list[list[int]] = []
-    run: list[int] = []
-    for page_id in page_ids:
-        if run and (page_id != run[-1] + 1 or len(run) >= window):
-            runs.append(run)
-            run = []
-        run.append(page_id)
-    if run:
-        runs.append(run)
-    return runs
-
-
-def _iter_planned_pages(
-    table: Table,
-    page_ids: Iterable[int],
-    pruner: ZonePruner | None,
-    stats: QueryStats,
-    cancel_check: Callable[[], None] | None,
-    retry: RetryPolicy | None,
-    window: int,
-) -> Iterator[tuple[Page, bool]]:
-    """Yield ``(page, fully_inside)`` for the pages that survive pruning.
-
-    OUTSIDE pages are dropped up front (``stats.pages_skipped``); the
-    survivors are grouped into coalesced read-ahead runs when ``window``
-    allows, so the storage sees one request per run instead of one per
-    page.
-    """
-    plan: list[tuple[int, bool]] = []
-    for page_id in page_ids:
-        if pruner is not None:
-            relation = pruner.classify(page_id)
-            if relation is BoxRelation.OUTSIDE:
-                stats.pages_skipped += 1
-                continue
-            plan.append((page_id, relation is BoxRelation.INSIDE))
-        else:
-            plan.append((page_id, False))
-    prefetch_at: dict[int, list[int]] = {}
-    if window > 1:
-        for run in _coalesced_runs([page_id for page_id, _ in plan], window):
-            if len(run) > 1:
-                prefetch_at[run[0]] = run
-    for page_id, inside in plan:
-        if cancel_check is not None:
-            cancel_check()
-        run = prefetch_at.get(page_id)
-        if run is not None:
-            stats.pages_prefetched += table.prefetch(run)
-        page = _read_page_retrying(table, page_id, retry)
-        yield page, inside
+def _scan_member(predicate, pruner, cancel_check) -> FetchMember:
+    if isinstance(predicate, Expr):
+        predicate = predicate_from_expression(predicate)
+    return FetchMember(predicate=predicate, pruner=pruner, cancel_check=cancel_check)
 
 
 def membership_predicate(
@@ -206,7 +142,7 @@ def predicate_from_expression(expr: Expr) -> Callable[[dict[str, np.ndarray]], n
 
 def full_scan(
     table: Table,
-    predicate: Expr | Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
+    predicate: Expr | Predicate | None = None,
     columns: list[str] | None = None,
     cancel_check: Callable[[], None] | None = None,
     retry: RetryPolicy | None = SCAN_RETRY,
@@ -231,73 +167,30 @@ def full_scan(
 
     Merge-on-read: ``tombstones`` (default: the table's current delta
     snapshot) suppresses deleted rows, and ``include_delta`` appends the
-    delta tier's live inserts after the page loop, evaluated against the
+    delta tier's live inserts after the pages, evaluated against the
     same predicate.  Pass ``tombstones=None, include_delta=False`` for a
     main-layout-only scan (e.g. the merge itself).
     """
-    if isinstance(predicate, Expr):
-        predicate = predicate_from_expression(predicate)
-    wanted = columns if columns is not None else table.column_names
-    stats = QueryStats()
-    chunks: dict[str, list[np.ndarray]] = {name: [] for name in wanted}
-    row_id_chunks: list[np.ndarray] = []
     tombstones, snapshot = _resolve_delta(table, tombstones, include_delta)
-    window = readahead if readahead is not None else table.readahead_pages
-    for page, inside in _iter_planned_pages(
-        table, range(table.num_pages), pruner, stats, cancel_check, retry, window
-    ):
-        stats.record_page(table.name, page.page_id)
-        stats.rows_examined += page.num_rows
-        row_ids = page.row_ids()
-        alive = (
-            _alive_mask(row_ids, tombstones) if tombstones is not None else None
+    return solo(
+        fetch(
+            table,
+            [_scan_member(predicate, pruner, cancel_check)],
+            range_segments(table, 0, 0, table.num_rows),
+            tombstones=tombstones,
+            snapshot=snapshot,
+            columns=columns,
+            retry=retry,
+            readahead=readahead,
         )
-        if predicate is None or inside:
-            mask = alive
-        else:
-            mask = predicate(page.columns)
-            if alive is not None:
-                mask &= alive
-        matched = page.num_rows if mask is None else int(np.count_nonzero(mask))
-        if matched == 0:
-            continue
-        stats.rows_returned += matched
-        if mask is None:
-            row_id_chunks.append(row_ids)
-            for name in wanted:
-                chunks[name].append(page.columns[name])
-        else:
-            row_id_chunks.append(row_ids[mask])
-            for name in wanted:
-                chunks[name].append(page.columns[name][mask])
-    if snapshot is not None and snapshot.num_rows:
-        # Merge-on-read: delta-tier inserts join the scan's result as if
-        # they were a final page (same predicate, same projection).
-        delta_cols = snapshot.columns
-        stats.rows_examined += snapshot.num_rows
-        dmask = None if predicate is None else predicate(delta_cols)
-        matched = (
-            snapshot.num_rows if dmask is None else int(np.count_nonzero(dmask))
-        )
-        if matched:
-            stats.rows_returned += matched
-            if dmask is None:
-                row_id_chunks.append(snapshot.row_ids)
-                for name in wanted:
-                    chunks[name].append(delta_cols[name])
-            else:
-                row_id_chunks.append(snapshot.row_ids[dmask])
-                for name in wanted:
-                    chunks[name].append(delta_cols[name][dmask])
-    result = _assemble(table, wanted, chunks, row_id_chunks)
-    return result, stats
+    )
 
 
 def range_scan(
     table: Table,
     start_row: int,
     stop_row: int,
-    predicate: Expr | Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
+    predicate: Expr | Predicate | None = None,
     columns: list[str] | None = None,
     cancel_check: Callable[[], None] | None = None,
     retry: RetryPolicy | None = SCAN_RETRY,
@@ -311,56 +204,21 @@ def range_scan(
     numbered kd-leaves or space-filling-curve cell ids.  ``cancel_check``,
     ``retry``, ``pruner`` and ``readahead`` behave as in
     :func:`full_scan`.  ``tombstones`` suppresses deleted rows the same
-    way, but a range scan never appends delta inserts -- the caller (kd
-    traversal) owns the query-level delta merge and appends them exactly
-    once.
+    way, but a range scan never appends delta inserts -- the caller owns
+    the query-level delta merge and appends them exactly once.
     """
-    if isinstance(predicate, Expr):
-        predicate = predicate_from_expression(predicate)
-    wanted = columns if columns is not None else table.column_names
-    stats = QueryStats()
-    chunks: dict[str, list[np.ndarray]] = {name: [] for name in wanted}
-    row_id_chunks: list[np.ndarray] = []
     tombstones, _ = _resolve_delta(table, tombstones, include_delta=False)
-    start_row = max(0, start_row)
-    stop_row = min(table.num_rows, stop_row)
-    if start_row >= stop_row:
-        return _assemble(table, wanted, chunks, row_id_chunks), stats
-    first = start_row // table.rows_per_page
-    last = (stop_row - 1) // table.rows_per_page
-    window = readahead if readahead is not None else table.readahead_pages
-    for page, inside in _iter_planned_pages(
-        table, range(first, last + 1), pruner, stats, cancel_check, retry, window
-    ):
-        lo = max(start_row - page.start_row, 0)
-        hi = min(stop_row - page.start_row, page.num_rows)
-        stats.record_page(table.name, page.page_id)
-        stats.rows_examined += hi - lo
-        view = page.slice(lo, hi)
-        row_ids = np.arange(page.start_row + lo, page.start_row + hi, dtype=np.int64)
-        alive = (
-            _alive_mask(row_ids, tombstones) if tombstones is not None else None
+    return solo(
+        fetch(
+            table,
+            [_scan_member(predicate, pruner, cancel_check)],
+            range_segments(table, 0, start_row, stop_row),
+            tombstones=tombstones,
+            columns=columns,
+            retry=retry,
+            readahead=readahead,
         )
-        if predicate is None or inside:
-            mask = alive
-        else:
-            mask = predicate(view)
-            if alive is not None:
-                mask &= alive
-        matched = hi - lo if mask is None else int(np.count_nonzero(mask))
-        if matched == 0:
-            continue
-        stats.rows_returned += matched
-        if mask is None:
-            row_id_chunks.append(row_ids)
-            for name in wanted:
-                chunks[name].append(view[name])
-        else:
-            row_id_chunks.append(row_ids[mask])
-            for name in wanted:
-                chunks[name].append(view[name][mask])
-    result = _assemble(table, wanted, chunks, row_id_chunks)
-    return result, stats
+    )
 
 
 @dataclass
@@ -375,7 +233,7 @@ class BatchScanMember:
     raises drops out of the batch without disturbing the others.
     """
 
-    predicate: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None
+    predicate: Predicate | None = None
     pruner: ZonePruner | None = None
     cancel_check: Callable[[], None] | None = None
 
@@ -387,7 +245,7 @@ def batch_full_scan(
     readahead: int | None = None,
     tombstones=AUTO_TOMBSTONES,
     include_delta: bool = True,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
+) -> tuple[list[Outcome], dict]:
     """One pass over the table evaluating every member's predicate.
 
     The cooperative-scan move: instead of N concurrent queries each
@@ -413,147 +271,21 @@ def batch_full_scan(
     decoded page beyond the first -- the work a solo execution would
     have repeated).
     """
-    n = len(members)
-    wanted = table.column_names
-    stats = [QueryStats() for _ in range(n)]
-    errors: list[BaseException | None] = [None] * n
-    chunks: list[dict[str, list[np.ndarray]]] = [
-        {name: [] for name in wanted} for _ in range(n)
-    ]
-    row_id_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
-    counters = {"pages_decoded": 0, "shared_decode_hits": 0}
     tombstones, snapshot = _resolve_delta(table, tombstones, include_delta)
-
-    # Plan: per page, which members take it and whether they can skip
-    # their residual filter (their pruner proved the page fully inside).
-    plan: list[tuple[int, list[tuple[int, bool]]]] = []
-    for page_id in range(table.num_pages):
-        takers: list[tuple[int, bool]] = []
-        for m, member in enumerate(members):
-            if member.pruner is not None:
-                relation = member.pruner.classify(page_id)
-                if relation is BoxRelation.OUTSIDE:
-                    stats[m].pages_skipped += 1
-                    continue
-                takers.append((m, relation is BoxRelation.INSIDE))
-            else:
-                takers.append((m, False))
-        if takers:
-            plan.append((page_id, takers))
-
-    window = readahead if readahead is not None else table.readahead_pages
-    prefetch_at: dict[int, list[int]] = {}
-    if window > 1:
-        for run in _coalesced_runs([page_id for page_id, _ in plan], window):
-            if len(run) > 1:
-                prefetch_at[run[0]] = run
-
-    for page_id, takers in plan:
-        live: list[tuple[int, bool]] = []
-        for m, inside in takers:
-            if errors[m] is not None:
-                continue
-            check = members[m].cancel_check
-            if check is not None:
-                try:
-                    check()
-                except BaseException as exc:
-                    errors[m] = exc
-                    continue
-            live.append((m, inside))
-        if not live:
-            continue
-        run = prefetch_at.get(page_id)
-        if run is not None:
-            # Attributed to the first live member so service-level sums
-            # still equal the pages actually prefetched.
-            stats[live[0][0]].pages_prefetched += table.prefetch(run)
-        page = _read_page_retrying(table, page_id, retry)
-        counters["pages_decoded"] += 1
-        counters["shared_decode_hits"] += len(live) - 1
-        row_ids = page.row_ids()
-        alive = (
-            _alive_mask(row_ids, tombstones) if tombstones is not None else None
-        )
-        for m, inside in live:
-            member_stats = stats[m]
-            member_stats.record_page(table.name, page_id)
-            member_stats.rows_examined += page.num_rows
-            predicate = members[m].predicate
-            if predicate is None or inside:
-                mask = alive
-            else:
-                mask = predicate(page.columns)
-                if alive is not None:
-                    mask = mask & alive
-            matched = (
-                page.num_rows if mask is None else int(np.count_nonzero(mask))
+    return fetch(
+        table,
+        [_scan_member(m.predicate, m.pruner, m.cancel_check) for m in members],
+        # Page-major, so every page is named in ascending order whichever
+        # members prune it.
+        [
+            segment
+            for takers in zip(
+                *(range_segments(table, m, 0, table.num_rows) for m in range(len(members)))
             )
-            if matched == 0:
-                continue
-            member_stats.rows_returned += matched
-            if mask is None:
-                row_id_chunks[m].append(row_ids)
-                for name in wanted:
-                    chunks[m][name].append(page.columns[name])
-            else:
-                row_id_chunks[m].append(row_ids[mask])
-                for name in wanted:
-                    chunks[m][name].append(page.columns[name][mask])
-
-    if snapshot is not None and snapshot.num_rows:
-        # Per-member merge-on-read: delta inserts are evaluated against
-        # each surviving member's predicate (decoded zero extra pages).
-        delta_cols = snapshot.columns
-        for m in range(n):
-            if errors[m] is not None:
-                continue
-            predicate = members[m].predicate
-            stats[m].rows_examined += snapshot.num_rows
-            dmask = None if predicate is None else predicate(delta_cols)
-            matched = (
-                snapshot.num_rows
-                if dmask is None
-                else int(np.count_nonzero(dmask))
-            )
-            if matched == 0:
-                continue
-            stats[m].rows_returned += matched
-            if dmask is None:
-                row_id_chunks[m].append(snapshot.row_ids)
-                for name in wanted:
-                    chunks[m][name].append(delta_cols[name])
-            else:
-                row_id_chunks[m].append(snapshot.row_ids[dmask])
-                for name in wanted:
-                    chunks[m][name].append(delta_cols[name][dmask])
-
-    results: list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]] = []
-    for m in range(n):
-        if errors[m] is not None:
-            results.append((None, stats[m], errors[m]))
-        else:
-            results.append(
-                (_assemble(table, wanted, chunks[m], row_id_chunks[m]), stats[m], None)
-            )
-    return results, counters
-
-
-def _assemble(
-    table: Table,
-    wanted: list[str],
-    chunks: dict[str, list[np.ndarray]],
-    row_id_chunks: list[np.ndarray],
-) -> dict[str, np.ndarray]:
-    result: dict[str, np.ndarray] = {}
-    for name in wanted:
-        parts = chunks[name]
-        result[name] = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=table.dtype_of(name))
-        )
-    result["_row_id"] = (
-        np.concatenate(row_id_chunks)
-        if row_id_chunks
-        else np.empty(0, dtype=np.int64)
+            for segment in takers
+        ],
+        tombstones=tombstones,
+        snapshot=snapshot,
+        retry=retry,
+        readahead=readahead,
     )
-    return result

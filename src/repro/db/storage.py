@@ -150,6 +150,10 @@ class FileStorage(Storage):
         super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # Per-namespace directory prefix as a plain string: the read
+        # path formats one file name per page and must not pay for
+        # ``pathlib`` objects on each of them.
+        self._prefixes: dict[str, str] = {}
 
     def _page_path(self, namespace: str, page_id: int) -> Path:
         return self.root / namespace / f"{page_id:08d}.page"
@@ -166,10 +170,22 @@ class FileStorage(Storage):
         self.stats.add(page_writes=1, bytes_written=len(data))
 
     def _read_bytes(self, namespace: str, page_id: int) -> bytes:
-        path = self._page_path(namespace, page_id)
+        prefix = self._prefixes.get(namespace)
+        if prefix is None:
+            prefix = self._prefixes[namespace] = os.path.join(self.root, namespace, "")
         try:
-            with open(path, "rb") as fh:
-                return fh.read()
+            fd = os.open(f"{prefix}{page_id:08d}.page", os.O_RDONLY)
+            try:
+                size = os.fstat(fd).st_size
+                data = os.read(fd, size)
+                while len(data) < size:
+                    more = os.read(fd, size - len(data))
+                    if not more:
+                        break
+                    data += more
+                return data
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             raise KeyError((namespace, page_id)) from None
         except OSError as exc:

@@ -102,3 +102,28 @@ class TestQueryStats:
         from repro.db.stats import QueryStats
 
         assert QueryStats().filter_efficiency == 1.0
+
+
+class TestScansNeverWriteIntoCachedPages:
+    """A predicate may hand back the page's own array as its mask."""
+
+    @pytest.mark.parametrize("scan", ["full", "range"])
+    def test_bool_column_predicate_with_tombstones(self, scan):
+        db = Database.in_memory(buffer_pages=None)
+        flags = np.ones(512, dtype=bool)
+        table = db.create_table(
+            "t", {"flag": flags, "v": np.arange(512.0)}, rows_per_page=128
+        )
+        deleted = np.arange(100, dtype=np.int64)
+        table.delete_rows(deleted)
+        # ``Col("flag")`` evaluates to the cached page's ``flag`` array
+        # itself; suppressing tombstones must not be done in place on it.
+        if scan == "full":
+            rows, _ = full_scan(table, predicate=Col("flag"))
+        else:
+            rows, _ = range_scan(table, 0, 512, predicate=Col("flag"))
+        assert np.array_equal(rows["_row_id"], np.arange(100, 512))
+        assert table.read_page(0).columns["flag"].all()
+        # What a merge runs: main layout only, tombstones ignored.
+        main, _ = full_scan(table, tombstones=None, include_delta=False)
+        assert main["flag"].all() and len(main["flag"]) == 512

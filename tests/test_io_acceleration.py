@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.db import CorruptPageError, ZoneMap, full_scan
 from repro.db.persistence import attach_database, save_catalog
-from repro.db.scan import _coalesced_runs
+from repro.db.fetch import _coalesced_runs
 from repro.geometry.boxes import BoxRelation
 from repro.service.result_cache import ResultCache
 
@@ -125,17 +125,20 @@ class TestZoneMapScanIntegration:
         db, table = sorted_table
         polyhedron = _interval(96.0, 351.0)
         pruner = db.zone_map("t").pruner(polyhedron, ["x"])
-        calls = {"n": 0}
+        seen: list[np.ndarray] = []
 
         def predicate(columns):
-            calls["n"] += 1
+            seen.append(columns["x"])
             return (columns["x"] >= 96.0) & (columns["x"] <= 351.0)
 
         rows, stats = full_scan(table, predicate=predicate, pruner=pruner)
         assert _row_ids(rows) == frozenset(range(96, 352))
         assert stats.pages_skipped == 11  # OUTSIDE pages never surfaced
         assert stats.pages_touched == 5  # 2 PARTIAL + 3 INSIDE
-        assert calls["n"] == 2  # only the PARTIAL pages ran the filter
+        # Only the PARTIAL pages (1 and 5) ran the filter, in one chunk.
+        assert len(seen) == 1
+        partial_rows = [*range(64, 128), *range(320, 384)]
+        assert seen[0].tolist() == [float(v) for v in partial_rows]
 
     @pytest.mark.parametrize(
         "lo,hi",
