@@ -6,12 +6,13 @@ import abc
 
 import numpy as np
 
+from repro.db.errors import StaleIndexError
 from repro.db.stats import QueryStats
 from repro.db.table import Table
 from repro.geometry.boxes import Box
 from repro.geometry.halfspace import Polyhedron
 
-__all__ = ["SpatialIndex"]
+__all__ = ["SpatialIndex", "refuse_pending_inserts"]
 
 
 class SpatialIndex(abc.ABC):
@@ -68,3 +69,20 @@ def stack_coordinates(data: dict[str, np.ndarray], dims: list[str]) -> np.ndarra
             "filter or impute them before building a spatial index"
         )
     return points
+
+
+def refuse_pending_inserts(table: Table, kind: str) -> None:
+    """Raise :class:`~repro.db.errors.StaleIndexError` if ``table`` holds
+    live delta inserts.
+
+    For the indexes whose ranges address main pages only.  A superseded
+    generation keeps its frozen delta, so an index left behind by a merge
+    keeps refusing rather than serving the pre-merge rows.
+    """
+    snapshot = table.delta_snapshot()
+    if snapshot is not None and snapshot.num_rows:
+        raise StaleIndexError(
+            f"{kind} index on table {table.name!r} cannot see the "
+            f"{snapshot.num_rows} pending inserts of layout "
+            f"{table.layout_version!r}; merge the table and rebuild the index"
+        )

@@ -432,14 +432,33 @@ class PagedKdTree:
 
     # -- point location ------------------------------------------------------
 
+    def leaf_of_points(self, points: np.ndarray) -> np.ndarray:
+        """Heap index of the leaf whose partition cell holds each row of ``points``.
+
+        Level-synchronous: the whole ``(n, d)`` batch steps down one
+        level at a time, and each level probes the node cache once per
+        *distinct* frontier node -- at most ``num_leaves - 1`` probes
+        per batch however many points it holds.  Ties on a cut plane go
+        left, as the build does.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        rows = np.arange(len(points))
+        nodes = np.ones(len(points), dtype=np.int64)
+        for _ in range(self.num_levels - 1):
+            frontier, member = np.unique(nodes, return_inverse=True)
+            axes = np.empty(len(frontier), dtype=np.int64)
+            values = np.empty(len(frontier))
+            for i, node in enumerate(frontier.tolist()):
+                cols, slot = self._slot(node)
+                axes[i] = cols["split_axis"][slot]
+                values[i] = cols["split_value"][slot]
+            left = points[rows, axes[member]] <= values[member]
+            nodes = 2 * nodes + ~left
+        return nodes
+
     def leaf_of_point(self, point: np.ndarray) -> int:
         """Heap index of the (single) leaf whose partition cell holds ``point``."""
-        point = np.asarray(point, dtype=np.float64)
-        node = 1
-        while not self.is_leaf(node):
-            axis, value = self.split_plane(node)
-            node = 2 * node if point[axis] <= value else 2 * node + 1
-        return node
+        return int(self.leaf_of_points(np.asarray(point)[np.newaxis, :])[0])
 
     def leaves_containing(self, point: np.ndarray) -> list[int]:
         """All leaves whose *closed* partition cell contains ``point``."""

@@ -335,18 +335,25 @@ class KdTree:
 
     # -- point location ------------------------------------------------------
 
-    def leaf_of_point(self, point: np.ndarray) -> int:
-        """Heap index of the (single) leaf whose partition cell holds ``point``.
+    def leaf_of_points(self, points: np.ndarray) -> np.ndarray:
+        """Heap index of the leaf whose partition cell holds each row of ``points``.
 
-        Ties on a cut plane go to the left child, matching the closed-left
-        convention of the build.
+        One array descent, a level per step, for the whole ``(n, d)``
+        batch.  Ties on a cut plane go to the left child, matching the
+        closed-left convention of the build; points outside the root
+        box land in the outermost leaf on their side.
         """
-        point = np.asarray(point, dtype=np.float64)
-        node = 1
-        while not self.is_leaf(node):
-            axis, value = self.split_plane(node)
-            node = 2 * node if point[axis] <= value else 2 * node + 1
-        return node
+        points = np.asarray(points, dtype=np.float64)
+        rows = np.arange(len(points))
+        nodes = np.ones(len(points), dtype=np.int64)
+        for _ in range(self.num_levels - 1):
+            left = points[rows, self._split_axis[nodes]] <= self._split_value[nodes]
+            nodes = 2 * nodes + ~left
+        return nodes
+
+    def leaf_of_point(self, point: np.ndarray) -> int:
+        """Heap index of the (single) leaf whose partition cell holds ``point``."""
+        return int(self.leaf_of_points(np.asarray(point)[np.newaxis, :])[0])
 
     def leaves_containing(self, point: np.ndarray) -> list[int]:
         """All leaves whose *closed* partition cell contains ``point``.

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.index_base import stack_coordinates
+from repro.core.index_base import refuse_pending_inserts, stack_coordinates
 from repro.db.catalog import Database
 from repro.db.scan import range_scan
 from repro.db.stats import QueryStats
@@ -264,6 +264,7 @@ class LayeredGridIndex:
         self, box: Box
     ) -> Iterator[tuple[np.ndarray, np.ndarray, QueryStats]]:
         """Per-layer in-box points, touching only intersecting cells."""
+        refuse_pending_inserts(self._table, "layered grid")
         query = box.intersection(self._bounds)
         for l_index in range(1, self.num_layers + 1):
             stats = QueryStats()

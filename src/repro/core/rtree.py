@@ -28,7 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.index_base import SpatialIndex, stack_coordinates
+from repro.core.index_base import (
+    SpatialIndex,
+    refuse_pending_inserts,
+    stack_coordinates,
+)
 from repro.core.knn import KnnResult, NeighborList
 from repro.db.catalog import Database
 from repro.db.scan import range_scan
@@ -246,6 +250,7 @@ class RTreeIndex(SpatialIndex):
             raise ValueError(
                 f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
             )
+        refuse_pending_inserts(self._table, "R-tree")
         stats = QueryStats()
         pieces: list[dict[str, np.ndarray]] = []
         stack = [self._root]
@@ -291,6 +296,7 @@ class RTreeIndex(SpatialIndex):
         """Best-first k-NN over the MBR hierarchy."""
         if k < 1:
             raise ValueError("k must be >= 1")
+        refuse_pending_inserts(self._table, "R-tree")
         point = np.asarray(point, dtype=np.float64)
         stats = QueryStats()
         result = NeighborList(k)

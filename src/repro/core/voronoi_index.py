@@ -34,7 +34,11 @@ import heapq
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.core.index_base import SpatialIndex, stack_coordinates
+from repro.core.index_base import (
+    SpatialIndex,
+    refuse_pending_inserts,
+    stack_coordinates,
+)
 from repro.core.knn import KnnResult, NeighborList
 from repro.db.catalog import Database
 from repro.db.scan import range_scan
@@ -213,6 +217,7 @@ class VoronoiIndex(SpatialIndex):
 
     def cell_rows(self, cell: int) -> tuple[dict[str, np.ndarray], QueryStats]:
         """All rows tagged with a cell id (clustered range scan)."""
+        refuse_pending_inserts(self._table, "Voronoi")
         start, end = self._cell_ranges[cell]
         return range_scan(self._table, int(start), int(end))
 
@@ -226,6 +231,7 @@ class VoronoiIndex(SpatialIndex):
             raise ValueError(
                 f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
             )
+        refuse_pending_inserts(self._table, "Voronoi")
         stats = QueryStats()
         pieces: list[dict[str, np.ndarray]] = []
         for cell in range(self.num_cells):

@@ -29,6 +29,12 @@ the physical generation a query was reading mid-flight, so re-reading
 the same pages can never succeed -- the only correct recovery is to
 re-resolve the table through the catalog and re-run against the current
 layout, which the planner does.
+
+:class:`StaleIndexError` is its counterpart for an index that is behind
+the table rather than a table that is behind the catalog: the side
+indexes (Voronoi, R-tree, layered grid) address clustered row ranges of
+the main pages and do not merge the delta tier on read, so while a table
+holds pending inserts they refuse to answer instead of dropping rows.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "CorruptPageError",
     "WriteFault",
     "StaleLayoutError",
+    "StaleIndexError",
 ]
 
 
@@ -71,4 +78,15 @@ class StaleLayoutError(RuntimeError):
     whose layout moved out from under it.  Retrying the read is useless;
     callers must re-resolve the table and re-run.  Genuinely missing
     pages of a live table still surface as the backend's own error.
+    """
+
+
+class StaleIndexError(RuntimeError):
+    """An index was asked to answer over inserts it cannot see.
+
+    Raised by the indexes that read main pages only when their table's
+    delta tier holds live inserts.  The message names the table and its
+    ``layout_version``; retrying is useless until a merge has folded the
+    inserts into a new generation and the index is rebuilt over it.
+    Deletes never raise: every clustered range read applies tombstones.
     """

@@ -246,7 +246,8 @@ def delta_piece(
     stats = member.stats
     stats.rows_examined += snapshot.num_rows
     if member.polyhedron is not None:
-        # The snapshot's own layered grid does the point-in-polyhedron work.
+        # More chunks for the residual: a box reject, else
+        # contains_points over the snapshot's cached coordinates.
         columns, row_ids = snapshot.match(member.polyhedron, dims=tuple(member.dims))
         mask = None
     else:

@@ -6,7 +6,8 @@ This package adds the LSM-flavored write tier that opens that scenario:
 
 * :mod:`repro.ingest.delta` -- a small write-optimized delta tier per
   table (inserted rows + delete tombstones) with immutable snapshots,
-  indexed by a layered grid sized for small N;
+  matched against a query in one vectorised pass behind a bounding-box
+  reject;
 * :mod:`repro.ingest.wal` -- a write-ahead log in the framing of
   :class:`~repro.db.recovery.LoggedStorage`, appended before any delta
   mutation is applied, replayable after a crash;
@@ -20,6 +21,8 @@ This package adds the LSM-flavored write tier that opens that scenario:
 Every read path (full scan, kd traversal, batched execution, sharded
 scatter-gather, k-NN) merges delta + main at query time with tombstone
 suppression; see the corresponding modules for the merge-on-read hooks.
+The Voronoi, R-tree and layered-grid indexes apply tombstones only and
+raise :class:`~repro.db.errors.StaleIndexError` while inserts are pending.
 """
 
 from repro.ingest.delta import (

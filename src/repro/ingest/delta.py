@@ -12,13 +12,13 @@ Delta rows get row ids in a reserved band starting at ``DELTA_BASE`` so
 they can never collide with main-table row ids; sharded executors embed
 the shard id in the band with ``SHARD_STRIDE``.
 
-Snapshots index their points with a *layered grid sized for small N*
-(the paper's §3.1 fallback index): a coarse uniform grid over the
-delta's bounding box whose cells are classified inside/partial/outside
-against the query polyhedron -- inside cells contribute wholesale,
-partial cells filter their few points, outside cells are skipped.  For
-a delta of a few thousand rows this keeps merge-on-read overhead to
-microseconds without maintaining a kd-tree per write.
+Snapshots keep no spatial index over their points.  Merge-on-read
+treats the delta as more chunks for the residual filter: reject the
+query against the snapshot's cached bounding box, else run
+``contains_points`` over the cached ``(n, d)`` coordinates a block at a
+time.  At the sizes a merge threshold allows (thousands to tens of
+thousands of rows) that vectorised pass is faster than any structure
+that has to be rebuilt after every write.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.geometry.halfspace import Polyhedron
 __all__ = [
     "DELTA_BASE",
     "SHARD_STRIDE",
-    "DeltaGrid",
     "DeltaSnapshot",
     "DeltaTier",
     "is_delta_id",
@@ -43,71 +42,17 @@ __all__ = [
 DELTA_BASE = 1 << 48
 #: Width of one shard's delta-id band inside the delta range.
 SHARD_STRIDE = 1 << 32
-#: Build a grid only past this size; below it brute force is faster.
-_GRID_MIN_POINTS = 256
+#: Rows per ``contains_points`` call of a match.  One product over a
+#: whole delta of ~17k rows is large enough for BLAS to split across
+#: threads, and on a shared two-core machine waking the second thread
+#: costs ~5 ms per query; the fetch kernel sizes its chunks
+#: (``repro.db.fetch._CHUNK_ROWS``) for the same reason.
+_MATCH_BLOCK_ROWS = 4096
 
 
 def is_delta_id(row_ids: np.ndarray) -> np.ndarray:
     """Boolean mask of which row ids belong to the delta band."""
     return np.asarray(row_ids) >= DELTA_BASE
-
-
-class DeltaGrid:
-    """A one-level uniform grid over a snapshot's points.
-
-    Resolution scales with N (``ceil(n ** 1/d)`` cells per axis, capped)
-    so the expected occupancy stays around one point per cell -- the
-    "sized for small N" part: the grid is rebuilt from scratch at every
-    snapshot, which is only viable because the delta is small by design.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        n, d = points.shape
-        self.box = Box(points.min(axis=0), points.max(axis=0))
-        per_axis = int(np.ceil(n ** (1.0 / max(d, 1))))
-        self.resolution = int(np.clip(per_axis, 1, 16))
-        widths = np.maximum(self.box.widths, 1e-12)
-        scaled = (points - self.box.lo) / widths * self.resolution
-        coords = np.clip(scaled.astype(np.int64), 0, self.resolution - 1)
-        keys = np.zeros(n, dtype=np.int64)
-        for axis in range(d):
-            keys = keys * self.resolution + coords[:, axis]
-        order = np.argsort(keys, kind="stable")
-        self._order = order
-        self._keys = keys[order]
-        # Run boundaries: one (key, start, stop) triple per occupied cell.
-        boundaries = np.flatnonzero(np.diff(self._keys)) + 1
-        self._starts = np.concatenate(([0], boundaries))
-        self._stops = np.concatenate((boundaries, [n]))
-
-    def _cell_box(self, key: int) -> Box:
-        d = self.box.dim
-        widths = np.maximum(self.box.widths, 1e-12)
-        coords = np.zeros(d)
-        for axis in range(d - 1, -1, -1):
-            coords[axis] = key % self.resolution
-            key //= self.resolution
-        lo = self.box.lo + coords * widths / self.resolution
-        return Box(lo, lo + widths / self.resolution)
-
-    def match(self, polyhedron: Polyhedron) -> np.ndarray:
-        """Boolean mask (over the original point order) of points inside."""
-        n = len(self.points)
-        mask = np.zeros(n, dtype=bool)
-        if polyhedron.classify_box(self.box) is BoxRelation.OUTSIDE:
-            return mask
-        for i in range(len(self._starts)):
-            start, stop = self._starts[i], self._stops[i]
-            members = self._order[start:stop]
-            relation = polyhedron.classify_box(self._cell_box(int(self._keys[start])))
-            if relation is BoxRelation.OUTSIDE:
-                continue
-            if relation is BoxRelation.INSIDE:
-                mask[members] = True
-            else:
-                mask[members] = polyhedron.contains_points(self.points[members])
-        return mask
 
 
 class DeltaSnapshot:
@@ -131,8 +76,8 @@ class DeltaSnapshot:
         self.row_ids = row_ids
         self.tombstones = tombstones
         self.dims = dims
-        self._grid: DeltaGrid | None = None
-        self._points: np.ndarray | None = None
+        #: dims -> ((n, d) points, their bounding box); filled on first use.
+        self._geometry: dict[tuple[str, ...], tuple[np.ndarray, Box | None]] = {}
 
     @property
     def num_rows(self) -> int:
@@ -149,38 +94,42 @@ class DeltaSnapshot:
         """Whether merge-on-read can skip this snapshot entirely."""
         return self.num_rows == 0 and self.num_tombstones == 0
 
+    def _geometry_of(
+        self, dims: tuple[str, ...] | None
+    ) -> tuple[np.ndarray, Box | None]:
+        dims = tuple(dims) if dims is not None else self.dims
+        cached = self._geometry.get(dims)
+        if cached is None:
+            if self.num_rows:
+                pts = np.column_stack(
+                    [np.asarray(self.columns[d], dtype=np.float64) for d in dims]
+                )
+                cached = (pts, Box.from_points(pts))
+            else:
+                cached = (np.empty((0, len(dims))), None)
+            self._geometry[dims] = cached
+        return cached
+
     def points(self, dims: tuple[str, ...] | None = None) -> np.ndarray:
         """Stacked ``(n, d)`` float64 coordinates of the live rows."""
-        dims = tuple(dims) if dims is not None else self.dims
-        if dims == self.dims and self._points is not None:
-            return self._points
-        pts = np.column_stack(
-            [np.asarray(self.columns[d], dtype=np.float64) for d in dims]
-        ) if self.num_rows else np.empty((0, len(dims)))
-        if dims == self.dims:
-            self._points = pts
-        return pts
+        return self._geometry_of(dims)[0]
 
     def bounding_box(self, dims: tuple[str, ...] | None = None) -> Box | None:
         """Tight box around the live delta points (None when empty)."""
-        pts = self.points(dims)
-        if not len(pts):
-            return None
-        return Box.from_points(pts)
+        return self._geometry_of(dims)[1]
 
     def match_mask(
         self, polyhedron: Polyhedron, dims: tuple[str, ...] | None = None
     ) -> np.ndarray:
         """Which live delta rows satisfy the polyhedron."""
-        pts = self.points(dims)
-        if not len(pts):
-            return np.zeros(0, dtype=bool)
-        use_dims = tuple(dims) if dims is not None else self.dims
-        if use_dims == self.dims and len(pts) >= _GRID_MIN_POINTS:
-            if self._grid is None:
-                self._grid = DeltaGrid(pts)
-            return self._grid.match(polyhedron)
-        return polyhedron.contains_points(pts)
+        pts, box = self._geometry_of(dims)
+        mask = np.zeros(len(pts), dtype=bool)
+        if box is None or polyhedron.classify_box(box) is BoxRelation.OUTSIDE:
+            return mask
+        for start in range(0, len(pts), _MATCH_BLOCK_ROWS):
+            stop = start + _MATCH_BLOCK_ROWS
+            mask[start:stop] = polyhedron.contains_points(pts[start:stop])
+        return mask
 
     def match(
         self,

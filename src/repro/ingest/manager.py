@@ -160,30 +160,29 @@ class IngestManager:
         missing = [
             spec.name for spec in table.specs if spec.name not in columns
         ]
-        if missing == ["kd_leaf"]:
-            index = self._db.index_if_exists(f"{table.name}.kdtree")
-            if index is None:
-                raise KeyError(
-                    f"insert into {table.name!r} missing 'kd_leaf' and no "
-                    "kd index is registered to synthesize it"
-                )
-            tree = index.tree
+        index = self._db.index_if_exists(f"{table.name}.kdtree")
+        if missing == ["kd_leaf"] and index is None:
+            raise KeyError(
+                f"insert into {table.name!r} missing 'kd_leaf' and no "
+                "kd index is registered to synthesize it"
+            )
+        if missing and missing != ["kd_leaf"]:
+            raise KeyError(f"insert into {table.name!r} missing columns {missing}")
+        if index is not None:
+            # Checked whether or not the caller brought its own kd_leaf: a
+            # NaN coordinate fails every halfspace test, so the row would
+            # count as live yet match no query.
             points = np.column_stack(
                 [np.asarray(columns[d], dtype=np.float64) for d in index.dims]
             )
             if not np.all(np.isfinite(points)):
                 raise ValueError("inserted coordinates must be finite")
-            leaf_ids = np.fromiter(
-                (
-                    tree.post_order_id(tree.leaf_of_point(p))
-                    for p in points
-                ),
-                dtype=np.int64,
-                count=len(points),
-            )
-            columns["kd_leaf"] = leaf_ids
-        elif missing:
-            raise KeyError(f"insert into {table.name!r} missing columns {missing}")
+            if missing:
+                tree = index.tree
+                leaves = tree.leaf_of_points(points)
+                columns["kd_leaf"] = tree.leaf_post_order_ids()[
+                    leaves - tree.first_leaf
+                ]
         extra = set(data) - {spec.name for spec in table.specs}
         if extra:
             raise KeyError(

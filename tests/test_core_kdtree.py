@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.kdpaged import PagedKdTree, paged_tree_for
 from repro.core.kdtree import KdTree, KdTreeIndex, default_num_levels
 from repro.db import Database
 from repro.geometry import Box, Polyhedron
@@ -20,6 +23,46 @@ def points():
 @pytest.fixture(scope="module")
 def tree(points):
     return KdTree(points, num_levels=6)
+
+
+@pytest.fixture(scope="module")
+def paged_tree(tree):
+    """``tree`` paged 8 nodes to a page, under a node cache that holds one."""
+    db = Database.in_memory(buffer_pages=None)
+    paged = paged_tree_for(db, "probe", tree, nodes_per_page=8, node_cache_bytes=1)
+    assert isinstance(paged, PagedKdTree) and paged.layout.num_pages == 8
+    return paged
+
+
+def _descend(tree, point) -> int:
+    """The scalar root-to-leaf walk ``leaf_of_points`` must agree with."""
+    node = 1
+    while not tree.is_leaf(node):
+        axis, value = tree.split_plane(node)
+        node = 2 * node if point[axis] <= value else 2 * node + 1
+    return node
+
+
+#: Either free coordinates (the data spans about [-4, 6], so many fall
+#: outside the root box) or an internal node whose cut plane to sit on.
+_coordinate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+_probe = st.one_of(
+    st.tuples(_coordinate, _coordinate, _coordinate),
+    st.integers(min_value=1, max_value=31),
+)
+
+
+def _probe_points(tree, probes) -> np.ndarray:
+    points = []
+    for probe in probes:
+        if isinstance(probe, int):
+            axis, value = tree.split_plane(probe)
+            point = tree.partition_box(probe).center.copy()
+            point[axis] = value
+        else:
+            point = np.array(probe)
+        points.append(point)
+    return np.array(points).reshape(-1, tree.dim)
 
 
 class TestSizing:
@@ -150,6 +193,25 @@ class TestPointLocation:
         for idx in rng.choice(tree.num_points, 100, replace=False):
             leaf = tree.leaf_of_point(points[idx])
             assert tree.partition_box(leaf).contains_point(points[idx])
+
+    @settings(max_examples=40, deadline=None)
+    @given(probes=st.lists(_probe, max_size=40))
+    def test_leaf_of_points_matches_per_point_descent(self, tree, probes):
+        points = _probe_points(tree, probes)
+        leaves = tree.leaf_of_points(points)
+        assert leaves.tolist() == [tree.leaf_of_point(p) for p in points]
+        assert leaves.tolist() == [_descend(tree, p) for p in points]
+
+    @settings(max_examples=40, deadline=None)
+    @given(probes=st.lists(_probe, max_size=40))
+    def test_paged_leaf_of_points_matches_under_one_page_cache(
+        self, tree, paged_tree, probes
+    ):
+        points = _probe_points(tree, probes)
+        leaves = paged_tree.leaf_of_points(points)
+        assert leaves.tolist() == [paged_tree.leaf_of_point(p) for p in points]
+        assert leaves.tolist() == [_descend(tree, p) for p in points]
+        assert len(paged_tree._node_cache) <= 1
 
     def test_leaves_containing_interior_point_is_single(self, tree):
         point = tree.partition_box(40).center

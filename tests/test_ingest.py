@@ -22,15 +22,20 @@ from repro import (
     DeltaTier,
     IngestWal,
     KdTreeIndex,
+    LayeredGridIndex,
     MergeDaemon,
     Polyhedron,
     RetryPolicy,
+    RTreeIndex,
+    VoronoiIndex,
     full_scan,
     knn_boundary_points,
     knn_brute_force,
     merge_table,
 )
-from repro.ingest.delta import _GRID_MIN_POINTS, DeltaGrid, SHARD_STRIDE, is_delta_id
+from repro.core.queries import polyhedron_full_scan
+from repro.db.errors import StaleIndexError
+from repro.ingest.delta import SHARD_STRIDE, is_delta_id
 from repro.ingest.wal import RecordKind
 
 DIMS = ["x", "y", "z"]
@@ -138,42 +143,60 @@ class TestDeltaTier:
         assert tier.churn == 4
 
 
-class TestDeltaGrid:
-    def test_grid_match_equals_brute_force(self):
+class TestDeltaMatch:
+    """``match_mask`` is one ``contains_points`` behind a box reject."""
+
+    @staticmethod
+    def _snapshot(pts: np.ndarray, dims=tuple(DIMS)):
+        tier = DeltaTier({d: np.dtype(np.float64) for d in DIMS}, dims=dims)
+        if len(pts):
+            tier.insert({d: pts[:, i] for i, d in enumerate(DIMS)})
+        return tier.snapshot()
+
+    def test_match_mask_equals_contains_points(self):
         rng = np.random.default_rng(3)
-        points = rng.uniform(-5.0, 5.0, size=(1000, 3))
-        grid = DeltaGrid(points)
-        for _ in range(10):
-            center = rng.uniform(-4.0, 4.0, size=3)
-            width = rng.uniform(0.5, 6.0)
-            poly = Polyhedron.from_box(Box(center - width / 2, center + width / 2))
-            assert np.array_equal(grid.match(poly), poly.contains_points(points))
+        for n in (0, 1, 255, 256, 5000):
+            pts = rng.uniform(-5.0, 5.0, size=(n, 3))
+            snapshot = self._snapshot(pts)
+            for _ in range(6):
+                center = rng.uniform(-4.0, 4.0, size=3)
+                width = rng.uniform(0.5, 6.0)
+                box = Polyhedron.from_box(Box(center - width / 2, center + width / 2))
+                oblique = Polyhedron.simplex_around(center, width)
+                for poly in (box, oblique):
+                    mask = snapshot.match_mask(poly)
+                    assert mask.dtype == bool and mask.shape == (n,)
+                    assert np.array_equal(mask, poly.contains_points(pts))
+                    columns, row_ids = snapshot.match(poly)
+                    assert np.array_equal(row_ids, snapshot.row_ids[mask])
+                    assert np.array_equal(columns["x"], pts[mask, 0])
 
-    def test_snapshot_uses_grid_past_threshold(self):
-        tier = DeltaTier(
-            {d: np.dtype(np.float64) for d in DIMS}, dims=tuple(DIMS)
+    def test_query_disjoint_from_delta_box(self):
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 3))
+        snapshot = self._snapshot(pts)
+        far = Polyhedron.from_box(Box(np.full(3, 2.0), np.full(3, 3.0)))
+        assert not snapshot.match_mask(far).any()
+        columns, row_ids = snapshot.match(far)
+        assert len(row_ids) == 0 and all(len(c) == 0 for c in columns.values())
+        # Disjoint on one axis only: still rejected by the box, and the
+        # rows themselves agree.
+        slab = Polyhedron.from_box(
+            Box(np.array([0.0, 0.0, 1.5]), np.array([1.0, 1.0, 2.0]))
         )
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(0.0, 1.0, size=(_GRID_MIN_POINTS + 50, 3))
-        tier.insert({d: pts[:, i] for i, d in enumerate(DIMS)})
-        snapshot = tier.snapshot()
-        poly = Polyhedron.from_box(Box(np.full(3, 0.2), np.full(3, 0.7)))
-        mask = snapshot.match_mask(poly)
-        assert snapshot._grid is not None  # the grid path actually ran
-        assert np.array_equal(mask, poly.contains_points(pts))
+        assert np.array_equal(snapshot.match_mask(slab), slab.contains_points(pts))
 
-    def test_small_snapshot_brute_forces(self):
-        tier = DeltaTier(
-            {d: np.dtype(np.float64) for d in DIMS}, dims=tuple(DIMS)
-        )
-        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(10, 3))
-        tier.insert({d: pts[:, i] for i, d in enumerate(DIMS)})
-        snapshot = tier.snapshot()
-        poly = Polyhedron.from_box(Box(np.zeros(3), np.full(3, 0.5)))
-        assert np.array_equal(
-            snapshot.match_mask(poly), poly.contains_points(pts)
-        )
-        assert snapshot._grid is None
+    def test_non_default_dims(self):
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(400, 3))
+        poly = Polyhedron.from_box(Box(np.full(2, 0.2), np.full(2, 0.7)))
+        # A tier with no dims of its own (no kd index) and one whose dims
+        # differ from the query's both take the caller's dims.
+        for tier_dims in ((), tuple(DIMS)):
+            snapshot = self._snapshot(pts, dims=tier_dims)
+            mask = snapshot.match_mask(poly, dims=("z", "x"))
+            assert np.array_equal(mask, poly.contains_points(pts[:, [2, 0]]))
+            assert snapshot.bounding_box(("z", "x")).contains_points(
+                pts[:, [2, 0]]
+            ).all()
 
 
 class TestIngestWal:
@@ -388,21 +411,49 @@ class TestTableWritePath:
         table.insert_rows(batch)
         snapshot = table.delta_snapshot()
         tree = index.tree
-        pts = np.column_stack([batch[d] for d in DIMS])
-        expected = [
-            tree.post_order_id(tree.leaf_of_point(p)) for p in pts
-        ]
+        expected = []
+        for p in np.column_stack([batch[d] for d in DIMS]):
+            node = 1
+            while not tree.is_leaf(node):
+                axis, value = tree.split_plane(node)
+                node = 2 * node if p[axis] <= value else 2 * node + 1
+            expected.append(tree.post_order_id(node))
         assert list(snapshot.columns["kd_leaf"]) == expected
+
+    def test_insert_routing_probes_once_per_frontier_node(self, setup):
+        """A count, not a timing: a per-row descent would make
+        ``rows * (levels - 1)`` node-cache probes."""
+        db, index, _ = setup
+        tree = index.tree
+        assert tree.num_leaves >= 16
+        before = db.io_stats.snapshot()
+        db.table("t").insert_rows(_batch(np.random.default_rng(16), 2000, 600))
+        after = db.io_stats.snapshot()
+        probes = (after.node_cache_hits + after.node_cache_misses) - (
+            before.node_cache_hits + before.node_cache_misses
+        )
+        assert 0 < probes <= tree.num_leaves - 1
+
+    _NON_FINITE = {
+        "x": np.array([np.nan]), "y": np.array([1.0]),
+        "z": np.array([np.inf]), "oid": np.array([600]),
+    }
 
     def test_insert_rejects_non_finite_coordinates(self, setup):
         db, index, _ = setup
         with pytest.raises(ValueError, match="finite"):
-            db.table("t").insert_rows(
-                {
-                    "x": np.array([np.nan]), "y": np.array([1.0]),
-                    "z": np.array([1.0]), "oid": np.array([600]),
-                }
-            )
+            db.table("t").insert_rows(dict(self._NON_FINITE))
+        assert db.table("t").delta_snapshot() is None
+
+    def test_insert_rejects_non_finite_coordinates_with_own_kd_leaf(self, setup):
+        # A caller that brings kd_leaf skips the synthesis, not the check:
+        # the row would count in num_live_rows and match no query.
+        db, index, _ = setup
+        batch = dict(self._NON_FINITE, kd_leaf=np.array([1], dtype=np.int64))
+        with pytest.raises(ValueError, match="finite"):
+            db.table("t").insert_rows(batch)
+        assert db.table("t").delta_snapshot() is None
+        assert db.ingest_wal.records() == []
 
     def test_layout_version_bumps_on_every_write(self, setup):
         db, index, _ = setup
@@ -421,6 +472,79 @@ class TestTableWritePath:
         assert not table.has_live_delta()
         assert table.layout_version == "g0.e0"
         assert table.num_live_rows == table.num_rows
+
+
+def _box_points(index, box: Box) -> list[tuple]:
+    """The coordinates a side index returns for ``box``, as a sorted list."""
+    if isinstance(index, LayeredGridIndex):
+        points = index.query_box(box).points
+    else:
+        points = index.points_of(index.query_box(box)[0])
+    return sorted(map(tuple, points))
+
+
+#: kind -> (builder, build kwargs, the cluster tags an insert must bring).
+_SIDE_INDEXES = {
+    "voronoi": (VoronoiIndex.build, {"num_seeds": 40}, {"voronoi_cell": 0}),
+    "rtree": (RTreeIndex.build, {}, {"rt_leaf": 0}),
+    "layered_grid": (
+        LayeredGridIndex.build,
+        {"base": 64},
+        {"RandomID": 0, "Layer": 1, "ContainedBy": 0},
+    ),
+}
+
+
+class TestSideIndexStaleReads:
+    """Indexes that read main pages only refuse while inserts are pending."""
+
+    @pytest.mark.parametrize("kind", sorted(_SIDE_INDEXES))
+    def test_side_index_refuses_pending_inserts(self, kind):
+        build, kwargs, tags = _SIDE_INDEXES[kind]
+        rng = np.random.default_rng(21)
+        data = _batch(rng, 800, oid_start=0)
+        db = Database.in_memory(buffer_pages=None)
+        index = build(db, "t", data, DIMS, **kwargs)
+        table = db.table("t")
+        box = Box(np.full(3, 2.0), np.full(3, 8.0))
+        poly = Polyhedron.from_box(box)
+
+        def scanned(name: str) -> list[tuple]:
+            rows, _ = polyhedron_full_scan(db.table(name), DIMS, poly)
+            return sorted(zip(*(rows[d] for d in DIMS)))
+
+        assert _box_points(index, box) == scanned("t")
+        # Deletes are honoured on read (every range read applies tombstones).
+        inside, _ = polyhedron_full_scan(table, DIMS, poly)
+        table.delete_rows(inside["_row_id"][:25])
+        assert _box_points(index, box) == scanned("t")
+
+        batch = _batch(rng, 200, oid_start=800)
+        batch.update({c: np.full(200, v, dtype=np.int64) for c, v in tags.items()})
+        table.insert_rows(batch)
+        with pytest.raises(StaleIndexError) as refusal:
+            _box_points(index, box)
+        assert "'t'" in str(refusal.value)
+        assert repr(table.layout_version) in str(refusal.value)
+        with pytest.raises(StaleIndexError):
+            if kind == "layered_grid":
+                index.sample_box(box, 10)
+            else:
+                index.knn(np.full(3, 5.0), 3)
+
+        merge_table(db, "t")
+        # The object left behind addresses the superseded generation,
+        # whose frozen delta still holds the inserts: it keeps refusing.
+        with pytest.raises(StaleIndexError):
+            _box_points(index, box)
+        merged, _ = polyhedron_full_scan(
+            db.table("t"), DIMS, Polyhedron.from_box(Box(np.zeros(3), np.full(3, 10.0)))
+        )
+        assert len(merged["oid"]) == 800 - 25 + 200
+        rebuilt = build(
+            db, "t2", {c: merged[c] for c in DIMS + ["oid"]}, DIMS, **kwargs
+        )
+        assert _box_points(rebuilt, box) == scanned("t")
 
 
 class TestMerge:
