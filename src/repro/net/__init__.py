@@ -6,12 +6,14 @@ sky (§3.2's graph-partitioned layout).  This package is the
 reproduction's version of that topology, in two layers that share one
 length-prefixed binary protocol (:mod:`repro.net.wire`):
 
-* :mod:`repro.net.pool` / :mod:`repro.net.worker` -- the
-  :class:`ShardWorkerPool` runs one worker **process** per kd-subtree
-  shard.  Each worker owns its shard's database, zone maps, caches, and
-  fault injector, and executes with its own GIL, so scatter-gather
-  finally scales with cores instead of threads.  The pool implements the
-  same engine protocol as the thread executor; pass
+* :mod:`repro.net.pool` / :mod:`repro.net.worker` -- the process
+  transport of the one scatter-gather coordinator
+  (:class:`~repro.shard.ShardCoordinator`): :class:`ShardWorkerPool`
+  runs one worker **process** per kd-subtree shard.  Each worker owns
+  its shard's database, zone maps, caches, and fault injector, and
+  executes with its own GIL, so scatter-gather scales with cores
+  instead of threads.  Routing, the gather and the write router are the
+  coordinator's, shared with the thread transport; pass
   ``transport="process"`` to :class:`~repro.shard.ScatterGatherExecutor`
   to get one.
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- an asyncio TCP

@@ -1,16 +1,17 @@
-"""Multi-process shard workers: scatter-gather over real parallelism.
+"""The process transport: one worker process per kd-subtree shard.
 
-:class:`ShardWorkerPool` is the process-transport counterpart of the
-thread-based :class:`~repro.shard.ScatterGatherExecutor` and implements
-the same engine protocol (``execute`` / ``execute_batch`` plus
-``table_name`` / ``dims`` / ``layout_version``), so the planner,
-micro-batching, and service layers run unchanged on top of it.  The
-difference is *where* the work runs: each kd-subtree shard lives in its
-own worker **process** (one interpreter, one GIL, one private
-:class:`~repro.db.catalog.Database` per shard), built from a picklable
+:class:`ShardWorkerPool` carries the one scatter-gather coordinator
+(:class:`~repro.shard.coordinator.ShardCoordinator` -- routing, the
+gather, the write router, counters and ``layout_version``) over worker
+**processes**: each shard lives in its own interpreter with its own GIL
+and private :class:`~repro.db.catalog.Database`, built from a picklable
 :class:`~repro.shard.partitioner.ShardSpec`, and the parent speaks the
 length-prefixed binary protocol of :mod:`repro.net.wire` to it over a
-per-worker socket.
+per-worker socket.  Sending a shard its member group is one ``BATCH``
+frame, cancelling a member is one ``CANCEL`` frame, and each member's
+answer streams back as ``PAGE`` frames and a ``DONE`` (or one
+``ERROR``), decoded by the worker's reader thread into the outcome the
+gather folds; ``INGEST`` and ``MERGE`` frames are the write RPCs.
 
 Lifecycle and failure model:
 
@@ -24,15 +25,14 @@ Lifecycle and failure model:
   completes over the survivors with ``partial=True`` and the shard id in
   ``failed_shards``, and the service never caches the partial answer.
 * **Respawn** -- the monitor automatically forks a replacement from the
-  stored spec (bounded by ``max_respawns`` per worker), so a transient
-  worker crash costs some partial answers, not the pool.
-* **Cancellation** -- the coordinator polls the caller's
-  ``cancel_check`` while gathering; the moment it raises (a service
-  deadline, typically) every in-flight sibling request gets a ``CANCEL``
-  frame, which trips the worker-side cooperative check mid-scan.  When
-  the check is a bound :class:`~repro.service.executor.Deadline` method
-  the remaining budget also rides along in the request, so workers
-  enforce the deadline locally between coordinator polls.
+  stored spec (bounded by ``max_respawns`` per worker) and replays the
+  acknowledged writes into it, so a transient worker crash costs some
+  partial answers, not the pool.
+* **Cancellation** -- the coordinator polls each member's check while
+  gathering and sends ``CANCEL`` frames the moment one raises.  When the
+  check is a bound :class:`~repro.service.executor.Deadline` method the
+  remaining budget also rides along in the request, so workers enforce
+  the deadline locally between coordinator polls.
 """
 
 from __future__ import annotations
@@ -46,21 +46,18 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
-from typing import Callable
 
 import numpy as np
 
-from repro.core.batch import BatchMemberResult, BatchResult
 from repro.core.planner import PlannedQuery
 from repro.db.errors import StorageFault
-from repro.db.stats import IOStats, QueryStats
-from repro.geometry.boxes import Box, BoxRelation
-from repro.geometry.halfspace import Polyhedron
-from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
+from repro.db.stats import IOStats
+from repro.geometry.boxes import Box
 from repro.ingest.manager import DEFAULT_MERGE_THRESHOLD
 from repro.net.wire import (
     MessageType,
     SocketChannel,
+    box_from_wire,
     columns_from_blob,
     columns_to_blob,
     error_from_wire,
@@ -68,11 +65,8 @@ from repro.net.wire import (
     stats_from_wire,
 )
 from repro.net.worker import WorkerConfig, worker_main
-from repro.shard.partitioner import (
-    ShardSpec,
-    attach_prebuilt_index,
-    shard_layout_version,
-)
+from repro.shard.coordinator import ShardCoordinator
+from repro.shard.partitioner import ShardSet, ShardSpec, attach_prebuilt_index
 
 __all__ = ["ShardWorkerPool", "WorkerDied"]
 
@@ -87,22 +81,33 @@ class WorkerDied(StorageFault):
     """
 
 
-class _Death:
-    """Queue sentinel: the worker serving this tag died."""
+def _remaining_deadline(cancel_check) -> float | None:
+    """Extract a forwardable budget when the check is Deadline.check."""
+    owner = getattr(cancel_check, "__self__", None)
+    remaining = getattr(owner, "remaining", None)
+    if callable(remaining):
+        try:
+            return max(0.0, float(remaining()))
+        except Exception:
+            return None
+    return None
 
-    def __init__(self, shard_id: int):
-        self.shard_id = shard_id
 
-
-def _memberships_to_wire(
-    memberships: dict[str, np.ndarray] | None,
-) -> dict | None:
-    """Encode an IN-list mapping as JSON-safe ``{col: [values...]}``."""
-    if not memberships:
-        return None
+def _member_wire(member: int, polyhedron, check, memberships) -> dict:
+    """One member of a BATCH request (``polyhedron=None``: the shard is INSIDE)."""
     return {
-        col: [float(v) for v in np.asarray(values).ravel()]
-        for col, values in memberships.items()
+        "member": member,
+        "inside": polyhedron is None,
+        "deadline_s": _remaining_deadline(check),
+        "memberships": (
+            {
+                col: [float(v) for v in np.asarray(values).ravel()]
+                for col, values in memberships.items()
+            }
+            if memberships
+            else None
+        ),
+        "polyhedron": None if polyhedron is None else polyhedron_to_wire(polyhedron),
     }
 
 
@@ -118,9 +123,9 @@ class _WorkerHandle:
         self.alive = False
         self.pid: int | None = None
         self._lock = threading.Lock()
-        # request_id -> (out_queue, tag): where this worker's response
-        # frames for that request should be delivered.
-        self._routes: dict[int, tuple[queue.Queue, object]] = {}
+        # request_id -> (out_queue, member -> PAGE pieces so far): where
+        # this worker's outcomes for that request are delivered.
+        self._routes: dict[int, tuple[queue.Queue, dict]] = {}
         self._generation = 0
         self.respawns = 0
         self.requests = 0
@@ -156,8 +161,9 @@ class _WorkerHandle:
             routes, self._routes = self._routes, {}
         if channel is not None:
             channel.close()
-        for out, tag in routes.values():
-            out.put((tag, _Death(self.spec.shard_id)))
+        shard_id = self.spec.shard_id
+        for out, _ in routes.values():
+            out.put((shard_id, None, WorkerDied(f"shard worker {shard_id} died mid-request")))
         self.pool._note(worker_deaths=1)
 
     # -- request routing ----------------------------------------------------
@@ -167,7 +173,6 @@ class _WorkerHandle:
         msg_type: MessageType,
         header: dict,
         out: queue.Queue,
-        tag: object,
         blob: bytes = b"",
     ) -> bool:
         """Register the response route and send; False if the worker is down."""
@@ -175,7 +180,7 @@ class _WorkerHandle:
         with self._lock:
             if not self.alive or self.channel is None:
                 return False
-            self._routes[request_id] = (out, tag)
+            self._routes[request_id] = (out, {})
             channel = self.channel
         try:
             channel.send(msg_type, header, blob)
@@ -190,75 +195,99 @@ class _WorkerHandle:
         with self._lock:
             self._routes.pop(request_id, None)
 
-    def cancel(self, request_id: int, member: int | None = None) -> None:
-        """Best-effort CANCEL frame (worker may already be dead)."""
+    def _send_best_effort(self, msg_type: MessageType, header: dict) -> bool:
+        """Send unless the worker is down; False if the send failed."""
         with self._lock:
             channel = self.channel if self.alive else None
         if channel is not None:
             try:
-                channel.send(
-                    MessageType.CANCEL,
-                    {"request_id": request_id, "member": member},
-                )
+                channel.send(msg_type, header)
             except OSError:
-                pass
+                return False
+        return True
+
+    def cancel(self, request_id: int, member: int) -> None:
+        """Best-effort CANCEL of one member (the worker may already be dead)."""
+        self._send_best_effort(
+            MessageType.CANCEL, {"request_id": request_id, "member": member}
+        )
 
     def ping(self) -> None:
-        """Best-effort heartbeat request."""
-        with self._lock:
-            channel = self.channel if self.alive else None
-        if channel is not None:
-            try:
-                channel.send(MessageType.PING, {})
-            except OSError:
-                self.mark_dead()
+        """Best-effort heartbeat request; a broken socket means a dead worker."""
+        if not self._send_best_effort(MessageType.PING, {}):
+            self.mark_dead()
 
     def shutdown(self) -> None:
         """Ask the worker to exit cleanly."""
-        with self._lock:
-            channel = self.channel if self.alive else None
-        if channel is not None:
-            try:
-                channel.send(MessageType.SHUTDOWN, {})
-            except OSError:
-                pass
+        self._send_best_effort(MessageType.SHUTDOWN, {})
 
     # -- reader thread ------------------------------------------------------
 
     def _reader_loop(self, channel: SocketChannel, generation: int) -> None:
+        """Turn response frames into ``(shard_id, member, outcome)`` items.
+
+        A member's PAGE frames are buffered until its DONE, which yields
+        its :class:`~repro.core.planner.PlannedQuery`; an ERROR yields the
+        exception.  A memberless DONE or ERROR ends the request: a batch
+        trailer yields its counters, any other reply its frame.
+        """
+        shard_id = self.spec.shard_id
         try:
             while True:
                 frame = channel.recv()
                 if frame is None:
                     break
+                header = frame.header
                 if frame.type is MessageType.PONG:
                     self.last_pong = time.monotonic()
-                    self.requests = int(frame.header.get("requests", self.requests))
-                    self.busy_s = float(frame.header.get("busy_s", self.busy_s))
-                    self.io = frame.header.get("io", self.io)
+                    self.requests = int(header.get("requests", self.requests))
+                    self.busy_s = float(header.get("busy_s", self.busy_s))
+                    self.io = header.get("io", self.io)
                     continue
-                request_id = frame.header.get("request_id")
+                if "busy_s" in header:
+                    self.busy_s = float(header["busy_s"])
+                    self.requests = int(header["requests"]) + 1
+                member = header.get("member")
+                request_id = header.get("request_id")
                 with self._lock:
-                    route = self._routes.get(request_id)
-                    if frame.type is MessageType.DONE and (
-                        frame.header.get("member") is None
-                    ):
-                        # Terminal frame for solo queries and batches.
-                        if "busy_s" in frame.header:
-                            self.busy_s = float(frame.header["busy_s"])
-                        if "requests" in frame.header:
-                            self.requests = int(frame.header["requests"]) + 1
-                        if route is not None and frame.header.get("counters") is None:
-                            self._routes.pop(request_id, None)
-                if route is not None:
-                    out, tag = route
-                    out.put((tag, frame))
+                    if member is None and frame.type is not MessageType.PAGE:
+                        route = self._routes.pop(request_id, None)
+                    else:
+                        route = self._routes.get(request_id)
+                if route is None:
+                    continue
+                out, pieces = route
+                if frame.type is MessageType.PAGE:
+                    pieces.setdefault(member, []).append(
+                        columns_from_blob(header["columns"], frame.blob)
+                    )
+                    continue
+                if frame.type is MessageType.ERROR:
+                    outcome = error_from_wire(header)
+                elif member is not None:
+                    outcome = self._planned(header, pieces.pop(member, []))
+                else:
+                    outcome = header.get("counters", frame)
+                out.put((shard_id, member, outcome))
         except Exception:
             pass
         with self._lock:
             current = generation == self._generation
         if current:
             self.mark_dead()
+
+    def _planned(self, header: dict, parts: list) -> PlannedQuery:
+        if not parts and "columns" in header:
+            parts = [columns_from_blob(header["columns"], b"")]
+        return PlannedQuery(
+            rows=self.pool._merge_pieces(parts),
+            stats=stats_from_wire(header["stats"]),
+            chosen_path=header["chosen_path"],
+            estimated_selectivity=float(header.get("estimated_selectivity", float("nan"))),
+            sampled_pages=int(header.get("sampled_pages", 0)),
+            fallback=bool(header.get("fallback")),
+            fallback_reason=header.get("fallback_reason", ""),
+        )
 
     def stats(self) -> dict:
         """Per-worker utilization snapshot (for replay summaries)."""
@@ -272,7 +301,7 @@ class _WorkerHandle:
         }
 
 
-class ShardWorkerPool:
+class ShardWorkerPool(ShardCoordinator):
     """One worker process per kd-subtree shard, behind the engine protocol.
 
     Parameters
@@ -301,6 +330,13 @@ class ShardWorkerPool:
         Result-streaming chunk size (rows per PAGE frame).
     """
 
+    transport = "process"
+    # The coordinator's entry points, bound in this class's own namespace
+    # so per-class instrumentation (benchmarks/e2e/trace.py patches
+    # ``ShardWorkerPool.__dict__``) times the process transport alone.
+    execute = ShardCoordinator.execute
+    execute_batch = ShardCoordinator.execute_batch
+
     def __init__(
         self,
         specs: list[ShardSpec],
@@ -320,23 +356,20 @@ class ShardWorkerPool:
     ):
         if not specs:
             raise ValueError("a worker pool needs at least one shard spec")
-        self.specs = list(specs)
-        self.use_tight_boxes = use_tight_boxes
+        # The result schema starts from the specs and is replaced by the
+        # richer one the first worker reports in HELLO (a built shard
+        # table can carry clustering columns beyond the input, e.g. kd_leaf).
+        super().__init__(
+            ShardSet(specs[0].base_name, specs[0].dims, specs),
+            use_tight_boxes,
+            specs[0].column_dtypes(),
+            counters=("worker_deaths", "worker_respawns", "repartitions"),
+        )
         self.heartbeat_s = heartbeat_s
         self.heartbeat_misses = heartbeat_misses
         self.max_respawns = max_respawns
         self.spawn_timeout_s = spawn_timeout_s
         self.poll_s = poll_s
-        self._total_rows = int(sum(spec.num_rows for spec in specs))
-        self._layout_version = shard_layout_version(
-            specs[0].base_name, specs[0].dims, [s.num_rows for s in specs]
-        )
-        # Fallback result schema from the specs; replaced by the richer
-        # schema the first worker reports in HELLO (a built shard table
-        # can carry clustering columns beyond the input, e.g. kd_leaf).
-        self._dtypes: dict[str, np.dtype] = dict(specs[0].column_dtypes())
-        self._dtypes["_row_id"] = np.dtype(np.int64)
-        self._column_order = list(specs[0].columns) + ["_row_id"]
         if start_method is None:
             start_method = (
                 "fork"
@@ -358,41 +391,18 @@ class ShardWorkerPool:
                     engine=engine,
                 ),
             )
-            for spec in specs
+            for spec in self.specs
         ]
         self._request_ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._counters = {
-            "queries": 0,
-            "shards_dispatched": 0,
-            "shards_pruned": 0,
-            "shard_faults": 0,
-            "partial_results": 0,
-            "worker_deaths": 0,
-            "worker_respawns": 0,
-            "cancels_sent": 0,
-            "rows_inserted": 0,
-            "rows_deleted": 0,
-            "merges": 0,
-            "repartitions": 0,
-        }
-        # Write-path state.  The coordinator mirrors every acknowledged
-        # mutation into a per-shard op log so a respawned worker -- which
-        # rebuilds from its (immutable-columns) spec -- replays its way
-        # back to the acknowledged state, with the same row ids (delta
-        # ids are assigned sequentially and the kd build and merge are
-        # deterministic).  ``_delta_boxes`` is the coordinator's
-        # conservative bound on each shard's pending delta inserts: it
-        # widens routing boxes the same way the thread-mode router does,
-        # keeping OUTSIDE pruning and the INSIDE shortcut sound.
-        self._write_lock = threading.Lock()
+        # Every acknowledged mutation is mirrored into a per-shard op log
+        # so a respawned worker -- which rebuilds from its
+        # (immutable-columns) spec -- replays its way back to the
+        # acknowledged state, with the same row ids (delta ids are
+        # assigned sequentially and the kd build and merge are
+        # deterministic).
         self._spawn_lock = threading.Lock()
-        self._epochs: list[str] = ["g0.e0"] * len(specs)
-        self._delta_counts: list[int] = [0] * len(specs)
-        self._delta_boxes: list[Box | None] = [None] * len(specs)
         self._oplog: list[list[tuple]] = [[] for _ in specs]
         self._recuts: list[int] = [0] * len(specs)
-        self._closed = False
         self._listener, self._address, self._socket_dir = self._make_listener()
         try:
             for handle in self._handles:
@@ -406,38 +416,10 @@ class ShardWorkerPool:
         )
         self._monitor.start()
 
-    # -- engine protocol (mirrors ScatterGatherExecutor) --------------------
-
     @property
-    def table_name(self) -> str:
-        """Logical name of the sharded table (cache fingerprinting)."""
-        return self.specs[0].base_name
-
-    @property
-    def dims(self) -> list[str]:
-        """Ordered coordinate column names."""
-        return list(self.specs[0].dims)
-
-    @property
-    def layout_version(self) -> str:
-        """Layout digest plus per-shard write epochs (thread-mode formula).
-
-        Changes on every acknowledged insert/delete (the worker's table
-        epoch moves), every merge (generation moves), and every re-cut
-        (the ``r<n>`` prefix moves), so the result cache can never serve
-        a pre-write answer to a post-write query.
-        """
-        return f"{self._layout_version}|{','.join(self._epochs)}"
-
-    @property
-    def num_shards(self) -> int:
-        """How many shard worker processes back this pool."""
-        return len(self.specs)
-
-    @property
-    def transport(self) -> str:
-        """Execution transport identifier (for reports and replays)."""
-        return "process"
+    def specs(self) -> list[ShardSpec]:
+        """The current shard specs, in shard-id order."""
+        return self.shard_set.shards
 
     # -- process management -------------------------------------------------
 
@@ -491,8 +473,7 @@ class ShardWorkerPool:
         conn.settimeout(None)
         schema = hello.header.get("schema")
         if schema:
-            self._column_order = [name for name, _ in schema]
-            self._dtypes = {name: np.dtype(code) for name, code in schema}
+            self._schema = {name: np.dtype(code) for name, code in schema}
         try:
             self._replay_oplog(handle.spec.shard_id, channel)
         except Exception as exc:
@@ -579,8 +560,6 @@ class ShardWorkerPool:
                     handle.respawns += 1
                     self._note(worker_respawns=1)
 
-    # -- lifecycle ----------------------------------------------------------
-
     def close(self) -> None:
         """Shut every worker down and reap the processes (idempotent)."""
         if self._closed:
@@ -614,695 +593,112 @@ class ShardWorkerPool:
             except OSError:
                 pass
 
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
+    # -- transport ----------------------------------------------------------
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- routing ------------------------------------------------------------
-
-    def _route(
-        self, polyhedron: Polyhedron
-    ) -> tuple[list[tuple[ShardSpec, BoxRelation]], int]:
-        dispatched: list[tuple[ShardSpec, BoxRelation]] = []
-        pruned = 0
-        for spec in self.specs:
-            delta_box = self._delta_boxes[spec.shard_id]
-            if spec.num_rows == 0 and delta_box is None:
-                pruned += 1
-                continue
-            box = spec.tight_box if self.use_tight_boxes else spec.partition_box
-            if delta_box is not None:
-                # Pending delta inserts may fall outside the main rows'
-                # tight box; widen so pruning and INSIDE stay sound.
-                box = box.union_bounds(delta_box)
-            relation = polyhedron.classify_box(box)
-            if relation is BoxRelation.OUTSIDE:
-                pruned += 1
-            else:
-                dispatched.append((spec, relation))
-        return dispatched, pruned
-
-    @staticmethod
-    def _remaining_deadline(cancel_check) -> float | None:
-        """Extract a forwardable budget when the check is Deadline.check."""
-        owner = getattr(cancel_check, "__self__", None)
-        remaining = getattr(owner, "remaining", None)
-        if callable(remaining):
-            try:
-                return max(0.0, float(remaining()))
-            except Exception:
-                return None
-        return None
-
-    # -- merging helpers ----------------------------------------------------
-
-    def _empty_rows(self) -> dict[str, np.ndarray]:
-        return {
-            name: np.empty(0, dtype=self._dtypes[name])
-            for name in self._column_order
+    def _send_group(self, shard_id: int, group: list, out: queue.Queue) -> int:
+        request_id = next(self._request_ids)
+        header = {
+            "request_id": request_id,
+            "members": [_member_wire(*member) for member in group],
         }
+        if not self._handles[shard_id].send_request(MessageType.BATCH, header, out):
+            raise WorkerDied(f"shard worker {shard_id} is down (respawning)")
+        return request_id
 
-    def _merge_pieces(
-        self, pieces: list[dict[str, np.ndarray]]
-    ) -> dict[str, np.ndarray]:
-        if not pieces:
-            return self._empty_rows()
-        return {
-            name: np.concatenate([p[name] for p in pieces])
-            for name in self._column_order
-        }
-
-    @staticmethod
-    def _rebase(spec: ShardSpec, rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        rebased = dict(rows)
-        ids = rows["_row_id"]
-        # Main-band ids shift by the shard's global row offset; delta-band
-        # ids move into the shard's slice of the delta namespace.
-        rebased["_row_id"] = np.where(
-            ids >= DELTA_BASE,
-            ids + spec.shard_id * SHARD_STRIDE,
-            ids + spec.row_offset,
-        )
-        return rebased
-
-    # -- solo execution -----------------------------------------------------
-
-    def execute(
-        self,
-        polyhedron: Polyhedron,
-        cancel_check: Callable[[], None] | None = None,
-        memberships: dict[str, np.ndarray] | None = None,
-    ) -> PlannedQuery:
-        """Route, scatter over worker processes, and gather one query."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if cancel_check is not None:
-            cancel_check()
-        dispatched, pruned = self._route(polyhedron)
-        out: queue.Queue = queue.Queue()
-        poly_wire = polyhedron_to_wire(polyhedron)
-        memberships_wire = _memberships_to_wire(memberships)
-        deadline_s = self._remaining_deadline(cancel_check)
-
-        sent: dict[int, tuple[_WorkerHandle, int]] = {}
-        failed: list[int] = []
-        last_fault: StorageFault | None = None
-        for spec, relation in dispatched:
-            handle = self._handles[spec.shard_id]
-            request_id = next(self._request_ids)
-            header = {
-                "request_id": request_id,
-                "inside": relation is BoxRelation.INSIDE,
-                "deadline_s": deadline_s,
-            }
-            if memberships_wire:
-                header["memberships"] = memberships_wire
-            if relation is not BoxRelation.INSIDE:
-                header["polyhedron"] = poly_wire
-            if handle.send_request(MessageType.QUERY, header, out, spec.shard_id):
-                sent[spec.shard_id] = (handle, request_id)
-            else:
-                failed.append(spec.shard_id)
-                last_fault = WorkerDied(
-                    f"shard worker {spec.shard_id} is down (respawning)"
-                )
-
-        stats = QueryStats()
-        pieces: list[dict[str, np.ndarray]] = []
-        path_counts: dict[str, int] = {}
-        weighted_estimate = 0.0
-        estimated_rows = 0
-        sampled_pages = 0
-        fallback = False
-        fallback_reason = ""
-        shard_pieces: dict[int, list] = {sid: [] for sid in sent}
-        pending = set(sent)
-
-        while pending:
-            # Poll the caller's check both while waiting and per frame,
-            # so a tripped deadline aborts in-flight siblings promptly
-            # even when responses arrive back-to-back.
-            if cancel_check is not None:
-                try:
-                    cancel_check()
-                except BaseException:
-                    self._abort_pending(sent, pending)
-                    raise
-            try:
-                sid, msg = out.get(timeout=self.poll_s)
-            except queue.Empty:
-                continue
-            if sid not in pending:
-                continue
-            spec = self.specs[sid]
-            if isinstance(msg, _Death):
-                pending.discard(sid)
-                failed.append(sid)
-                last_fault = WorkerDied(
-                    f"shard worker {sid} died mid-query"
-                )
-                continue
-            if msg.type is MessageType.PAGE:
-                shard_pieces[sid].append(
-                    columns_from_blob(msg.header["columns"], msg.blob)
-                )
-                continue
-            if msg.type is MessageType.ERROR:
-                kind = msg.header.get("kind")
-                pending.discard(sid)
-                if kind == "storage_fault":
-                    failed.append(sid)
-                    last_fault = error_from_wire(msg.header)
-                elif kind == "cancelled":
-                    continue
-                else:
-                    # Deadline or unexpected error: abort in-flight
-                    # siblings, then re-raise (the thread-mode contract).
-                    self._abort_pending(sent, pending)
-                    raise error_from_wire(msg.header)
-                continue
-            # DONE: assemble the shard's result.
-            pending.discard(sid)
-            header = msg.header
-            parts = shard_pieces[sid]
-            if not parts and "columns" in header:
-                parts = [columns_from_blob(header["columns"], b"")]
-            rows = (
-                {
-                    name: np.concatenate([p[name] for p in parts])
-                    for name in self._column_order
-                }
-                if parts
-                else self._empty_rows()
-            )
-            shard_stats = stats_from_wire(header["stats"])
-            stats.merge(shard_stats)
-            pieces.append(self._rebase(spec, rows))
-            path = header["chosen_path"]
-            path_counts[path] = path_counts.get(path, 0) + 1
-            if header.get("fallback"):
-                fallback = True
-                fallback_reason = fallback_reason or header.get(
-                    "fallback_reason", ""
-                )
-            estimate = float(header.get("estimated_selectivity", float("nan")))
-            if np.isfinite(estimate):
-                weighted_estimate += estimate * spec.num_rows
-                estimated_rows += spec.num_rows
-            sampled_pages += int(header.get("sampled_pages", 0))
-
-        if failed and not pieces and dispatched:
-            assert last_fault is not None
-            raise last_fault
-
-        rows = self._merge_pieces(pieces)
-        estimate = (
-            weighted_estimate / self._total_rows
-            if estimated_rows
-            else (0.0 if not dispatched else float("nan"))
-        )
-        for path, count in path_counts.items():
-            stats.extra[f"shard_path_{path}"] = count
-        stats.extra.setdefault("transport", "process")
-        self._note(
-            queries=1,
-            shards_dispatched=len(dispatched),
-            shards_pruned=pruned,
-            shard_faults=len(failed),
-            partial_results=1 if failed else 0,
-        )
-        return PlannedQuery(
-            rows=rows,
-            stats=stats,
-            chosen_path="sharded",
-            estimated_selectivity=estimate,
-            sampled_pages=sampled_pages,
-            fallback=fallback,
-            fallback_reason=fallback_reason,
-            shards_dispatched=len(dispatched),
-            shards_pruned=pruned,
-            shard_faults=len(failed),
-            partial=bool(failed),
-            failed_shards=tuple(sorted(failed)),
-        )
-
-    def _abort_pending(
-        self, sent: dict[int, tuple[_WorkerHandle, int]], pending: set
-    ) -> None:
-        """Cancel every in-flight shard request and drop their routes."""
-        for sid in list(pending):
-            handle, request_id = sent[sid]
-            handle.cancel(request_id)
-            handle.forget(request_id)
-            self._note(cancels_sent=1)
-        pending.clear()
-
-    # -- batched execution --------------------------------------------------
-
-    def execute_batch(
-        self,
-        polyhedra: list[Polyhedron],
-        cancel_checks: list[Callable[[], None] | None] | None = None,
-        memberships_list: list[dict | None] | None = None,
-    ) -> BatchResult:
-        """Scatter one micro-batch over the worker processes.
-
-        Semantics mirror the thread executor: each shard receives one
-        BATCH request covering all the members routed to it, a member's
-        own deadline/cancel failure never disturbs its siblings, and a
-        per-shard storage fault (or worker death) degrades exactly the
-        members that shard served to flagged partials.
-        """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        n = len(polyhedra)
-        checks = list(cancel_checks) if cancel_checks is not None else [None] * n
-        member_filters = (
-            list(memberships_list) if memberships_list is not None else [None] * n
-        )
-        result = BatchResult(
-            members=[BatchMemberResult() for _ in range(n)], occupancy=n
-        )
-        live: list[int] = []
-        routes: list = [None] * n
-        for m, (polyhedron, check) in enumerate(zip(polyhedra, checks)):
-            if check is not None:
-                try:
-                    check()
-                except BaseException as exc:
-                    result.members[m].error = exc
-                    continue
-            routes[m] = self._route(polyhedron)
-            live.append(m)
-
-        shard_members: dict[int, list[tuple[int, BoxRelation]]] = {}
-        for m in live:
-            for spec, relation in routes[m][0]:
-                shard_members.setdefault(spec.shard_id, []).append((m, relation))
-
-        out: queue.Queue = queue.Queue()
-        sent: dict[int, tuple[_WorkerHandle, int]] = {}
-        merged = {
-            m: {
-                "stats": QueryStats(),
-                "pieces": [],
-                "path_counts": {},
-                "failed": [],
-                "last_fault": None,
-                "fallback": False,
-                "reason": "",
-                "weighted": 0.0,
-                "est_rows": 0,
-                "sampled": 0,
-            }
-            for m in live
-        }
-        member_pieces: dict[tuple[int, int], list] = {}
-        for sid, entries in shard_members.items():
-            handle = self._handles[sid]
-            request_id = next(self._request_ids)
-            header = {
-                "request_id": request_id,
-                "members": [
-                    {
-                        "member": m,
-                        "inside": relation is BoxRelation.INSIDE,
-                        "deadline_s": self._remaining_deadline(checks[m]),
-                        "memberships": _memberships_to_wire(member_filters[m]),
-                        "polyhedron": (
-                            polyhedron_to_wire(polyhedra[m])
-                            if relation is not BoxRelation.INSIDE
-                            else None
-                        ),
-                    }
-                    for m, relation in entries
-                ],
-            }
-            if handle.send_request(MessageType.BATCH, header, out, sid):
-                sent[sid] = (handle, request_id)
-            else:
-                for m, _ in entries:
-                    merged[m]["failed"].append(sid)
-                    merged[m]["last_fault"] = WorkerDied(
-                        f"shard worker {sid} is down (respawning)"
-                    )
-
-        pending = set(sent)
-        cancelled_members: set[int] = set()
-        while pending:
-            # Poll live members' own checks so a coordinator-side
-            # deadline cancels exactly that member everywhere, without
-            # disturbing its batch siblings.
-            for m in live:
-                if m in cancelled_members or result.members[m].error is not None:
-                    continue
-                check = checks[m]
-                if check is None:
-                    continue
-                try:
-                    check()
-                except BaseException as exc:
-                    result.members[m].error = exc
-                    cancelled_members.add(m)
-                    for other_sid in pending:
-                        handle, request_id = sent[other_sid]
-                        if any(mm == m for mm, _ in shard_members[other_sid]):
-                            handle.cancel(request_id, member=m)
-                            self._note(cancels_sent=1)
-            try:
-                sid, msg = out.get(timeout=self.poll_s)
-            except queue.Empty:
-                continue
-            if sid not in pending:
-                continue
-            spec = self.specs[sid]
-            if isinstance(msg, _Death):
-                pending.discard(sid)
-                for m, _ in shard_members[sid]:
-                    merged[m]["failed"].append(sid)
-                    merged[m]["last_fault"] = WorkerDied(
-                        f"shard worker {sid} died mid-batch"
-                    )
-                continue
-            member = msg.header.get("member")
-            if msg.type is MessageType.PAGE:
-                member_pieces.setdefault((sid, member), []).append(
-                    columns_from_blob(msg.header["columns"], msg.blob)
-                )
-                continue
-            if msg.type is MessageType.ERROR:
-                kind = msg.header.get("kind")
-                if member is None:
-                    continue
-                if kind == "storage_fault":
-                    merged[member]["failed"].append(sid)
-                    merged[member]["last_fault"] = error_from_wire(msg.header)
-                elif kind == "cancelled":
-                    pass
-                elif result.members[member].error is None:
-                    result.members[member].error = error_from_wire(msg.header)
-                continue
-            # DONE frames: per-member completion, or the shard's trailer.
-            if member is None:
-                counters = msg.header.get("counters") or {}
-                result.pages_decoded += int(counters.get("pages_decoded", 0))
-                result.shared_decode_hits += int(
-                    counters.get("shared_decode_hits", 0)
-                )
-                pending.discard(sid)
-                self._handles[sid].forget(sent[sid][1])
-                continue
-            header = msg.header
-            parts = member_pieces.pop((sid, member), [])
-            if not parts and "columns" in header:
-                parts = [columns_from_blob(header["columns"], b"")]
-            rows = (
-                {
-                    name: np.concatenate([p[name] for p in parts])
-                    for name in self._column_order
-                }
-                if parts
-                else self._empty_rows()
-            )
-            acc = merged[member]
-            acc["stats"].merge(stats_from_wire(header["stats"]))
-            acc["pieces"].append(self._rebase(spec, rows))
-            path = header["chosen_path"]
-            acc["path_counts"][path] = acc["path_counts"].get(path, 0) + 1
-            if header.get("fallback"):
-                acc["fallback"] = True
-                acc["reason"] = acc["reason"] or header.get("fallback_reason", "")
-            estimate = float(header.get("estimated_selectivity", float("nan")))
-            if np.isfinite(estimate):
-                acc["weighted"] += estimate * spec.num_rows
-                acc["est_rows"] += spec.num_rows
-            acc["sampled"] += int(header.get("sampled_pages", 0))
-
-        note = {
-            "queries": 0,
-            "shards_dispatched": 0,
-            "shards_pruned": 0,
-            "shard_faults": 0,
-            "partial_results": 0,
-        }
-        for m in live:
-            acc = merged[m]
-            dispatched, pruned = routes[m]
-            note["queries"] += 1
-            note["shards_dispatched"] += len(dispatched)
-            note["shards_pruned"] += pruned
-            note["shard_faults"] += len(acc["failed"])
-            if result.members[m].error is not None:
-                continue
-            if acc["failed"] and not acc["pieces"] and dispatched:
-                result.members[m].error = acc["last_fault"]
-                continue
-            note["partial_results"] += 1 if acc["failed"] else 0
-            rows = self._merge_pieces(acc["pieces"])
-            estimate = (
-                acc["weighted"] / self._total_rows
-                if acc["est_rows"]
-                else (0.0 if not dispatched else float("nan"))
-            )
-            stats = acc["stats"]
-            for path, count in acc["path_counts"].items():
-                stats.extra[f"shard_path_{path}"] = count
-            stats.extra.setdefault("transport", "process")
-            result.members[m].planned = PlannedQuery(
-                rows=rows,
-                stats=stats,
-                chosen_path="sharded",
-                estimated_selectivity=estimate,
-                sampled_pages=acc["sampled"],
-                fallback=acc["fallback"],
-                fallback_reason=acc["reason"],
-                shards_dispatched=len(dispatched),
-                shards_pruned=pruned,
-                shard_faults=len(acc["failed"]),
-                partial=bool(acc["failed"]),
-                failed_shards=tuple(sorted(acc["failed"])),
-            )
-        self._note(**note)
-        return result
-
-    # -- write path ---------------------------------------------------------
+    def _cancel(self, shard_id: int, request_id: int, member: int) -> None:
+        self._handles[shard_id].cancel(request_id, member)
 
     def _shard_rpc(
-        self,
-        shard_id: int,
-        msg_type: MessageType,
-        header: dict,
-        blob: bytes = b"",
-        timeout_s: float | None = None,
-    ):
+        self, shard_id: int, msg_type: MessageType, header: dict, blob: bytes = b""
+    ) -> tuple:
         """One synchronous request/response round with a shard worker.
 
-        Returns ``(done_frame, pages)`` where ``pages`` are any decoded
-        PAGE payloads that preceded DONE.  Worker death or a worker-side
-        error surfaces as the corresponding exception.
+        Returns ``(reply, outcomes)``: the terminal payload (a DONE frame,
+        or a batch's counters) and the member outcomes that preceded it.
+        Worker death or a worker-side error surfaces as the exception.
         """
         handle = self._handles[shard_id]
         out: queue.Queue = queue.Queue()
         request_id = next(self._request_ids)
         header = dict(header, request_id=request_id)
-        if not handle.send_request(msg_type, header, out, shard_id, blob=blob):
+        if not handle.send_request(msg_type, header, out, blob=blob):
             raise WorkerDied(f"shard worker {shard_id} is down (respawning)")
-        deadline = time.monotonic() + (
-            timeout_s if timeout_s is not None else self.spawn_timeout_s
-        )
-        pages: list[dict[str, np.ndarray]] = []
+        deadline = time.monotonic() + self.spawn_timeout_s
+        outcomes: dict[int, object] = {}
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                handle.forget(request_id)
-                raise WorkerDied(f"shard worker {shard_id} timed out")
             try:
-                _, msg = out.get(timeout=remaining)
+                _, member, outcome = out.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except queue.Empty:
-                continue
-            if isinstance(msg, _Death):
-                raise WorkerDied(f"shard worker {shard_id} died mid-request")
-            if msg.type is MessageType.PAGE:
-                pages.append(columns_from_blob(msg.header["columns"], msg.blob))
-                continue
-            if msg.type is MessageType.ERROR:
                 handle.forget(request_id)
-                raise error_from_wire(msg.header)
-            if msg.type is MessageType.DONE:
-                return msg, pages
+                raise WorkerDied(f"shard worker {shard_id} timed out") from None
+            if member is not None:
+                outcomes[member] = outcome
+            elif isinstance(outcome, BaseException):
+                raise outcome
+            else:
+                return outcome, outcomes
 
-    def insert_rows(self, data: dict[str, np.ndarray]) -> np.ndarray:
-        """Insert rows, routed to workers by partition-box containment.
-
-        The semantics mirror the thread-mode executor exactly: each row
-        lands in the owning shard's delta tier (WAL-first, inside that
-        worker process), a row outside every partition cell goes to the
-        nearest shard, and the returned ids are global delta-band ids in
-        input order.  Acknowledged mutations are mirrored into the
-        coordinator's op log so a respawned worker replays back to them.
-        """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        arrays = {c: np.asarray(arr) for c, arr in data.items()}
-        dims = self.dims
-        points = np.column_stack(
-            [np.asarray(arrays[d], dtype=np.float64) for d in dims]
+    def _insert_rpc(self, shard_id: int, rows: dict) -> tuple:
+        meta, blob = columns_to_blob(rows)
+        done, _ = self._shard_rpc(
+            shard_id, MessageType.INGEST, {"op": "insert", "columns": meta}, blob
         )
-        n = len(points)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        owner = np.full(n, -1, dtype=np.int64)
-        for spec in self.specs:
-            undecided = owner == -1
-            if not undecided.any():
-                break
-            inside = spec.partition_box.contains_points(points[undecided])
-            owner[np.flatnonzero(undecided)[inside]] = spec.shard_id
-        for i in np.flatnonzero(owner == -1):
-            distances = [
-                spec.partition_box.min_distance_to_point(points[i])
-                for spec in self.specs
-            ]
-            owner[i] = int(np.argmin(distances))
-        out = np.empty(n, dtype=np.int64)
-        with self._write_lock:
-            for shard_id in np.unique(owner):
-                sid = int(shard_id)
-                where = np.flatnonzero(owner == shard_id)
-                sub = {c: np.ascontiguousarray(arr[where]) for c, arr in arrays.items()}
-                meta, blob = columns_to_blob(sub)
-                done, _ = self._shard_rpc(
-                    sid, MessageType.INGEST, {"op": "insert", "columns": meta}, blob
-                )
-                local = np.frombuffer(done.blob, dtype=np.int64)
-                out[where] = local + sid * SHARD_STRIDE
-                self._oplog[sid].append(("insert", meta, blob))
-                self._epochs[sid] = done.header.get(
-                    "layout_version", self._epochs[sid]
-                )
-                self._delta_counts[sid] += len(where)
-                batch_box = Box(points[where].min(axis=0), points[where].max(axis=0))
-                box = self._delta_boxes[sid]
-                self._delta_boxes[sid] = (
-                    batch_box if box is None else box.union_bounds(batch_box)
-                )
-        self._note(rows_inserted=n)
-        return out
-
-    def delete_rows(self, row_ids) -> int:
-        """Tombstone rows by global id (main-band or delta-band)."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        ids = np.atleast_1d(np.asarray(row_ids, dtype=np.int64))
-        if len(ids) == 0:
-            return 0
-        in_delta = ids >= DELTA_BASE
-        owner = np.empty(len(ids), dtype=np.int64)
-        owner[in_delta] = (ids[in_delta] - DELTA_BASE) // SHARD_STRIDE
-        main = ids[~in_delta]
-        if len(main) and (main.min() < 0 or main.max() >= self._total_rows):
-            raise IndexError(
-                f"delete row ids out of range [0, {self._total_rows})"
-            )
-        offsets = np.array([s.row_offset for s in self.specs], dtype=np.int64)
-        owner[~in_delta] = np.searchsorted(offsets, main, side="right") - 1
-        if in_delta.any() and (
-            owner[in_delta].min() < 0 or owner[in_delta].max() >= self.num_shards
-        ):
-            raise IndexError("delta row ids out of range")
-        deleted = 0
-        with self._write_lock:
-            for shard_id in np.unique(owner):
-                sid = int(shard_id)
-                spec = self.specs[sid]
-                where = owner == shard_id
-                local = np.where(
-                    in_delta[where],
-                    ids[where] - sid * SHARD_STRIDE,
-                    ids[where] - spec.row_offset,
-                )
-                blob = np.ascontiguousarray(local, dtype=np.int64).tobytes()
-                done, _ = self._shard_rpc(
-                    sid, MessageType.INGEST, {"op": "delete"}, blob
-                )
-                deleted += int(done.header.get("count", 0))
-                self._oplog[sid].append(("delete", blob))
-                self._epochs[sid] = done.header.get(
-                    "layout_version", self._epochs[sid]
-                )
-                self._delta_counts[sid] += int(where.sum())
-        self._note(rows_deleted=deleted)
-        return deleted
-
-    def delta_fraction(self) -> float:
-        """The largest per-shard pending-churn fraction (repartition trigger)."""
-        return max(
-            self._delta_counts[spec.shard_id] / max(1, spec.num_rows)
-            for spec in self.specs
+        self._oplog[shard_id].append(("insert", meta, blob))
+        return (
+            np.frombuffer(done.blob, dtype=np.int64),
+            done.header["layout_version"],
+            done.header["delta_fraction"],
         )
 
-    def merge(self, threshold: float = 0.0) -> list[dict]:
-        """Merge every shard whose churn fraction crossed ``threshold``.
+    def _delete_rpc(self, shard_id: int, local_ids: np.ndarray) -> tuple:
+        blob = np.ascontiguousarray(local_ids, dtype=np.int64).tobytes()
+        done, _ = self._shard_rpc(shard_id, MessageType.INGEST, {"op": "delete"}, blob)
+        self._oplog[shard_id].append(("delete", blob))
+        return (
+            int(done.header["count"]),
+            done.header["layout_version"],
+            done.header["delta_fraction"],
+        )
 
-        Each qualifying worker drains its delta out-of-place (median-split
-        kd rebuild over old + new rows) and swaps atomically inside its
-        own process; the coordinator refreshes that shard's routing
-        geometry from the reply and recomputes global offsets and the
-        layout digest.  Queries keep flowing on every shard throughout.
-        """
-        reports: list[dict] = []
-        with self._write_lock:
-            for spec in self.specs:
-                sid = spec.shard_id
-                if self._delta_counts[sid] == 0:
-                    continue
-                if self._delta_counts[sid] / max(1, spec.num_rows) < threshold:
-                    continue
-                done, _ = self._shard_rpc(sid, MessageType.MERGE, {})
-                header = done.header
-                reports.append(header.get("report", {}))
-                self._oplog[sid].append(("merge",))
-                spec.num_rows = int(header.get("num_rows", spec.num_rows))
-                box = header.get("tight_box")
-                if box:
-                    spec.tight_box = Box(
-                        np.asarray(box["lo"], dtype=np.float64),
-                        np.asarray(box["hi"], dtype=np.float64),
-                    )
-                self._epochs[sid] = header.get("layout_version", self._epochs[sid])
-                self._delta_counts[sid] = 0
-                self._delta_boxes[sid] = None
-            if reports:
-                self._refresh_layout()
-        self._note(merges=len(reports))
-        return reports
+    def _merge_rpc(self, shard_id: int) -> tuple:
+        done, _ = self._shard_rpc(shard_id, MessageType.MERGE, {})
+        self._oplog[shard_id].append(("merge",))
+        header = done.header
+        return (
+            header["report"],
+            int(header["num_rows"]),
+            box_from_wire(header["tight_box"]),
+            header["layout_version"],
+            header["delta_fraction"],
+        )
+
+    # -- re-cuts ------------------------------------------------------------
 
     def repartition(self, shard_id: int) -> dict:
         """Re-cut one shard from its merged rows and respawn its worker.
 
         Fetches the shard's current merge-on-read contents over the wire
-        (main + delta, tombstones suppressed), rebuilds the
-        :class:`~repro.shard.partitioner.ShardSpec` around them -- same
-        partition cell and post-order range, fresh tight box and row
-        count -- and restarts that worker process from the new spec.
-        The other shards keep serving queries throughout; in-flight
-        queries on the re-cut shard degrade to flagged partials, exactly
-        as a worker crash does.
+        (one INSIDE member: main + delta, tombstones suppressed),
+        rebuilds the :class:`~repro.shard.partitioner.ShardSpec` around
+        them -- same partition cell and post-order range, fresh tight box
+        and row count -- and restarts that worker process from the new
+        spec.  The other shards keep serving queries throughout;
+        in-flight queries on the re-cut shard degrade to flagged
+        partials, exactly as a worker crash does.
         """
         with self._write_lock:
             sid = int(shard_id)
             old = self.specs[sid]
-            done, pages = self._shard_rpc(
-                sid, MessageType.QUERY, {"inside": True, "deadline_s": None}
+            _, outcomes = self._shard_rpc(
+                sid,
+                MessageType.BATCH,
+                {"members": [_member_wire(0, None, None, None)]},
             )
-            if not pages and "columns" in done.header:
-                pages = [columns_from_blob(done.header["columns"], b"")]
-            columns = {
-                c: np.concatenate([p[c] for p in pages])
-                for c in old.columns
-            }
+            if isinstance(outcomes[0], BaseException):
+                raise outcomes[0]
+            columns = {c: outcomes[0].rows[c] for c in old.columns}
             num_rows = len(next(iter(columns.values()))) if columns else 0
             if num_rows == 0:
                 raise ValueError(
@@ -1342,14 +738,14 @@ class ShardWorkerPool:
                 handle.config = replace(handle.config, spec=new_spec)
                 handle.spec = new_spec
                 self._oplog[sid] = []
-                self._delta_counts[sid] = 0
-                self._delta_boxes[sid] = None
+                self._fractions[sid] = 0.0
+                self.router.note_delta(sid, None)
                 self._recuts[sid] += 1
                 # A respawned worker starts back at generation 0; the
                 # re-cut counter keeps the fingerprint moving forward.
                 self._epochs[sid] = f"r{self._recuts[sid]}:g0.e0"
                 self._spawn(handle)
-            self._refresh_layout()
+            self.shard_set.refresh()
         self._note(repartitions=1)
         return {"shard_id": sid, "num_rows": num_rows}
 
@@ -1357,29 +753,13 @@ class ShardWorkerPool:
         self, threshold: float = DEFAULT_MERGE_THRESHOLD
     ) -> list[dict]:
         """Online repartitioning: re-cut and respawn every shard whose
-        pending churn fraction crossed ``threshold``."""
-        out = []
-        for spec in list(self.specs):
-            sid = spec.shard_id
-            if self._delta_counts[sid] == 0:
-                continue
-            if self._delta_counts[sid] / max(1, spec.num_rows) < threshold:
-                continue
-            out.append(self.repartition(sid))
-        return out
-
-    def _refresh_layout(self) -> None:
-        """Recompute global offsets and the layout digest after re-cuts."""
-        offset = 0
-        for spec in self.specs:
-            spec.row_offset = offset
-            offset += spec.num_rows
-        self._total_rows = offset
-        self._layout_version = shard_layout_version(
-            self.specs[0].base_name,
-            list(self.specs[0].dims),
-            [s.num_rows for s in self.specs],
-        )
+        delta fraction crossed ``threshold``."""
+        return [
+            self.repartition(spec.shard_id)
+            for spec in list(self.specs)
+            if self._fractions[spec.shard_id]
+            and self._fractions[spec.shard_id] >= threshold
+        ]
 
     def knn(self, point, k, cancel_check=None):
         """k-NN is not served over the process transport (yet)."""
@@ -1389,16 +769,6 @@ class ShardWorkerPool:
         )
 
     # -- observability ------------------------------------------------------
-
-    def _note(self, **deltas: int) -> None:
-        with self._lock:
-            for key, delta in deltas.items():
-                self._counters[key] += delta
-
-    def counters(self) -> dict[str, int]:
-        """Cumulative pool counters since construction."""
-        with self._lock:
-            return dict(self._counters)
 
     def worker_stats(self) -> list[dict]:
         """Per-worker utilization snapshots (requests, busy time, respawns)."""
@@ -1423,10 +793,3 @@ class ShardWorkerPool:
             if handle.io:
                 total.add(**handle.io)
         return total
-
-    def __repr__(self) -> str:
-        alive = sum(1 for h in self._handles if h.alive)
-        return (
-            f"ShardWorkerPool(name={self.table_name!r}, shards={self.num_shards}, "
-            f"alive={alive}, transport='process')"
-        )

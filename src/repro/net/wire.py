@@ -403,9 +403,12 @@ def error_to_wire(exc: BaseException) -> dict:
     """
     from repro.db.errors import StorageFault
     from repro.service.errors import DeadlineExceeded
+    from repro.shard.coordinator import ShardAborted
 
     if isinstance(exc, DeadlineExceeded):
         kind = "deadline"
+    elif isinstance(exc, ShardAborted):
+        kind = "cancelled"
     elif isinstance(exc, StorageFault):
         kind = "storage_fault"
     else:
@@ -417,12 +420,15 @@ def error_from_wire(wire: dict) -> BaseException:
     """Reconstruct the closest local exception for a wire error."""
     from repro.db import errors as db_errors
     from repro.service.errors import DeadlineExceeded
+    from repro.shard.coordinator import ShardAborted
 
     kind = wire.get("kind", "error")
     type_name = wire.get("type", "")
     message = wire.get("message", "")
     if kind == "deadline":
         return DeadlineExceeded(message)
+    if kind == "cancelled":
+        return ShardAborted(message)
     if kind == "storage_fault":
         cls = getattr(db_errors, type_name, db_errors.StorageFault)
         if not (isinstance(cls, type) and issubclass(cls, db_errors.StorageFault)):

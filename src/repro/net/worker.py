@@ -8,17 +8,26 @@ retry policy, and seeded fault injector, when configured), kd-tree
 index, and :class:`~repro.core.planner.QueryPlanner` -- so query
 execution runs with a whole Python interpreter, and GIL, to itself.
 
-Threading model: the main thread executes queries one at a time from an
-internal queue; a reader thread drains the socket continuously so
-``CANCEL`` frames and ``PING`` heartbeats are handled *while* a query
-runs.  Cancellation is cooperative: the reader sets a per-request event
-that the executing query's ``cancel_check`` polls every page/node, the
-same discipline the in-process executors use.
+It is the process transport's far end of the one scatter-gather
+coordinator (:class:`~repro.shard.coordinator.ShardCoordinator`): a
+``BATCH`` frame carries this shard's member group, which runs through
+the same shard-side executor the thread transport calls,
+:func:`~repro.shard.coordinator.run_member_group`; ``INGEST`` and
+``MERGE`` frames are the write RPCs.
 
-Result streaming: rows leave in ``PAGE`` frames of ``page_rows`` rows
-each (raw column bytes, no text encoding), followed by one ``DONE``
-frame carrying the plan fields and stats -- so a large result never
-needs to exist as one giant message on either side.
+Threading model: the main thread serves requests one at a time from an
+internal queue; a reader thread drains the socket continuously so
+``CANCEL`` frames and ``PING`` heartbeats are handled *while* a group
+runs.  Cancellation is cooperative: the reader sets a per-member event
+that the member's cancel check polls every page/node, the same check
+the thread transport builds.
+
+Result streaming: each member's rows leave in ``PAGE`` frames of
+``page_rows`` rows each (raw column bytes, no text encoding), followed
+by one ``DONE`` frame carrying the plan fields and stats -- or one
+``ERROR`` frame -- so a large result never needs to exist as one giant
+message on either side.  A memberless ``DONE`` closes the group with its
+shared-decode counters.
 """
 
 from __future__ import annotations
@@ -33,17 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.planner import PlannedQuery, QueryPlanner
-from repro.db.errors import StorageFault
-from repro.db.scan import (
-    BatchScanMember,
-    batch_full_scan,
-    full_scan,
-    membership_predicate,
-)
 from repro.net.wire import (
     Frame,
     MessageType,
     SocketChannel,
+    box_to_wire,
     columns_from_blob,
     columns_to_blob,
     error_to_wire,
@@ -51,6 +54,7 @@ from repro.net.wire import (
     stats_to_wire,
 )
 from repro.service.executor import Deadline
+from repro.shard.coordinator import cancellable, run_member_group
 from repro.shard.partitioner import ShardSpec, build_shard
 
 __all__ = ["WorkerConfig", "worker_main"]
@@ -74,33 +78,29 @@ class WorkerConfig:
     engine: str = "auto"
 
 
-class _Cancelled(BaseException):
-    """Raised inside a query when the parent sent CANCEL for it."""
-
-
 class _InFlight:
     """Cancellation registry shared by the reader and executor threads."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: dict[tuple[int, int | None], threading.Event] = {}
+        self._events: dict[tuple[int, int], threading.Event] = {}
 
-    def register(self, request_id: int, member: int | None) -> threading.Event:
+    def register(self, request_id: int, member: int) -> threading.Event:
         event = threading.Event()
         with self._lock:
             self._events[(request_id, member)] = event
         return event
 
-    def unregister(self, request_id: int, member: int | None) -> None:
+    def unregister(self, request_id: int, member: int) -> None:
         with self._lock:
             self._events.pop((request_id, member), None)
 
-    def cancel(self, request_id: int, member: int | None) -> None:
-        """Trip one member's event, or every event of the request."""
+    def cancel(self, request_id: int, member: int) -> None:
+        """Trip one member's event (a no-op once it has answered)."""
         with self._lock:
-            for (rid, mem), event in self._events.items():
-                if rid == request_id and (member is None or mem == member):
-                    event.set()
+            event = self._events.get((request_id, member))
+        if event is not None:
+            event.set()
 
 
 def _memberships_from_wire(header: dict) -> dict[str, np.ndarray] | None:
@@ -112,19 +112,6 @@ def _memberships_from_wire(header: dict) -> dict[str, np.ndarray] | None:
         col: np.asarray(values, dtype=np.float64)
         for col, values in payload.items()
     }
-
-
-def _compose_check(deadline_s, event: threading.Event):
-    """Build the cooperative cancel_check for one (request, member)."""
-    deadline = Deadline(float(deadline_s)) if deadline_s is not None else None
-
-    def check() -> None:
-        if event.is_set():
-            raise _Cancelled()
-        if deadline is not None:
-            deadline.check()
-
-    return check
 
 
 class _Worker:
@@ -200,33 +187,36 @@ class _Worker:
                 + [["_row_id", np.dtype(np.int64).str]],
             },
         )
+        serve = {
+            MessageType.BATCH: self._serve_batch,
+            MessageType.INGEST: self._serve_ingest,
+            MessageType.MERGE: self._serve_merge,
+        }
         while True:
             frame = self.work.get()
             if frame is None:
                 break
+            handler = serve.get(frame.type)
+            if handler is None:
+                continue
             started = time.perf_counter()
             try:
-                if frame.type is MessageType.QUERY:
-                    self._serve_query(frame)
-                elif frame.type is MessageType.BATCH:
-                    self._serve_batch(frame)
-                elif frame.type is MessageType.INGEST:
-                    self._serve_ingest(frame)
-                elif frame.type is MessageType.MERGE:
-                    self._serve_merge(frame)
+                handler(frame)
             finally:
                 self.busy_s += time.perf_counter() - started
                 self.requests_served += 1
 
-    def _stream_planned(
-        self, request_id: int, member: int | None, planned: PlannedQuery
-    ) -> None:
-        """Emit a result as PAGE frames followed by one DONE frame."""
+    def _reply(self, request_id: int, member: int | None, outcome) -> None:
+        """Send one outcome: PAGE frames then DONE, or one ERROR frame."""
+        if isinstance(outcome, BaseException):
+            header = error_to_wire(outcome)
+            header.update(request_id=request_id, member=member)
+            self.channel.send(MessageType.ERROR, header)
+            return
+        planned: PlannedQuery = outcome
         rows = planned.rows
         names = list(rows)
-        total = int(rows["_row_id"].shape[0]) if "_row_id" in rows else (
-            int(rows[names[0]].shape[0]) if names else 0
-        )
+        total = int(rows["_row_id"].shape[0])
         chunk = max(1, self.config.page_rows)
         for start in range(0, total, chunk):
             piece = {n: rows[n][start : start + chunk] for n in names}
@@ -256,181 +246,42 @@ class _Worker:
             header["columns"] = meta
         self.channel.send(MessageType.DONE, header)
 
-    def _send_error(
-        self, request_id: int, member: int | None, exc: BaseException
-    ) -> None:
-        header = error_to_wire(exc) if not isinstance(exc, _Cancelled) else {
-            "kind": "cancelled",
-            "type": "Cancelled",
-            "message": "request cancelled by coordinator",
-        }
-        header["request_id"] = request_id
-        header["member"] = member
-        self.channel.send(MessageType.ERROR, header)
-
-    def _serve_query(self, frame: Frame) -> None:
-        request_id = frame.header["request_id"]
-        event = self.inflight.register(request_id, None)
-        check = _compose_check(frame.header.get("deadline_s"), event)
-        try:
-            memberships = _memberships_from_wire(frame.header)
-            if frame.header.get("inside"):
-                # Figure 4's fully-inside case: the router proved every
-                # row qualifies, so skip probe, tree, and per-row tests
-                # beyond any membership filter riding on the query.
-                predicate = (
-                    membership_predicate(memberships) if memberships else None
-                )
-                rows, stats = full_scan(
-                    self.shard.table, predicate=predicate, cancel_check=check
-                )
-                planned = PlannedQuery(
-                    rows=rows,
-                    stats=stats,
-                    chosen_path="inside",
-                    estimated_selectivity=1.0,
-                    sampled_pages=0,
-                )
-            else:
-                polyhedron = polyhedron_from_wire(frame.header["polyhedron"])
-                planned = self.planner.execute(
-                    polyhedron, cancel_check=check, memberships=memberships
-                )
-            self._stream_planned(request_id, None, planned)
-        except BaseException as exc:
-            self._send_error(request_id, None, exc)
-            if not isinstance(exc, (Exception, _Cancelled)):
-                raise
-        finally:
-            self.inflight.unregister(request_id, None)
-
     def _serve_batch(self, frame: Frame) -> None:
-        """One shard's share of a micro-batch, mirroring the thread path.
-
-        INSIDE members share one predicate-free scan pass; PARTIAL
-        members go through the planner's ``execute_batch``.  Outcomes
-        are per-member (PAGE*/DONE or ERROR); a trailing memberless DONE
-        carries the shared-decode counters.
-        """
+        """This shard's member group: every member answers on its own,
+        then a memberless DONE carries the shared-decode counters."""
         request_id = frame.header["request_id"]
-        members = frame.header["members"]
-        events = {
-            m["member"]: self.inflight.register(request_id, m["member"])
-            for m in members
-        }
-        checks = {
-            m["member"]: _compose_check(m.get("deadline_s"), events[m["member"]])
-            for m in members
-        }
-        counters = {"pages_decoded": 0, "shared_decode_hits": 0}
+        wire = frame.header["members"]
+        ids = [m["member"] for m in wire]
+        members = []
+        for m in wire:
+            event = self.inflight.register(request_id, m["member"])
+            deadline_s = m.get("deadline_s")
+            members.append(
+                (
+                    None if m.get("inside") else polyhedron_from_wire(m["polyhedron"]),
+                    cancellable(
+                        event,
+                        Deadline(float(deadline_s)).check
+                        if deadline_s is not None
+                        else None,
+                    ),
+                    _memberships_from_wire(m),
+                )
+            )
         try:
-            filters = {
-                m["member"]: _memberships_from_wire(m) for m in members
-            }
-            inside = [m["member"] for m in members if m.get("inside")]
-            partial = [
-                (m["member"], polyhedron_from_wire(m["polyhedron"]))
-                for m in members
-                if not m.get("inside")
-            ]
-            if inside:
-                self._serve_batch_inside(
-                    request_id, inside, checks, filters, counters
-                )
-            if partial:
-                batch = self.planner.execute_batch(
-                    [poly for _, poly in partial],
-                    [checks[m] for m, _ in partial],
-                    memberships_list=[filters[m] for m, _ in partial],
-                )
-                counters["pages_decoded"] += batch.pages_decoded
-                counters["shared_decode_hits"] += batch.shared_decode_hits
-                for (m, _), result in zip(partial, batch.members):
-                    if result.error is not None:
-                        self._send_error(request_id, m, result.error)
-                    else:
-                        self._stream_planned(request_id, m, result.planned)
-        except BaseException as exc:
-            # The whole shard task died before demultiplexing (e.g. a
-            # routing bug): fail every member we have not answered.
-            for m in members:
-                self._send_error(request_id, m["member"], exc)
-            if not isinstance(exc, (Exception, _Cancelled)):
-                raise
+            counters = run_member_group(
+                self.shard.table,
+                self.planner,
+                members,
+                lambda i, outcome: self._reply(request_id, ids[i], outcome),
+            )
         finally:
-            for member, _ in events.items():
+            for member in ids:
                 self.inflight.unregister(request_id, member)
-            self.channel.send(
-                MessageType.DONE,
-                {"request_id": request_id, "member": None, "counters": counters},
-            )
-
-    def _serve_batch_inside(
-        self,
-        request_id: int,
-        inside: list[int],
-        checks: dict,
-        filters: dict,
-        counters: dict,
-    ) -> None:
-        scan_members = [
-            BatchScanMember(
-                predicate=(
-                    membership_predicate(filters[m]) if filters.get(m) else None
-                ),
-                cancel_check=checks[m],
-            )
-            for m in inside
-        ]
-        try:
-            scanned, scan_counters = batch_full_scan(self.shard.table, scan_members)
-        except StorageFault:
-            # The shared pass died; retry each member alone so the fault
-            # stays per-member (exactly the thread executor's behavior).
-            for m in inside:
-                try:
-                    rows, stats = full_scan(
-                        self.shard.table,
-                        predicate=(
-                            membership_predicate(filters[m])
-                            if filters.get(m)
-                            else None
-                        ),
-                        cancel_check=checks[m],
-                    )
-                except BaseException as exc:
-                    self._send_error(request_id, m, exc)
-                    continue
-                self._stream_planned(
-                    request_id,
-                    m,
-                    PlannedQuery(
-                        rows=rows,
-                        stats=stats,
-                        chosen_path="inside",
-                        estimated_selectivity=1.0,
-                        sampled_pages=0,
-                    ),
-                )
-            return
-        counters["pages_decoded"] += scan_counters["pages_decoded"]
-        counters["shared_decode_hits"] += scan_counters["shared_decode_hits"]
-        for m, (rows, stats, error) in zip(inside, scanned):
-            if error is not None:
-                self._send_error(request_id, m, error)
-            else:
-                self._stream_planned(
-                    request_id,
-                    m,
-                    PlannedQuery(
-                        rows=rows,
-                        stats=stats,
-                        chosen_path="inside",
-                        estimated_selectivity=1.0,
-                        sampled_pages=0,
-                    ),
-                )
-
+        self.channel.send(
+            MessageType.DONE,
+            {"request_id": request_id, "member": None, "counters": counters},
+        )
 
     # -- write path (serialized with queries on the main thread) ------------
 
@@ -441,7 +292,8 @@ class _Worker:
         never interleaved with a scan inside the worker; the table-level
         merge-on-read machinery handles cross-*process* visibility (the
         coordinator orders acks).  The reply carries the shard's new
-        ``layout_version`` so the coordinator's cache fingerprint moves.
+        ``layout_version`` and delta fraction, which the coordinator
+        keeps for the cache fingerprint and the merge trigger.
         """
         request_id = frame.header["request_id"]
         table = self.shard.table
@@ -458,40 +310,26 @@ class _Worker:
                 blob = b""
             else:
                 raise ValueError(f"unknown ingest op {op!r}")
-        except BaseException as exc:
-            self._send_error(request_id, None, exc)
-            if not isinstance(exc, Exception):
-                raise
+        except Exception as exc:
+            self._reply(request_id, None, exc)
             return
-        header["request_id"] = request_id
-        header["member"] = None
-        header["op"] = op
-        header["layout_version"] = table.layout_version
+        header["layout_version"], header["delta_fraction"] = self.shard.write_state()
+        header.update(request_id=request_id, member=None, op=op)
         self.channel.send(MessageType.DONE, header, blob)
 
     def _serve_merge(self, frame: Frame) -> None:
         """Drain this shard's delta out-of-place and refresh the stack.
 
-        The merge rebuilds the shard's kd-tree over old + new rows and
-        swaps it under the catalog lock; afterwards the worker re-resolves
-        its index handle (the planner already resolves per query).  The
-        reply ships the new routing geometry -- row count and tight box
-        -- so the coordinator can re-cut its routing state in place.
+        The reply ships the new routing geometry -- row count and tight
+        box -- so the coordinator can re-cut its routing state in place.
         """
         request_id = frame.header["request_id"]
         try:
-            report = self.shard.database.ingest.merge(self.spec.name)
-            index = self.shard.database.index_if_exists(f"{self.spec.name}.kdtree")
-            if index is not None:
-                self.shard.index = index
-            self.shard.num_rows = self.shard.table.num_rows
-            self.shard.tight_box = self.shard.index.tree.tight_box(1)
-        except BaseException as exc:
-            self._send_error(request_id, None, exc)
-            if not isinstance(exc, Exception):
-                raise
+            report = self.shard.merge()
+        except Exception as exc:
+            self._reply(request_id, None, exc)
             return
-        box = self.shard.tight_box
+        layout_version, fraction = self.shard.write_state()
         self.channel.send(
             MessageType.DONE,
             {
@@ -499,11 +337,9 @@ class _Worker:
                 "member": None,
                 "report": report.as_dict(),
                 "num_rows": int(self.shard.num_rows),
-                "tight_box": {
-                    "lo": [float(v) for v in box.lo],
-                    "hi": [float(v) for v in box.hi],
-                },
-                "layout_version": self.shard.table.layout_version,
+                "tight_box": box_to_wire(self.shard.tight_box),
+                "layout_version": layout_version,
+                "delta_fraction": fraction,
             },
         )
 

@@ -1,94 +1,44 @@
-"""Scatter-gather execution: parallel per-shard planners, one answer.
+"""The thread transport: every shard in this process, one thread pool.
 
-The executor is the sharded counterpart of a single
-:class:`~repro.core.planner.QueryPlanner` and implements the same engine
-protocol (``execute(polyhedron, cancel_check)`` plus ``table_name`` /
-``dims`` / ``layout_version``), so a :class:`~repro.service.QueryService`
-drives it unchanged.  Per query it:
+:class:`ScatterGatherExecutor` is the sharded counterpart of a single
+:class:`~repro.core.planner.QueryPlanner`.  Routing, the gather, the
+write router and every counter belong to the one coordinator
+(:class:`~repro.shard.coordinator.ShardCoordinator`); this transport
+only says where a shard runs.  Each shard's member group runs
+:func:`~repro.shard.coordinator.run_member_group` on a shared thread
+pool against the shard's own planner (selectivity probe, access-path
+choice, fault fallback), a cancelled member trips a per-shard event its
+page and node loops poll, and the write RPCs are direct calls into each
+shard's database.  Passing ``transport="process"`` (with ``specs=``)
+returns the process transport instead,
+:class:`~repro.net.pool.ShardWorkerPool`, which speaks the same engine
+protocol with one worker process per shard.
 
-1. routes: the :class:`~repro.shard.router.ShardRouter` classifies every
-   shard's box against the polyhedron and prunes OUTSIDE shards with
-   zero I/O;
-2. scatters: each dispatched shard runs its *own* planner (selectivity
-   probe, kd-tree vs. scan choice, fault fallback) on a shared thread
-   pool;
-3. gathers: per-shard results stream into the merge as they complete --
-   row ids are remapped to the global namespace, stats merge with
-   distinct page namespaces, and the per-shard access-path choices are
-   aggregated.
-
-Deadlines and cancellation propagate into every in-flight shard: the
-service's ``cancel_check`` is wrapped in a shared token that every
-shard's page/node loops poll, and the first deadline hit (or any
-unexpected error) trips the token so sibling shards abandon their scans
-instead of running to completion.
-
-Per-shard storage faults degrade, not fail: a shard whose planner dies
-on an unrecoverable :class:`~repro.db.errors.StorageFault` (its own
-retry budget and scan fallback exhausted) is recorded in
-``failed_shards`` and the query completes over the survivors with
-``partial=True``.  Only when every dispatched shard dies does the fault
-propagate to the caller.
+On top of the coordinator this transport adds the frontier-merged,
+exact k-NN across shard borders (:func:`~repro.shard.knn.scatter_gather_knn`)
+and :meth:`ScatterGatherExecutor.gather` of rows by global id.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-from repro.core.batch import BatchMemberResult, BatchResult
-from repro.core.planner import PlannedQuery, QueryPlanner
-from repro.db.errors import StorageFault
-from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
+from repro.core.planner import QueryPlanner
+from repro.db.stats import IOStats
 from repro.ingest.manager import DEFAULT_MERGE_THRESHOLD
-from repro.db.scan import (
-    BatchScanMember,
-    batch_full_scan,
-    full_scan,
-    membership_predicate,
-)
-from repro.db.stats import IOStats, QueryStats
-from repro.geometry.boxes import BoxRelation
-from repro.geometry.halfspace import Polyhedron
+from repro.shard.coordinator import ShardCoordinator, cancellable, run_member_group
 from repro.shard.knn import ShardedKnnResult, scatter_gather_knn
-from repro.shard.partitioner import Shard, ShardSet
-from repro.shard.router import ShardRouter
+from repro.shard.partitioner import ShardSet
 
-__all__ = ["ScatterGatherExecutor", "ShardAborted"]
-
-
-class ShardAborted(Exception):
-    """Internal: a sibling shard's failure/deadline tripped the cancel token."""
+__all__ = ["ScatterGatherExecutor"]
 
 
-class _CancelToken:
-    """Shared cooperative-cancellation handle for one scatter-gather query.
-
-    ``check`` composes the caller's own check (typically a service
-    deadline) with a local abort flag; tripping the flag makes every
-    shard still iterating pages/nodes raise :class:`ShardAborted` at its
-    next poll, which is how one shard's deadline stops its siblings.
-    """
-
-    def __init__(self, inner: Callable[[], None] | None):
-        self._inner = inner
-        self._aborted = threading.Event()
-
-    def trip(self) -> None:
-        self._aborted.set()
-
-    def check(self) -> None:
-        if self._aborted.is_set():
-            raise ShardAborted("sibling shard aborted the query")
-        if self._inner is not None:
-            self._inner()
-
-
-class ScatterGatherExecutor:
+class ScatterGatherExecutor(ShardCoordinator):
     """Parallel per-shard engines behind a planner-shaped facade.
 
     Parameters
@@ -108,6 +58,8 @@ class ScatterGatherExecutor:
     use_tight_boxes:
         Router pruning family (see :class:`~repro.shard.ShardRouter`).
     """
+
+    transport = "thread"
 
     def __new__(
         cls,
@@ -166,8 +118,20 @@ class ScatterGatherExecutor:
         if process_opts:
             unknown = ", ".join(sorted(process_opts))
             raise TypeError(f"unexpected arguments for thread transport: {unknown}")
-        self.shard_set = shard_set
-        self.router = ShardRouter(shard_set, use_tight_boxes=use_tight_boxes)
+        template = shard_set[0].table
+        super().__init__(
+            shard_set,
+            use_tight_boxes,
+            {name: template.dtype_of(name) for name in template.column_names},
+            counters=("knn_queries",),
+        )
+        # Adopt writes that reached the shards before this executor did.
+        for shard in shard_set:
+            sid = shard.shard_id
+            self._epochs[sid], self._fractions[sid] = shard.write_state()
+            snapshot = shard.table.delta_snapshot()
+            if snapshot is not None:
+                self.router.note_delta(sid, snapshot.bounding_box(tuple(self.dims)))
         shard_probe = max(1, sample_pages // shard_set.num_shards)
         self.planners = {
             shard.shard_id: QueryPlanner(
@@ -186,55 +150,8 @@ class ScatterGatherExecutor:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix=f"shard-{shard_set.name}"
         )
-        self._closed = False
-        self._lock = threading.Lock()
-        self._counters = {
-            "queries": 0,
-            "knn_queries": 0,
-            "shards_dispatched": 0,
-            "shards_pruned": 0,
-            "shard_faults": 0,
-            "partial_results": 0,
-        }
         self._shard_busy = {shard.shard_id: 0.0 for shard in shard_set}
         self._shard_requests = {shard.shard_id: 0 for shard in shard_set}
-
-    # -- engine protocol (mirrors QueryPlanner) -----------------------------
-
-    @property
-    def table_name(self) -> str:
-        """Logical name of the sharded table (cache fingerprinting)."""
-        return self.shard_set.name
-
-    @property
-    def dims(self) -> list[str]:
-        """Ordered coordinate column names."""
-        return list(self.shard_set.dims)
-
-    @property
-    def layout_version(self) -> str:
-        """Digest of shard boundaries plus per-shard write epochs.
-
-        The boundary digest changes on repartitioning; the appended
-        epochs change on every ingest write and shard merge, so result
-        caches above can never serve rows from a superseded view.
-        """
-        epochs = ",".join(
-            shard.table.layout_version for shard in self.shard_set
-        )
-        return f"{self.shard_set.layout_version}|{epochs}"
-
-    @property
-    def num_shards(self) -> int:
-        """How many shards back this executor."""
-        return self.shard_set.num_shards
-
-    @property
-    def transport(self) -> str:
-        """Execution transport identifier (for reports and replays)."""
-        return "thread"
-
-    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         """Shut the shard pool down (idempotent)."""
@@ -242,573 +159,52 @@ class ScatterGatherExecutor:
             self._closed = True
             self._pool.shutdown(wait=True)
 
-    def __enter__(self) -> "ScatterGatherExecutor":
-        return self
+    # -- transport ----------------------------------------------------------
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- polyhedron queries -------------------------------------------------
-
-    def execute(
-        self,
-        polyhedron: Polyhedron,
-        cancel_check: Callable[[], None] | None = None,
-        memberships: dict[str, np.ndarray] | None = None,
-    ) -> PlannedQuery:
-        """Route, scatter, and gather one polyhedron query.
-
-        ``memberships`` (column -> IN-list values) is forwarded to every
-        dispatched shard; routing stays polyhedron-only -- membership
-        filters never widen the dispatched set, they only thin rows
-        inside it.
-        """
-        if cancel_check is not None:
-            cancel_check()
-        decision = self.router.route_polyhedron(polyhedron)
-        token = _CancelToken(cancel_check)
-        futures = {
-            self._pool.submit(
-                self._run_shard, shard, relation, polyhedron, token, memberships
-            ): shard
-            for shard, relation in decision.dispatched
-        }
-
-        stats = QueryStats()
-        pieces: list[dict[str, np.ndarray]] = []
-        path_counts: dict[str, int] = {}
-        failed: list[int] = []
-        last_fault: StorageFault | None = None
-        pending_error: BaseException | None = None
-        fallback = False
-        fallback_reason = ""
-        weighted_estimate = 0.0
-        estimated_rows = 0
-        sampled_pages = 0
-
-        # Streaming gather: merge each shard as it completes rather than
-        # barriering on the slowest one.
-        for future in as_completed(futures):
-            shard = futures[future]
-            try:
-                planned = future.result()
-            except StorageFault as exc:
-                failed.append(shard.shard_id)
-                last_fault = exc
-                continue
-            except ShardAborted:
-                continue
-            except BaseException as exc:
-                # Deadline or unexpected error: trip the token so
-                # in-flight siblings stop scanning, then drain and re-raise.
-                if pending_error is None:
-                    pending_error = exc
-                token.trip()
-                continue
-            stats.merge(planned.stats)
-            pieces.append(self._rebase_rows(shard, planned.rows))
-            path_counts[planned.chosen_path] = (
-                path_counts.get(planned.chosen_path, 0) + 1
-            )
-            if planned.fallback:
-                fallback = True
-                fallback_reason = fallback_reason or planned.fallback_reason
-            if np.isfinite(planned.estimated_selectivity):
-                weighted_estimate += planned.estimated_selectivity * shard.num_rows
-                estimated_rows += shard.num_rows
-            sampled_pages += planned.sampled_pages
-        if pending_error is not None:
-            raise pending_error
-        if failed and not pieces and decision.dispatched:
-            assert last_fault is not None
-            raise last_fault
-
-        rows = self._merge_pieces(pieces)
-        estimate = (
-            weighted_estimate / self.shard_set.total_rows
-            if estimated_rows
-            else (0.0 if not decision.dispatched else float("nan"))
+    def _send_group(self, shard_id: int, group: list, out) -> dict:
+        events = {m: threading.Event() for m, *_ in group}
+        members = [
+            (polyhedron, cancellable(events[m], check), memberships)
+            for m, polyhedron, check, memberships in group
+        ]
+        self._pool.submit(
+            self._run_group, shard_id, [m for m, *_ in group], members, out
         )
-        for path, count in path_counts.items():
-            stats.extra[f"shard_path_{path}"] = count
-        self._note(
-            queries=1,
-            shards_dispatched=decision.shards_dispatched,
-            shards_pruned=decision.shards_pruned,
-            shard_faults=len(failed),
-            partial_results=1 if failed else 0,
-        )
-        return PlannedQuery(
-            rows=rows,
-            stats=stats,
-            chosen_path="sharded",
-            estimated_selectivity=estimate,
-            sampled_pages=sampled_pages,
-            fallback=fallback,
-            fallback_reason=fallback_reason,
-            shards_dispatched=decision.shards_dispatched,
-            shards_pruned=decision.shards_pruned,
-            shard_faults=len(failed),
-            partial=bool(failed),
-            failed_shards=tuple(sorted(failed)),
-        )
+        return events
 
-    def execute_batch(
-        self,
-        polyhedra: list[Polyhedron],
-        cancel_checks: list[Callable[[], None] | None] | None = None,
-        memberships_list: list[dict | None] | None = None,
-    ) -> BatchResult:
-        """Route, scatter, and gather a micro-batch in one fan-out.
+    def _cancel(self, shard_id: int, events: dict, member: int) -> None:
+        events[member].set()
 
-        Every member is routed once, then each shard receives a single
-        task covering *all* the members dispatched to it -- INSIDE
-        members share one predicate-free scan pass and PARTIAL members
-        go through the shard planner's own
-        :meth:`~repro.core.planner.QueryPlanner.execute_batch`, so a
-        page hot across the batch is decoded once per shard instead of
-        once per (member, shard).
-
-        Member isolation: a member's cancel/deadline error on any shard
-        fails that member alone (its gathered pieces are discarded, no
-        partial rows leak) and never trips its batch siblings.  A
-        per-shard storage fault marks that shard failed *for the members
-        it served*; each such member completes partial over its
-        surviving shards, exactly like the solo path.
-        """
-        n = len(polyhedra)
-        checks = (
-            list(cancel_checks) if cancel_checks is not None else [None] * n
-        )
-        member_filters = (
-            list(memberships_list) if memberships_list is not None else [None] * n
-        )
-        result = BatchResult(
-            members=[BatchMemberResult() for _ in range(n)], occupancy=n
-        )
-        decisions = [None] * n
-        live: list[int] = []
-        for m, (polyhedron, check) in enumerate(zip(polyhedra, checks)):
-            if check is not None:
-                try:
-                    check()
-                except BaseException as exc:
-                    result.members[m].error = exc
-                    continue
-            decisions[m] = self.router.route_polyhedron(polyhedron)
-            live.append(m)
-
-        shard_entries: dict[int, list[tuple[int, BoxRelation]]] = {}
-        shards_by_id: dict[int, Shard] = {}
-        for m in live:
-            for shard, relation in decisions[m].dispatched:
-                shard_entries.setdefault(shard.shard_id, []).append((m, relation))
-                shards_by_id[shard.shard_id] = shard
-
-        futures = {
-            self._pool.submit(
-                self._run_shard_batch,
-                shards_by_id[shard_id],
-                entries,
-                polyhedra,
-                checks,
-                member_filters,
-            ): shard_id
-            for shard_id, entries in shard_entries.items()
-        }
-
-        merged = {
-            m: {
-                "stats": QueryStats(),
-                "pieces": [],
-                "path_counts": {},
-                "failed": [],
-                "last_fault": None,
-                "fallback": False,
-                "reason": "",
-                "weighted": 0.0,
-                "est_rows": 0,
-                "sampled": 0,
-            }
-            for m in live
-        }
-        for future in as_completed(futures):
-            shard_id = futures[future]
-            shard = shards_by_id[shard_id]
-            try:
-                outcomes, counters = future.result()
-            except StorageFault as exc:
-                # The whole shard task died before demultiplexing; every
-                # member it served loses this shard.
-                for m, _ in shard_entries[shard_id]:
-                    merged[m]["failed"].append(shard_id)
-                    merged[m]["last_fault"] = exc
-                continue
-            result.pages_decoded += counters["pages_decoded"]
-            result.shared_decode_hits += counters["shared_decode_hits"]
-            for m, (kind, payload) in outcomes.items():
-                if kind == "error":
-                    if isinstance(payload, StorageFault):
-                        merged[m]["failed"].append(shard_id)
-                        merged[m]["last_fault"] = payload
-                    elif result.members[m].error is None:
-                        result.members[m].error = payload
-                    continue
-                planned = payload
-                acc = merged[m]
-                acc["stats"].merge(planned.stats)
-                acc["pieces"].append(self._rebase_rows(shard, planned.rows))
-                acc["path_counts"][planned.chosen_path] = (
-                    acc["path_counts"].get(planned.chosen_path, 0) + 1
-                )
-                if planned.fallback:
-                    acc["fallback"] = True
-                    acc["reason"] = acc["reason"] or planned.fallback_reason
-                if np.isfinite(planned.estimated_selectivity):
-                    acc["weighted"] += (
-                        planned.estimated_selectivity * shard.num_rows
-                    )
-                    acc["est_rows"] += shard.num_rows
-                acc["sampled"] += planned.sampled_pages
-
-        note = {
-            "queries": 0,
-            "shards_dispatched": 0,
-            "shards_pruned": 0,
-            "shard_faults": 0,
-            "partial_results": 0,
-        }
-        for m in live:
-            acc = merged[m]
-            decision = decisions[m]
-            note["queries"] += 1
-            note["shards_dispatched"] += decision.shards_dispatched
-            note["shards_pruned"] += decision.shards_pruned
-            note["shard_faults"] += len(acc["failed"])
-            if result.members[m].error is not None:
-                # Member failed on its own terms (deadline/cancel): its
-                # surviving pieces are discarded, nothing leaks.
-                continue
-            if acc["failed"] and not acc["pieces"] and decision.dispatched:
-                result.members[m].error = acc["last_fault"]
-                continue
-            note["partial_results"] += 1 if acc["failed"] else 0
-            rows = self._merge_pieces(acc["pieces"])
-            estimate = (
-                acc["weighted"] / self.shard_set.total_rows
-                if acc["est_rows"]
-                else (0.0 if not decision.dispatched else float("nan"))
-            )
-            stats = acc["stats"]
-            for path, count in acc["path_counts"].items():
-                stats.extra[f"shard_path_{path}"] = count
-            result.members[m].planned = PlannedQuery(
-                rows=rows,
-                stats=stats,
-                chosen_path="sharded",
-                estimated_selectivity=estimate,
-                sampled_pages=acc["sampled"],
-                fallback=acc["fallback"],
-                fallback_reason=acc["reason"],
-                shards_dispatched=decision.shards_dispatched,
-                shards_pruned=decision.shards_pruned,
-                shard_faults=len(acc["failed"]),
-                partial=bool(acc["failed"]),
-                failed_shards=tuple(sorted(acc["failed"])),
-            )
-        self._note(**note)
-        return result
-
-    def _run_shard_batch(
-        self,
-        shard: Shard,
-        entries: list[tuple[int, BoxRelation]],
-        polyhedra: list[Polyhedron],
-        checks: list[Callable[[], None] | None],
-        member_filters: list[dict | None],
-    ) -> tuple[dict[int, tuple[str, object]], dict]:
-        """One shard's share of a batch: all its members in two passes.
-
-        Returns ``(outcomes, counters)`` where ``outcomes[m]`` is
-        ``("ok", PlannedQuery)`` or ``("error", exception)`` and the
-        counters carry this shard's shared-decode totals.
-        """
+    def _run_group(self, shard_id: int, ids: list[int], members: list, out) -> None:
         started = time.perf_counter()
+        trailer: object = {}
         try:
-            return self._run_shard_batch_inner(
-                shard, entries, polyhedra, checks, member_filters
+            trailer = run_member_group(
+                self.shard_set[shard_id].table,
+                self.planners[shard_id],
+                members,
+                lambda i, outcome: out.put((shard_id, ids[i], outcome)),
             )
+        except BaseException as exc:
+            # Hand the gather whatever killed the group, then re-raise.
+            trailer = exc
+            raise
         finally:
-            self._note_shard_time(shard.shard_id, time.perf_counter() - started)
+            self._note_shard_time(shard_id, time.perf_counter() - started)
+            out.put((shard_id, None, trailer))
 
-    def _run_shard_batch_inner(
-        self,
-        shard: Shard,
-        entries: list[tuple[int, BoxRelation]],
-        polyhedra: list[Polyhedron],
-        checks: list[Callable[[], None] | None],
-        member_filters: list[dict | None],
-    ) -> tuple[dict[int, tuple[str, object]], dict]:
-        inside = [m for m, relation in entries if relation is BoxRelation.INSIDE]
-        partial = [m for m, relation in entries if relation is not BoxRelation.INSIDE]
-        outcomes: dict[int, tuple[str, object]] = {}
-        counters = {"pages_decoded": 0, "shared_decode_hits": 0}
+    def _insert_rpc(self, shard_id: int, rows: dict) -> tuple:
+        shard = self.shard_set[shard_id]
+        return (shard.table.insert_rows(rows), *shard.write_state())
 
-        if inside:
-            # Figure 4's fully-inside case at shard granularity, batched:
-            # one shared pass returns every row to every member, each
-            # member keeping only its own membership filter (if any).
-            members = [
-                BatchScanMember(
-                    predicate=(
-                        membership_predicate(member_filters[m])
-                        if member_filters[m]
-                        else None
-                    ),
-                    cancel_check=checks[m],
-                )
-                for m in inside
-            ]
-            try:
-                scanned, scan_counters = batch_full_scan(shard.table, members)
-            except StorageFault:
-                # The shared pass died; retry each member alone so the
-                # fault stays per-member.
-                for m in inside:
-                    try:
-                        rows, stats = full_scan(
-                            shard.table,
-                            predicate=(
-                                membership_predicate(member_filters[m])
-                                if member_filters[m]
-                                else None
-                            ),
-                            cancel_check=checks[m],
-                        )
-                    except BaseException as exc:
-                        outcomes[m] = ("error", exc)
-                        continue
-                    outcomes[m] = (
-                        "ok",
-                        PlannedQuery(
-                            rows=rows,
-                            stats=stats,
-                            chosen_path="inside",
-                            estimated_selectivity=1.0,
-                            sampled_pages=0,
-                        ),
-                    )
-            else:
-                counters["pages_decoded"] += scan_counters["pages_decoded"]
-                counters["shared_decode_hits"] += scan_counters["shared_decode_hits"]
-                for m, (rows, stats, error) in zip(inside, scanned):
-                    if error is not None:
-                        outcomes[m] = ("error", error)
-                    else:
-                        outcomes[m] = (
-                            "ok",
-                            PlannedQuery(
-                                rows=rows,
-                                stats=stats,
-                                chosen_path="inside",
-                                estimated_selectivity=1.0,
-                                sampled_pages=0,
-                            ),
-                        )
+    def _delete_rpc(self, shard_id: int, local_ids: np.ndarray) -> tuple:
+        shard = self.shard_set[shard_id]
+        return (shard.table.delete_rows(local_ids), *shard.write_state())
 
-        if partial:
-            batch = self.planners[shard.shard_id].execute_batch(
-                [polyhedra[m] for m in partial],
-                [checks[m] for m in partial],
-                memberships_list=[member_filters[m] for m in partial],
-            )
-            counters["pages_decoded"] += batch.pages_decoded
-            counters["shared_decode_hits"] += batch.shared_decode_hits
-            for m, member in zip(partial, batch.members):
-                if member.error is not None:
-                    outcomes[m] = ("error", member.error)
-                else:
-                    outcomes[m] = ("ok", member.planned)
-        return outcomes, counters
-
-    def _run_shard(
-        self,
-        shard: Shard,
-        relation: BoxRelation,
-        polyhedron: Polyhedron,
-        token: _CancelToken,
-        memberships: dict[str, np.ndarray] | None = None,
-    ) -> PlannedQuery:
-        token.check()
-        started = time.perf_counter()
-        try:
-            return self._run_shard_inner(
-                shard, relation, polyhedron, token, memberships
-            )
-        finally:
-            self._note_shard_time(shard.shard_id, time.perf_counter() - started)
-
-    def _run_shard_inner(
-        self,
-        shard: Shard,
-        relation: BoxRelation,
-        polyhedron: Polyhedron,
-        token: _CancelToken,
-        memberships: dict[str, np.ndarray] | None = None,
-    ) -> PlannedQuery:
-        if relation is BoxRelation.INSIDE:
-            # Figure 4's fully-inside case at shard granularity: the
-            # shard's whole box satisfies every halfspace, so each of its
-            # rows qualifies -- no probe, no tree, no per-row tests
-            # beyond any membership filter riding on the query.
-            predicate = membership_predicate(memberships) if memberships else None
-            rows, stats = full_scan(
-                shard.table, predicate=predicate, cancel_check=token.check
-            )
-            return PlannedQuery(
-                rows=rows,
-                stats=stats,
-                chosen_path="inside",
-                estimated_selectivity=1.0,
-                sampled_pages=0,
-            )
-        return self.planners[shard.shard_id].execute(
-            polyhedron, cancel_check=token.check, memberships=memberships
-        )
-
-    def _rebase_rows(
-        self, shard: Shard, rows: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Remap a shard's local row ids into the global namespace.
-
-        Main-band ids shift by the shard's row offset; delta-band ids
-        (pending inserts surfaced by merge-on-read) move into the
-        shard's slice of the global delta namespace instead.
-        """
-        ids = rows["_row_id"]
-        rebased = dict(rows)
-        rebased["_row_id"] = np.where(
-            ids >= DELTA_BASE,
-            ids + shard.shard_id * SHARD_STRIDE,
-            ids + shard.row_offset,
-        )
-        return rebased
-
-    def _merge_pieces(
-        self, pieces: list[dict[str, np.ndarray]]
-    ) -> dict[str, np.ndarray]:
-        template = self.shard_set[0].table
-        names = template.column_names + ["_row_id"]
-        if not pieces:
-            out = {
-                n: np.empty(0, dtype=template.dtype_of(n))
-                for n in template.column_names
-            }
-            out["_row_id"] = np.empty(0, dtype=np.int64)
-            return out
-        return {n: np.concatenate([p[n] for p in pieces]) for n in names}
-
-    # -- the write path -----------------------------------------------------
-
-    def insert_rows(self, data: dict[str, np.ndarray]) -> np.ndarray:
-        """Insert rows, routed to shards by partition-box containment.
-
-        Each row lands in the owning shard's delta tier (WAL-first on
-        that shard's database); a row outside every partition cell goes
-        to the nearest shard.  Returns global delta-band row ids in
-        input order.
-        """
-        dims = self.dims
-        points = np.column_stack(
-            [np.asarray(data[d], dtype=np.float64) for d in dims]
-        )
-        n = len(points)
-        owner = np.full(n, -1, dtype=np.int64)
-        for shard in self.shard_set:
-            undecided = owner == -1
-            if not undecided.any():
-                break
-            inside = shard.partition_box.contains_points(points[undecided])
-            owner[np.flatnonzero(undecided)[inside]] = shard.shard_id
-        for i in np.flatnonzero(owner == -1):
-            distances = [
-                shard.partition_box.min_distance_to_point(points[i])
-                for shard in self.shard_set
-            ]
-            owner[i] = int(np.argmin(distances))
-        out = np.empty(n, dtype=np.int64)
-        for shard_id in np.unique(owner):
-            shard = self.shard_set[int(shard_id)]
-            where = np.flatnonzero(owner == shard_id)
-            sub = {c: np.asarray(arr)[where] for c, arr in data.items()}
-            local = shard.table.insert_rows(sub)
-            out[where] = local + int(shard_id) * SHARD_STRIDE
-        return out
-
-    def delete_rows(self, row_ids) -> int:
-        """Tombstone rows by global id (main-band or delta-band)."""
-        ids = np.atleast_1d(np.asarray(row_ids, dtype=np.int64))
-        if len(ids) == 0:
-            return 0
-        in_delta = ids >= DELTA_BASE
-        owner = np.empty(len(ids), dtype=np.int64)
-        owner[in_delta] = (ids[in_delta] - DELTA_BASE) // SHARD_STRIDE
-        main = ids[~in_delta]
-        if len(main) and (
-            main.min() < 0 or main.max() >= self.shard_set.total_rows
-        ):
-            raise IndexError(
-                f"delete row ids out of range "
-                f"[0, {self.shard_set.total_rows})"
-            )
-        owner[~in_delta] = self.shard_set.owner_of_rows(main)
-        if in_delta.any() and (
-            owner[in_delta].min() < 0 or owner[in_delta].max() >= self.num_shards
-        ):
-            raise IndexError("delta row ids out of range")
-        deleted = 0
-        for shard_id in np.unique(owner):
-            shard = self.shard_set[int(shard_id)]
-            where = owner == shard_id
-            local = np.where(
-                in_delta[where],
-                ids[where] - int(shard_id) * SHARD_STRIDE,
-                ids[where] - shard.row_offset,
-            )
-            deleted += shard.table.delete_rows(local)
-        return deleted
-
-    def delta_fraction(self) -> float:
-        """The largest per-shard delta fraction (repartition trigger)."""
-        return max(
-            shard.database.ingest.delta_fraction(shard.table.name)
-            for shard in self.shard_set
-        )
-
-    def merge(self, threshold: float = 0.0) -> list:
-        """Merge every shard whose delta fraction crossed ``threshold``.
-
-        Each qualifying shard's delta is drained out-of-place into a new
-        local generation (median-split kd rebuild over old + new points
-        -- the re-cut of that subtree), the shard's routing geometry is
-        refreshed, and the shard set's offsets and layout digest are
-        recomputed.  Queries keep flowing throughout: the swap is atomic
-        under each shard database's catalog lock.
-        """
-        reports = []
-        for shard in self.shard_set:
-            name = shard.table.name
-            ingest = shard.database.ingest
-            state = ingest.state(name)
-            if state is None or state.delta.churn == 0:
-                continue
-            if ingest.delta_fraction(name) < threshold:
-                continue
-            reports.append(ingest.merge(name))
-            self._refresh_shard(shard)
-        if reports:
-            self.shard_set.refresh()
-        return reports
+    def _merge_rpc(self, shard_id: int) -> tuple:
+        shard = self.shard_set[shard_id]
+        report = shard.merge()
+        return (report, shard.num_rows, shard.tight_box, *shard.write_state())
 
     def maybe_repartition(
         self, threshold: float = DEFAULT_MERGE_THRESHOLD
@@ -817,16 +213,7 @@ class ScatterGatherExecutor:
         ``threshold`` (see :meth:`merge`); returns the merge reports."""
         return self.merge(threshold=threshold)
 
-    def _refresh_shard(self, shard: Shard) -> None:
-        """Re-resolve a shard's index and routing geometry post-merge."""
-        name = shard.index.table.name
-        index = shard.database.index_if_exists(f"{name}.kdtree")
-        if index is not None:
-            shard.index = index
-        shard.num_rows = shard.table.num_rows
-        shard.tight_box = shard.index.tree.tight_box(1)
-
-    # -- k-NN ---------------------------------------------------------------
+    # -- k-NN and point lookups ---------------------------------------------
 
     def knn(
         self,
@@ -835,9 +222,8 @@ class ScatterGatherExecutor:
         cancel_check: Callable[[], None] | None = None,
     ) -> ShardedKnnResult:
         """Globally exact top-k via the frontier-merging shard search."""
-        token = _CancelToken(cancel_check)
         result = scatter_gather_knn(
-            self.router, self._pool, point, k, cancel_check=token.check
+            self.router, self._pool, point, k, cancel_check=cancel_check
         )
         self._note(
             knn_queries=1,
@@ -848,26 +234,16 @@ class ScatterGatherExecutor:
         )
         return result
 
-    # -- observability ------------------------------------------------------
-
     def gather(self, global_row_ids: np.ndarray) -> dict[str, np.ndarray]:
         """Fetch rows by global id across shards (see :meth:`ShardSet.gather`)."""
         return self.shard_set.gather(global_row_ids)
 
-    def _note(self, **deltas: int) -> None:
-        with self._lock:
-            for key, delta in deltas.items():
-                self._counters[key] += delta
+    # -- observability ------------------------------------------------------
 
     def _note_shard_time(self, shard_id: int, elapsed: float) -> None:
         with self._lock:
             self._shard_busy[shard_id] += elapsed
             self._shard_requests[shard_id] += 1
-
-    def counters(self) -> dict[str, int]:
-        """Cumulative scatter-gather counters since construction."""
-        with self._lock:
-            return dict(self._counters)
 
     def worker_stats(self) -> list[dict]:
         """Per-shard utilization snapshots, shaped like the process pool's."""
@@ -890,9 +266,3 @@ class ScatterGatherExecutor:
         for shard in self.shard_set:
             total.add(**shard.database.io_stats.snapshot().as_dict())
         return total
-
-    def __repr__(self) -> str:
-        return (
-            f"ScatterGatherExecutor(name={self.shard_set.name!r}, "
-            f"shards={self.num_shards}, layout={self.layout_version!r})"
-        )

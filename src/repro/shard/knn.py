@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.knn import KnnResult, knn_boundary_points, merge_knn_results
 from repro.db.errors import StorageFault
 from repro.db.stats import QueryStats
-from repro.shard.partitioner import Shard
+from repro.shard.partitioner import Shard, to_global_ids
 from repro.shard.router import ShardRouter
 
 __all__ = ["ShardedKnnResult", "scatter_gather_knn"]
@@ -60,19 +60,9 @@ class ShardedKnnResult:
 
 def _shard_knn(shard: Shard, point: np.ndarray, k: int, cancel_check) -> KnnResult:
     """Exact boundary-point k-NN inside one shard, ids remapped to global."""
-    from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
-
     local = knn_boundary_points(shard.index, point, k, cancel_check=cancel_check)
-    ids = local.row_ids
-    # Main-band ids shift by the shard's global row offset; delta-band
-    # ids move into the shard's slice of the delta namespace instead.
-    rebased = np.where(
-        ids >= DELTA_BASE,
-        ids + shard.shard_id * SHARD_STRIDE,
-        ids + shard.row_offset,
-    )
     return KnnResult(
-        row_ids=rebased,
+        row_ids=to_global_ids(shard, local.row_ids),
         distances=local.distances,
         stats=local.stats,
     )

@@ -40,6 +40,7 @@ from repro.db.catalog import Database, DatabaseOptions
 from repro.db.errors import StorageFault
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box
+from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
 
 __all__ = [
     "KdPartitioner",
@@ -49,20 +50,46 @@ __all__ = [
     "attach_prebuilt_index",
     "build_shard",
     "shard_layout_version",
+    "to_global_ids",
+    "to_local_ids",
 ]
 
 
 def shard_layout_version(name: str, dims: list[str], shard_sizes: list[int]) -> str:
     """Digest of a shard layout (count, sizes, base name, dims).
 
-    Shared by :class:`ShardSet` and the process-transport worker pool so
-    the same partitioning plan yields the same cache-fingerprint version
-    regardless of which transport executes it.
+    :class:`ShardSet` computes it from sizes alone, so the same
+    partitioning plan yields the same cache-fingerprint version
+    whichever transport executes it.
     """
     digest = hashlib.sha1()
     digest.update(f"{name}|{','.join(dims)}|{len(shard_sizes)}".encode())
     digest.update(np.array(shard_sizes, dtype=np.int64).tobytes())
     return f"kd{len(shard_sizes)}:{digest.hexdigest()[:12]}"
+
+
+def to_global_ids(shard, local_ids: np.ndarray) -> np.ndarray:
+    """A shard's local row ids in the global namespace.
+
+    Main-band ids shift by the shard's row offset; delta-band ids
+    (pending inserts) move into the shard's slice of the global delta
+    namespace instead.  ``shard`` is a :class:`Shard` or a
+    :class:`ShardSpec`.
+    """
+    return np.where(
+        local_ids >= DELTA_BASE,
+        local_ids + shard.shard_id * SHARD_STRIDE,
+        local_ids + shard.row_offset,
+    )
+
+
+def to_local_ids(shard, global_ids: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_global_ids` for ids the shard owns."""
+    return np.where(
+        global_ids >= DELTA_BASE,
+        global_ids - shard.shard_id * SHARD_STRIDE,
+        global_ids - shard.row_offset,
+    )
 
 
 @dataclass
@@ -273,6 +300,25 @@ class Shard:
         """The shard's locally clustered data table."""
         return self.index.table
 
+    def write_state(self) -> tuple[str, float]:
+        """``(layout_version, delta_fraction)`` -- what a coordinator
+        tracks per shard after every write it routes here."""
+        return self.table.layout_version, self.database.ingest.delta_fraction(
+            self.table.name
+        )
+
+    def merge(self):
+        """Drain the delta out-of-place, then re-resolve the index and
+        routing geometry the merge replaced; returns the merge report."""
+        name = self.table.name
+        report = self.database.ingest.merge(name)
+        index = self.database.index_if_exists(f"{name}.kdtree")
+        if index is not None:
+            self.index = index
+        self.num_rows = self.table.num_rows
+        self.tight_box = self.index.tree.tight_box(1)
+        return report
+
 
 class ShardSet:
     """The output of partitioning: ordered shards plus the layout identity.
@@ -281,14 +327,27 @@ class ShardSet:
     name, dims); any repartitioning -- a different shard count or a
     rebuild over different data -- yields a different version, which the
     result cache folds into its fingerprints.
+
+    The members are built shards (:class:`Shard`) or, for a process pool
+    whose shards run elsewhere, their specs (:class:`ShardSpec`): offsets,
+    ownership and the layout digest read only the geometry both carry
+    (:meth:`gather` needs built shards).  ``root_box`` defaults to the
+    union of the partition cells.
     """
 
-    def __init__(self, name: str, dims: list[str], shards: list[Shard], root_box: Box):
+    def __init__(
+        self, name: str, dims: list[str], shards: list, root_box: Box | None = None
+    ):
         if not shards:
             raise ValueError("a shard set needs at least one shard")
         self.name = name
         self.dims = list(dims)
         self.shards = list(shards)
+        if root_box is None:
+            root_box = Box(
+                np.min([s.partition_box.lo for s in shards], axis=0),
+                np.max([s.partition_box.hi for s in shards], axis=0),
+            )
         self.root_box = root_box
         self._offsets = np.array([s.row_offset for s in shards], dtype=np.int64)
         self.layout_version = shard_layout_version(
@@ -301,7 +360,7 @@ class ShardSet:
         A shard-local merge changes that shard's row count (tombstones
         dropped, delta folded in), which shifts every later shard's
         global id range and therefore the layout identity.  Called by
-        the executor after it merges/repartitions shards; returns the
+        the coordinator after it merges/repartitions shards; returns the
         new ``layout_version``.
         """
         offset = 0
@@ -315,10 +374,22 @@ class ShardSet:
         return self.layout_version
 
     def owner_of_rows(self, global_row_ids: np.ndarray) -> np.ndarray:
-        """Shard id owning each *main-band* global row id."""
-        return (
-            np.searchsorted(self._offsets, global_row_ids, side="right") - 1
-        ).astype(np.int64)
+        """Shard id owning each global row id, main band or delta band.
+
+        Raises :class:`IndexError` for a main-band id outside
+        ``[0, total_rows)`` or a delta-band id in no shard's slice.
+        """
+        ids = np.asarray(global_row_ids, dtype=np.int64)
+        in_delta = ids >= DELTA_BASE
+        main = ids[~in_delta]
+        if len(main) and (main.min() < 0 or main.max() >= self.total_rows):
+            raise IndexError(f"row ids out of range [0, {self.total_rows})")
+        owners = np.empty(len(ids), dtype=np.int64)
+        owners[~in_delta] = np.searchsorted(self._offsets, main, side="right") - 1
+        owners[in_delta] = (ids[in_delta] - DELTA_BASE) // SHARD_STRIDE
+        if in_delta.any() and owners[in_delta].max() >= len(self.shards):
+            raise IndexError("delta row ids out of range")
+        return owners
 
     @property
     def num_shards(self) -> int:
@@ -364,39 +435,21 @@ class ShardSet:
             }
             out["_row_id"] = np.empty(0, dtype=np.int64)
             return out
-        from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
-
-        in_delta = global_row_ids >= DELTA_BASE
-        main_ids = global_row_ids[~in_delta]
-        if len(main_ids) and (
-            main_ids.min() < 0 or main_ids.max() >= self.total_rows
-        ):
-            raise IndexError("row ids out of range")
-        owners = np.empty(len(global_row_ids), dtype=np.int64)
-        owners[~in_delta] = (
-            np.searchsorted(self._offsets, main_ids, side="right") - 1
-        )
-        owners[in_delta] = (global_row_ids[in_delta] - DELTA_BASE) // SHARD_STRIDE
-        if in_delta.any() and (
-            owners[in_delta].min() < 0 or owners[in_delta].max() >= len(self.shards)
-        ):
-            raise IndexError("delta row ids out of range")
+        owners = self.owner_of_rows(global_row_ids)
         out: dict[str, np.ndarray] = {}
         for shard_id in np.unique(owners):
             shard = self.shards[int(shard_id)]
             where = np.flatnonzero(owners == shard_id)
-            ids = global_row_ids[where]
+            ids = to_local_ids(shard, global_row_ids[where])
             delta_here = ids >= DELTA_BASE
             pieces: dict[str, np.ndarray] = {}
             if (~delta_here).any():
-                local = shard.table.gather(
-                    ids[~delta_here] - shard.row_offset
-                )
+                local = shard.table.gather(ids[~delta_here])
                 for name in columns:
                     pieces[name] = local[name]
             if delta_here.any():
                 snapshot = shard.table.delta_snapshot()
-                local_delta = ids[delta_here] - int(shard_id) * SHARD_STRIDE
+                local_delta = ids[delta_here]
                 if snapshot is None:
                     raise IndexError("delta row ids reference no pending delta")
                 pos = np.searchsorted(snapshot.row_ids, local_delta)
@@ -578,6 +631,4 @@ class KdPartitioner:
         """
         specs = self.plan(name, data, dims)
         shards = [build_shard(spec, self.database_factory) for spec in specs]
-        root_lo = np.min(np.stack([s.partition_box.lo for s in specs]), axis=0)
-        root_hi = np.max(np.stack([s.partition_box.hi for s in specs]), axis=0)
-        return ShardSet(name, list(dims), shards, Box(root_lo, root_hi))
+        return ShardSet(name, list(dims), shards)

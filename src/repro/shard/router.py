@@ -50,11 +50,32 @@ class ShardRouter:
     ``use_tight_boxes`` selects the pruning family: tight boxes (the
     default) reject more shards on clustered data; partition boxes
     reproduce the pure space-tiling behavior of the paper's Figure 4.
+
+    The router reads only shard geometry, so it routes a set of built
+    shards and a process pool's shard specs alike; the coordinator that
+    owns it reports every insert through :meth:`note_delta`.
     """
 
     def __init__(self, shard_set: ShardSet, use_tight_boxes: bool = True):
         self.shard_set = shard_set
         self.use_tight_boxes = use_tight_boxes
+        #: shard id -> bounding box of the rows inserted since its last merge.
+        self._delta_boxes: dict[int, Box] = {}
+
+    def note_delta(self, shard_id: int, box: Box | None) -> None:
+        """Stretch a shard's pruning box over newly inserted rows.
+
+        ``None`` drops the stretch once a merge has folded the delta
+        into the shard's main rows (and refreshed its tight box).
+        """
+        if box is None:
+            self._delta_boxes.pop(shard_id, None)
+            return
+        old = self._delta_boxes.get(shard_id)
+        self._delta_boxes[shard_id] = box if old is None else old.union_bounds(box)
+
+    def _live(self, shard: Shard) -> bool:
+        return shard.num_rows > 0 or shard.shard_id in self._delta_boxes
 
     def box_of(self, shard: Shard) -> Box:
         """The pruning box of a shard under the configured family.
@@ -66,14 +87,12 @@ class ShardRouter:
         stretch, a query touching only delta rows could wrongly prune
         the shard.  The stretch also keeps the INSIDE shortcut sound:
         INSIDE now proves every delta row inside the polyhedron too.
+        The stretch covers every row inserted since the last merge, so
+        it stays sound when some of them are deleted again.
         """
         box = shard.tight_box if self.use_tight_boxes else shard.partition_box
-        snapshot = shard.table.delta_snapshot()
-        if snapshot is not None and snapshot.num_rows:
-            delta_box = snapshot.bounding_box(tuple(self.shard_set.dims))
-            if delta_box is not None:
-                box = box.union_bounds(delta_box)
-        return box
+        delta_box = self._delta_boxes.get(shard.shard_id)
+        return box if delta_box is None else box.union_bounds(delta_box)
 
     def route_polyhedron(self, polyhedron: Polyhedron) -> RoutingDecision:
         """Split the shard set into dispatched and pruned for one query.
@@ -85,7 +104,7 @@ class ShardRouter:
         """
         decision = RoutingDecision()
         for shard in self.shard_set:
-            if shard.num_rows == 0 and not shard.table.has_live_delta():
+            if not self._live(shard):
                 decision.pruned.append(shard)
                 continue
             relation = polyhedron.classify_box(self.box_of(shard))
@@ -107,7 +126,7 @@ class ShardRouter:
         ordered = [
             (self.box_of(shard).min_distance_to_point(point), shard)
             for shard in self.shard_set
-            if shard.num_rows > 0 or shard.table.has_live_delta()
+            if self._live(shard)
         ]
         ordered.sort(key=lambda pair: (pair[0], pair[1].shard_id))
         return ordered

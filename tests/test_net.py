@@ -3,10 +3,11 @@
 Fast-tier coverage of `repro.net`: framing round-trips under arbitrary
 chunking (hypothesis), torn/truncated-frame rejection with structured
 errors, spawn-safety (pickling) of everything a worker process receives,
-process-pool differential correctness against the thread executor,
-dead-worker degradation to uncached partials with automatic respawn,
-cross-process cooperative cancellation, and the asyncio TCP server's
-session/admission/streaming/drain behavior.
+process-pool parity with the thread executor, dead-worker degradation to
+uncached partials with automatic respawn, and the asyncio TCP server's
+session/admission/streaming/drain behavior.  The contract both shard
+transports share (answers, routing, deadlines, faults, writes) lives in
+test_shard_transports.py.
 """
 
 from __future__ import annotations
@@ -319,16 +320,6 @@ class TestShardWorkerPool:
             assert b.chosen_path == "sharded"
             assert not b.partial
 
-    def test_batch_results_identical_to_thread_transport(self, pool_setup):
-        _, _, thread_ex, pool = pool_setup
-        polys = _queries()
-        batch_a = thread_ex.execute_batch(polys)
-        batch_b = pool.execute_batch(polys)
-        assert batch_b.occupancy == len(polys)
-        for ma, mb in zip(batch_a.members, batch_b.members):
-            assert ma.error is None and mb.error is None
-            assert _rows_identical(ma.planned.rows, mb.planned.rows)
-
     def test_worker_stats_track_utilization(self, pool_setup):
         _, _, _, pool = pool_setup
         pool.execute(_queries()[2])
@@ -341,37 +332,6 @@ class TestShardWorkerPool:
         _, _, _, pool = pool_setup
         with pytest.raises(NotImplementedError):
             pool.knn(np.zeros(3), 5)
-
-    def test_deadline_cancels_inflight_siblings(self, pool_setup):
-        # Mirror of test_shard.py::TestCancellation across the IPC
-        # boundary: the coordinator's deadline aborts sibling shard
-        # requests and the pool stays usable afterward.
-        _, _, _, pool = pool_setup
-        calls = {"n": 0}
-
-        def check():
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise DeadlineExceeded("budget spent")
-
-        poly = _queries()[2]
-        with pytest.raises(DeadlineExceeded):
-            pool.execute(poly, cancel_check=check)
-        assert not pool.execute(poly).partial
-
-    def test_batch_member_deadline_is_isolated(self, pool_setup):
-        _, _, thread_ex, pool = pool_setup
-        polys = _queries()[:3]
-
-        def expired():
-            raise DeadlineExceeded("budget spent")
-
-        result = pool.execute_batch(polys, [None, expired, None])
-        assert isinstance(result.members[1].error, DeadlineExceeded)
-        for idx in (0, 2):
-            assert result.members[idx].error is None
-            reference = thread_ex.execute(polys[idx])
-            assert _rows_identical(result.members[idx].planned.rows, reference.rows)
 
 
 class TestWorkerDeath:
@@ -425,26 +385,6 @@ class TestWorkerDeath:
                 # cached rule must hold across the process boundary.
                 assert not healed.partial
                 assert not healed.cache_hit
-
-    def test_worker_side_fault_injection_degrades_per_shard(self):
-        # The spec carries the shard's fault injector and retry policy
-        # into the worker process; a shard whose storage always faults
-        # degrades that shard only, exactly like thread transport.
-        data = _make_data(1500, seed=37)
-        specs = KdPartitioner(2, buffer_pages=None).plan("faulty", data, DIMS)
-        # A one-page buffer pool keeps the build warm but forces query
-        # reads to storage, where every attempt faults.
-        specs[0].options = DatabaseOptions(
-            buffer_pages=1,
-            retry=RetryPolicy(attempts=2, backoff_s=0.0),
-            fault=FaultInjector(read_fault_rate=1.0, seed=3),
-        )
-        poly = _queries()[2]
-        with ShardWorkerPool(specs, sample_pages=4, seed=0) as pool:
-            planned = pool.execute(poly)
-            assert planned.partial
-            assert planned.failed_shards == (0,)
-            assert len(planned.rows["_row_id"]) > 0
 
 
 # -- the network front door -------------------------------------------------

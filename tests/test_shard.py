@@ -274,22 +274,6 @@ class TestScatterGatherKnn:
 
 
 class TestCancellation:
-    def test_deadline_raised_inside_shard_workers_propagates(self, shard_setup):
-        _, _, executor, _ = shard_setup
-        calls = {"n": 0}
-
-        def check():
-            # Let routing and dispatch happen, then expire mid-scan.
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise DeadlineExceeded("budget spent")
-
-        poly = Polyhedron.from_box(Box.cube(np.array([1.5, 1.0, 0.5]), 8.0))
-        with pytest.raises(DeadlineExceeded):
-            executor.execute(poly, cancel_check=check)
-        # The executor stays usable after an aborted query.
-        assert not executor.execute(poly).partial
-
     def test_expired_deadline_stops_knn(self, shard_setup):
         _, _, executor, _ = shard_setup
 
@@ -477,3 +461,83 @@ class TestLayoutFingerprinting:
             assert not swapped.cache_hit  # different layout_version, new key
         four.close()
         two.close()
+
+
+def _engine_pair(data, name):
+    """The same 2-shard layout on both transports."""
+    partitioner = KdPartitioner(2, buffer_pages=None)
+    return (
+        ScatterGatherExecutor(partitioner.partition(name, data, DIMS)),
+        ScatterGatherExecutor(
+            specs=partitioner.plan(name, data, DIMS), transport="process"
+        ),
+    )
+
+
+class TestWriteRoutingOnBothTransports:
+    WHOLE = Polyhedron.from_box(Box(np.full(3, -50.0), np.full(3, 50.0)))
+
+    def test_delta_fraction_counts_tombstones_not_requests(self):
+        # The fraction is each shard's own churn (pending inserts plus
+        # tombstones) over its rows, whichever transport reports it.
+        data = _make_data()
+        engines = _engine_pair(data, "churn")
+        rng = np.random.default_rng(5)
+        try:
+            for engine in engines:
+                engine.delete_rows(np.arange(100))
+                engine.delete_rows(np.arange(100))
+                assert engine.delta_fraction() == pytest.approx(0.05)
+            fresh = rng.uniform([-1, -1, -1], [4, 3, 2], size=(50, 3))
+            batch = {d: fresh[:, i] for i, d in enumerate(DIMS)}
+            batch["oid"] = np.arange(NUM_ROWS, NUM_ROWS + 50, dtype=np.int64)
+            inserted = [engine.insert_rows(batch) for engine in engines]
+            assert np.array_equal(inserted[0], inserted[1])
+            fractions = [engine.delta_fraction() for engine in engines]
+            assert fractions[0] == fractions[1]
+            for engine, ids in zip(engines, inserted):
+                engine.delete_rows(ids[:10])
+                assert engine.delta_fraction() == fractions[0]
+            # Below the threshold on both: requested ids would have
+            # crossed it (0.112 counted against 0.065 real).
+            assert fractions[0] < 0.08
+            assert [engine.merge(threshold=0.08) for engine in engines] == [[], []]
+            for engine in engines:
+                engine.delete_rows(np.arange(100, 200))
+            reports = [engine.merge(threshold=0.08) for engine in engines]
+            assert len(reports[0]) == len(reports[1]) == 1
+            assert [s.num_rows for s in engines[0].shard_set] == [
+                s.num_rows for s in engines[1].shard_set
+            ]
+            assert engines[0].delta_fraction() == engines[1].delta_fraction()
+            rows = [engine.execute(self.WHOLE).rows for engine in engines]
+            assert np.array_equal(np.sort(rows[0]["_row_id"]), np.sort(rows[1]["_row_id"]))
+            assert _oids(rows[0]) == _oids(rows[1])
+        finally:
+            for engine in engines:
+                engine.close()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_are_refused_before_any_write(self, bad):
+        data = _make_data(1500, seed=3)
+        engines = _engine_pair(data, "finite")
+        rows = {d: np.array([0.0, 3.0, 0.1]) for d in DIMS}
+        rows["y"][2] = bad  # the only bad row sits among good rows of both shards
+        rows["oid"] = np.arange(1500, 1503, dtype=np.int64)
+        try:
+            for engine in engines:
+                before = (
+                    engine.layout_version,
+                    engine.delta_fraction(),
+                    len(engine.execute(self.WHOLE).rows["_row_id"]),
+                )
+                with pytest.raises(ValueError, match="finite"):
+                    engine.insert_rows(rows)
+                assert before == (
+                    engine.layout_version,
+                    engine.delta_fraction(),
+                    len(engine.execute(self.WHOLE).rows["_row_id"]),
+                )
+        finally:
+            for engine in engines:
+                engine.close()
