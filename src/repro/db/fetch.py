@@ -31,7 +31,16 @@ Engines therefore hand their segments over in page order -- the batch
 engines sort theirs, which is what lets read-ahead runs span members --
 except the solo kd query, which keeps the traversal's right-to-left
 range order: a query that ends on the low pages leaves in the buffer
-pool exactly what the next ascending scan starts with.  The residual runs **once per chunk**, not
+pool exactly what the next ascending scan starts with.
+
+The read unit is the **run**: consecutive planned pages, at most the
+read-ahead window long, are fetched with one
+:meth:`~repro.db.table.Table.read_pages` call (one buffer-pool lock, one
+coalesced storage request for the misses) when the kernel reaches the
+run's first page, and the run's segments are then served from the pages
+that call returned.  Pages outside any run, and any page of a run whose
+read failed with a :class:`~repro.db.errors.StorageFault`, are read one
+at a time under ``retry``.  The residual runs **once per chunk**, not
 once per page: selections accumulate per member and are flushed every
 ``_CHUNK_ROWS`` rows with one ``column_stack`` + ``contains_points``, one
 ``np.isin`` per IN-list column, one tombstone mask and one boolean take
@@ -49,6 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.db.errors import StorageFault
 from repro.db.faults import RetryPolicy, call_with_retries
 from repro.db.pages import Page
 from repro.db.stats import QueryStats
@@ -403,11 +413,12 @@ def fetch(
 
     page_ids = list(plan)  # first-named order: see the module docstring
     window = readahead if readahead is not None else table.readahead_pages
-    prefetch_at: dict[int, list[int]] = {}
+    runs_at: dict[int, list[int]] = {}
     if window > 1:
         for run in _coalesced_runs(page_ids, window):
             if len(run) > 1:
-                prefetch_at[run[0]] = run
+                runs_at[run[0]] = run
+    ready: dict[int, Page] = {}  # pages of the current run not yet served
 
     namespace = table.name
     checked_at = [-1] * len(members)
@@ -435,12 +446,20 @@ def fetch(
             if all(member.error is not None for member in members):
                 break
             continue
-        run = prefetch_at.get(page_id)
+        run = runs_at.get(page_id)
         if run is not None:
-            # Attributed to the first live member so service-level sums
-            # still equal the pages actually prefetched.
-            members[live[0][0]].stats.pages_prefetched += table.prefetch(run)
-        page = _read_page_retrying(table, page_id, retry)
+            try:
+                pages = table.read_pages(run)
+            except StorageFault:
+                pass  # what the run did not deliver is read page by page below
+            else:
+                ready = dict(zip(run, pages))
+                # Attributed to the first live member so service-level
+                # sums still equal the pages actually prefetched.
+                members[live[0][0]].stats.pages_prefetched += pages.fetched
+        page = ready.pop(page_id, None)
+        if page is None:
+            page = _read_page_retrying(table, page_id, retry)
         counters["pages_decoded"] += 1
         counters["shared_decode_hits"] += sharers - 1
         for m, selection, needs_filter in live:

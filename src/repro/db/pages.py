@@ -12,6 +12,20 @@ CRC32 of the body (the analog of SQL Server's ``PAGE_VERIFY CHECKSUM``):
 a torn or corrupted payload is detected at decode time and surfaces as
 :class:`repro.db.errors.CorruptPageError` instead of silently decoding
 into wrong rows.
+
+Decoding follows the paper's §3.5 lesson -- self-describing
+serialisation is slow, raw binary is cheap -- without changing a stored
+byte.  A table's pages all share one column layout (names, dtypes, row
+counts, byte offsets), so the decoder parses that layout once per
+distinct schema and keeps it in a small module-level cache keyed by
+``(body length, column count)`` and bounded by a constant.  Every later
+page of that shape is checked against the cached layout descriptor byte
+for descriptor byte (a mismatch re-parses, so two schemas of equal body
+length never share a layout), and each column becomes an
+``np.frombuffer`` view over the page's one immutable ``bytes`` body: no
+per-column copy, and every decoded column is **read-only**.  Cached
+pages are shared by every query of the process, so nothing may write
+into them; a caller that wants to modify rows copies them first.
 """
 
 from __future__ import annotations
@@ -33,6 +47,25 @@ _LEGACY_MAGIC = b"RPG1"
 #: zlib-compressed body (index node pages).  The CRC32 covers the
 #: *compressed* payload, so torn bytes are caught before decompression.
 _COMPRESSED_MAGIC = b"RPGZ"
+
+_HEADER = struct.Struct("<qqi")  # page_id, start_row, column count
+_CHECKSUM = struct.Struct("<I")
+_LENGTH = struct.Struct("<i")
+_COUNTS = struct.Struct("<qq")  # rows, payload bytes
+
+#: Most distinct column layouts the decoder remembers.  A database has a
+#: handful (each table's full pages and short last page, the kd-tree's
+#: node pages); past this many the cache simply starts over.
+_LAYOUT_CACHE_SIZE = 64
+
+#: ``(body length, column count)`` -> ``(checks, columns)``: one
+#: ``(offset, descriptor bytes)`` and one ``(name, dtype, rows, data
+#: offset)`` per column, offsets into the body.  A column's descriptor is
+#: everything the encoder writes before its raw bytes: the name and dtype
+#: with their lengths, the row count and the payload length.  Shared by
+#: every thread of the process: entries are immutable, and a lost race
+#: with a concurrent insert or clear only costs a re-parse.
+_layouts: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
 @dataclass
@@ -138,26 +171,26 @@ class PageCodec:
         """
         if len(data) < 8 or data[:4] not in (_MAGIC, _COMPRESSED_MAGIC):
             return None
-        return struct.unpack("<I", data[4:8])[0]
+        return _CHECKSUM.unpack_from(data, 4)[0]
 
     @staticmethod
     def decode(data: bytes) -> Page:
         """Deserialize bytes produced by :meth:`encode`.
 
-        Raises :class:`~repro.db.errors.CorruptPageError` on bad magic, a
-        checksum mismatch, or a row-count/payload inconsistency.
+        Columns are read-only views over the (verified, and for ``RPGZ``
+        inflated) body.  Raises :class:`~repro.db.errors.CorruptPageError`
+        on bad magic, a checksum mismatch, or a column layout that does
+        not add up.
         """
         magic = data[:4]
         compressed = False
         if magic == _MAGIC:
-            (checksum,) = struct.unpack("<I", data[4:8])
-            body = data[8:]
-            if zlib.crc32(body) != checksum:
+            body = bytes(data[8:])
+            if zlib.crc32(body) != _CHECKSUM.unpack_from(data, 4)[0]:
                 raise CorruptPageError("corrupt page: checksum mismatch")
         elif magic == _COMPRESSED_MAGIC:
-            (checksum,) = struct.unpack("<I", data[4:8])
             payload = data[8:]
-            if zlib.crc32(payload) != checksum:
+            if zlib.crc32(payload) != _CHECKSUM.unpack_from(data, 4)[0]:
                 raise CorruptPageError("corrupt page: checksum mismatch")
             try:
                 body = zlib.decompress(payload)
@@ -165,31 +198,74 @@ class PageCodec:
                 raise CorruptPageError(f"corrupt page: {exc}") from exc
             compressed = True
         elif magic == _LEGACY_MAGIC:
-            body = data[4:]
+            body = bytes(data[4:])
         else:
             raise CorruptPageError("not a page: bad magic")
-        buf = io.BytesIO(body)
         try:
-            page_id, start_row, ncols = struct.unpack("<qqi", buf.read(20))
-            columns: dict[str, np.ndarray] = {}
-            for _ in range(ncols):
-                (name_len,) = struct.unpack("<i", buf.read(4))
-                name = buf.read(name_len).decode("utf-8")
-                (dtype_len,) = struct.unpack("<i", buf.read(4))
-                dtype = np.dtype(buf.read(dtype_len).decode("ascii"))
-                nrows, nbytes = struct.unpack("<qq", buf.read(16))
-                arr = np.frombuffer(buf.read(nbytes), dtype=dtype).copy()
-                if len(arr) != nrows:
-                    raise CorruptPageError(f"corrupt page: column {name!r} row mismatch")
-                columns[name] = arr
+            page_id, start_row, ncols = _HEADER.unpack_from(body)
+            frombuffer = np.frombuffer
+            columns = {
+                name: frombuffer(body, dtype, rows, offset)
+                for name, dtype, rows, offset in _layout(body, ncols)
+            }
         except CorruptPageError:
             raise
         except (struct.error, UnicodeDecodeError, TypeError, ValueError) as exc:
             # A checksummed page cannot reach here; legacy pages can.
             raise CorruptPageError(f"corrupt page: {exc}") from exc
         return Page(
-            page_id=page_id,
-            start_row=start_row,
-            columns=columns,
-            compress=compressed,
+            page_id=page_id, start_row=start_row, columns=columns, compress=compressed
         )
+
+
+def _layout(body: bytes, ncols: int) -> tuple[tuple, ...]:
+    """``(name, dtype, rows, data offset)`` per column of ``body``.
+
+    Served from the cache when every descriptor byte matches the cached
+    layout of the same shape; parsed (and cached) otherwise.
+    """
+    key = (len(body), ncols)
+    layout = _layouts.get(key)
+    if layout is not None:
+        checks, columns = layout
+        for at, descriptor in checks:
+            if not body.startswith(descriptor, at):
+                break
+        else:
+            return columns
+    checks, columns = layout = _parse_layout(body, ncols)
+    if len(_layouts) >= _LAYOUT_CACHE_SIZE:
+        _layouts.clear()
+    _layouts[key] = layout
+    return columns
+
+
+def _parse_layout(body: bytes, ncols: int) -> tuple[tuple, tuple]:
+    """Walk the column descriptors of ``body`` (the layout cache's miss path)."""
+    checks, columns = [], []
+    pos = _HEADER.size
+    for _ in range(ncols):
+        at = pos
+        name, pos = _prefixed(body, pos)
+        name = name.decode("utf-8")
+        dtype, pos = _prefixed(body, pos)
+        dtype = np.dtype(dtype.decode("ascii"))
+        rows, nbytes = _COUNTS.unpack_from(body, pos)
+        pos += _COUNTS.size
+        if rows < 0 or dtype.hasobject or nbytes != rows * dtype.itemsize:
+            raise CorruptPageError(f"corrupt page: column {name!r} row mismatch")
+        checks.append((at, body[at:pos]))
+        columns.append((name, dtype, rows, pos))
+        pos += nbytes
+    if pos != len(body):
+        raise CorruptPageError("corrupt page: column layout does not end with the body")
+    return tuple(checks), tuple(columns)
+
+
+def _prefixed(body: bytes, pos: int) -> tuple[bytes, int]:
+    """The length-prefixed field at ``pos``, and the offset just past it."""
+    (length,) = _LENGTH.unpack_from(body, pos)
+    end = pos + _LENGTH.size + length
+    if length < 0 or end > len(body):
+        raise CorruptPageError("corrupt page: field runs past the body")
+    return body[pos + _LENGTH.size : end], end

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from repro.db.buffer_pool import PageRun
 from repro.db.errors import StaleLayoutError
 from repro.db.pages import Page
 from repro.db.zonemap import ZoneMap
@@ -198,6 +199,21 @@ class Table:
             raise IndexError(f"page {page_id} out of range [0, {self.num_pages})")
         try:
             return self._db.buffer_pool.get(self.physical_name, page_id)
+        except (KeyError, FileNotFoundError) as exc:
+            self._raise_if_retired(exc)
+            raise
+
+    def read_pages(self, page_ids: list[int]) -> PageRun:
+        """Fetch a run of pages through the buffer pool in one call.
+
+        The run counterpart of :meth:`read_page` (same range check, same
+        :class:`~repro.db.errors.StaleLayoutError` translation) over
+        :meth:`~repro.db.buffer_pool.BufferPool.get_many`.
+        """
+        if page_ids and not (0 <= min(page_ids) and max(page_ids) < self.num_pages):
+            raise IndexError(f"pages {page_ids} out of range [0, {self.num_pages})")
+        try:
+            return self._db.buffer_pool.get_many(self.physical_name, page_ids)
         except (KeyError, FileNotFoundError) as exc:
             self._raise_if_retired(exc)
             raise

@@ -130,6 +130,97 @@ class TestBufferPool:
         assert len(pool) == 0
 
 
+class TestPoolAccounting:
+    """A miss is a page read from storage; a hit is a request without one."""
+
+    @staticmethod
+    def _cold_pool(num_pages=8):
+        storage = MemoryStorage()
+        for page_id in range(num_pages):
+            storage.write_page("t", page(page_id))
+        storage.stats.reset()
+        return storage, BufferPool(storage, capacity_pages=16)
+
+    def _counts(self, storage):
+        io = storage.stats.as_dict()
+        return {k: io[k] for k in ("page_reads", "cache_hits", "cache_misses", "coalesced_reads")}
+
+    def test_prefetch_then_get_counts_one_miss_and_one_hit_per_page(self):
+        storage, pool = self._cold_pool()
+        assert pool.prefetch("t", range(8)) == 8
+        assert self._counts(storage) == {
+            "page_reads": 8, "cache_hits": 0, "cache_misses": 8, "coalesced_reads": 1,
+        }
+        for page_id in range(8):
+            pool.get("t", page_id)
+        assert self._counts(storage) == {
+            "page_reads": 8, "cache_hits": 8, "cache_misses": 8, "coalesced_reads": 1,
+        }
+
+    def test_cold_get_many_is_all_misses_in_one_read(self):
+        storage, pool = self._cold_pool()
+        pages = pool.get_many("t", list(range(8)))
+        assert [p.page_id for p in pages] == list(range(8))
+        assert pages.fetched == 8
+        assert self._counts(storage) == {
+            "page_reads": 8, "cache_hits": 0, "cache_misses": 8, "coalesced_reads": 1,
+        }
+        assert storage.stats.pages_prefetched == 8
+
+    def test_warm_get_many_is_all_hits_and_no_read(self):
+        storage, pool = self._cold_pool()
+        pool.get_many("t", list(range(8)))
+        storage.stats.reset()
+        pages = pool.get_many("t", list(range(8)))
+        assert [p.page_id for p in pages] == list(range(8))
+        assert pages.fetched == 0
+        assert self._counts(storage) == {
+            "page_reads": 0, "cache_hits": 8, "cache_misses": 0, "coalesced_reads": 0,
+        }
+
+    def test_partly_warm_get_many_reads_only_the_misses(self):
+        storage, pool = self._cold_pool()
+        pool.get("t", 2)
+        pool.get("t", 5)
+        storage.stats.reset()
+        pages = pool.get_many("t", list(range(8)))
+        assert [p.page_id for p in pages] == list(range(8))
+        assert pages.fetched == 6
+        assert self._counts(storage) == {
+            "page_reads": 6, "cache_hits": 2, "cache_misses": 6, "coalesced_reads": 1,
+        }
+
+    def test_get_many_returns_its_pages_even_past_capacity(self):
+        storage, _ = self._cold_pool()
+        pool = BufferPool(storage, capacity_pages=2)
+        pages = pool.get_many("t", list(range(8)))
+        assert [int(p.columns["a"][0]) for p in pages] == list(range(8))
+        assert len(pool) == 2
+
+
+class TestPutOwnsItsPages:
+    def test_writer_mutation_after_create_does_not_reach_readers(self):
+        from repro import Database
+
+        db = Database.in_memory(buffer_pages=None)
+        x = np.arange(4, dtype=np.float64)
+        table = db.create_table("t", {"x": x})
+        x[:] = -1  # the caller keeps writing into its own array
+        cached = table.read_page(0).columns["x"].copy()
+        db.buffer_pool.clear()
+        stored = table.read_page(0).columns["x"]
+        assert cached.tolist() == stored.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_cached_put_pages_are_read_only(self):
+        pool = BufferPool(MemoryStorage(), capacity_pages=4)
+        written = page(0)
+        pool.put("t", written)
+        cached = pool.get("t", 0)
+        assert cached.columns["a"].flags.writeable is False
+        assert not np.shares_memory(cached.columns["a"], written.columns["a"])
+        assert written.columns["a"].flags.writeable  # the writer's array is untouched
+
+
 class TestFileStorageOnDisk:
     def test_files_actually_exist(self, tmp_path):
         storage = FileStorage(tmp_path / "db")

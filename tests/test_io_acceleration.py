@@ -15,6 +15,7 @@ between them:
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from repro import (
     ScatterGatherExecutor,
     polyhedron_full_scan,
 )
-from repro.db import CorruptPageError, ZoneMap, full_scan
+from repro.bitmap import BitmapIndex
+from repro.db import CorruptPageError, PageCodec, RetryPolicy, ZoneMap, full_scan
+from repro.db.errors import StaleLayoutError
 from repro.db.persistence import attach_database, save_catalog
 from repro.db.fetch import _coalesced_runs
 from repro.geometry.boxes import BoxRelation
@@ -303,6 +306,141 @@ class TestCoalescedReadAhead:
             assert _row_ids(rows) == expected
         assert injector.counters()["reads_failed"] > 0
         assert db.io_stats.read_retries > 0
+
+
+class TestRunReadFaults:
+    """A read-ahead run under faults: same rows, same counters as prefetch."""
+
+    RUN = list(range(8))
+
+    def _setup(self, seed=4):
+        db, injector = make_faulty_db(
+            seed=seed, buffer_pages=16, retry=RetryPolicy(attempts=2, backoff_s=0.0)
+        )
+        table = db.create_table("t", _sorted_data(), rows_per_page=ROWS_PER_PAGE)
+        db.cold_cache()
+        db.reset_io_stats()
+        return db, injector, table
+
+    @staticmethod
+    def _assert_rows(pages, page_ids):
+        for page, page_id in zip(pages, page_ids):
+            first = page_id * ROWS_PER_PAGE
+            assert page.page_id == page_id
+            assert page.columns["x"].tolist() == list(range(first, first + ROWS_PER_PAGE))
+
+    def test_exhausted_run_read_degrades_to_per_page_reads(self):
+        db, injector, table = self._setup()
+        injector.fail_next_reads(2)  # both attempts of the coalesced read
+        pages = table.read_pages(self.RUN)
+        self._assert_rows(pages, self.RUN)
+        io = db.io_stats.as_dict()
+        assert pages.fetched == 0
+        assert (io["read_faults"], io["read_retries"]) == (2, 1)
+        assert (io["pages_prefetched"], io["cache_misses"], io["page_reads"]) == (0, 8, 8)
+
+    def test_transient_fault_in_a_run_gives_the_scan_the_same_rows(self):
+        db, injector, table = self._setup()
+        polyhedron = _interval(0.0, 1024.0)
+        truth, _ = polyhedron_full_scan(table, ["x"], polyhedron)
+        db.cold_cache()
+        injector.fail_next_reads(5)
+        rows, _ = polyhedron_full_scan(table, ["x"], polyhedron)
+        assert _row_ids(rows) == _row_ids(truth)
+        assert db.io_stats.read_faults >= 5
+
+    def test_torn_page_inside_a_run_is_retried_alone(self):
+        db, injector, table = self._setup()
+        torn = [False] * 3 + [True] + [False] * 4 + [False]  # run, then the re-read
+        with mock.patch.object(injector, "corrupt_this_read", side_effect=torn):
+            pages = table.read_pages(self.RUN)
+        self._assert_rows(pages, self.RUN)
+        io = db.io_stats.as_dict()
+        assert pages.fetched == 7
+        assert (io["page_reads"], io["cache_misses"], io["checksum_verifications"]) == (9, 8, 8)
+        assert (io["coalesced_reads"], io["read_faults"]) == (1, 0)
+
+    def test_persistently_torn_page_raises_and_its_neighbours_stay_admitted(self):
+        db, injector, table = self._setup()
+        torn = [False] * 3 + [True] + [False] * 4 + [True, True]
+        with mock.patch.object(injector, "corrupt_this_read", side_effect=torn):
+            with pytest.raises(CorruptPageError):
+                table.read_pages(self.RUN)
+        db.reset_io_stats()
+        neighbours = [0, 1, 2, 4, 5, 6, 7]
+        self._assert_rows(table.read_pages(neighbours), neighbours)
+        assert db.io_stats.page_reads == 0
+
+    def test_run_of_a_retired_generation_raises_stale_layout(self):
+        db = Database.in_memory(buffer_pages=None)
+        db.create_table("t", _sorted_data(), rows_per_page=ROWS_PER_PAGE)
+        stale = db.table("t")
+        for oid in (NUM_ROWS, NUM_ROWS + 1):  # the second merge drops gen 0
+            db.table("t").insert_rows(
+                {"x": np.array([0.5]), "oid": np.array([oid], dtype=np.int64)}
+            )
+            db.ingest.merge("t")
+        with pytest.raises(StaleLayoutError, match="retired"):
+            stale.read_pages(self.RUN)
+
+    @pytest.mark.parametrize("burst", [1, 2])
+    def test_fault_counters_match_prefetch(self, burst):
+        counts = []
+        for read in ("prefetch", "get_many"):
+            db, injector, table = self._setup(seed=9)
+            injector.fail_next_reads(burst)
+            getattr(db.buffer_pool, read)(table.physical_name, self.RUN)
+            io = db.io_stats.as_dict()
+            counts.append((io["read_faults"], io["read_retries"], io["pages_prefetched"]))
+        assert counts[0] == counts[1]
+
+
+class TestCachedPagesAreImmutable:
+    """No call mutates a cached page: every engine, batches, and a merge."""
+
+    def test_every_cached_page_is_read_only_and_matches_storage(self):
+        rng = np.random.default_rng(5)
+        dims = ["a", "b"]
+        n = 3000
+        data = {
+            "a": rng.normal(size=n),
+            "b": rng.normal(size=n),
+            "oid": np.arange(n, dtype=np.int64),
+        }
+        db = Database.in_memory(buffer_pages=12, decoded_cache_bytes=1 << 20)
+        index = KdTreeIndex.build(db, "pts", data, dims)
+        BitmapIndex.build(db, "pts", dims, num_bins=8)
+        polyhedra = [
+            Polyhedron.from_box(Box.cube(rng.normal(size=2) * 0.5, rng.uniform(0.2, 1.5)))
+            for _ in range(4)
+        ]
+
+        def exercise():
+            for engine in ("scan", "kdtree", "bitmap", "hybrid"):
+                planner = QueryPlanner(index, engine=engine)
+                for polyhedron in polyhedra:
+                    planner.execute(polyhedron)
+            QueryPlanner(index).execute_batch(polyhedra)
+
+        exercise()
+        db.table("pts").insert_rows(
+            {"a": np.zeros(5), "b": np.zeros(5), "oid": np.arange(n, n + 5, dtype=np.int64)}
+        )
+        exercise()
+        db.ingest.merge("pts")
+        exercise()
+
+        pool = db.buffer_pool
+        cached = [(ns, pid, page) for (ns, pid), page in pool._cache.items()]
+        cached += [(ns, pid, entry[0]) for (ns, pid, _), entry in pool._decoded.items()]
+        assert cached
+        for namespace, page_id, page in cached:
+            fresh = PageCodec.decode(db.storage.read_page_bytes(namespace, page_id))
+            assert list(page.columns) == list(fresh.columns)
+            for name, arr in page.columns.items():
+                assert arr.flags.writeable is False, (namespace, page_id, name)
+                assert arr.dtype == fresh.columns[name].dtype
+                assert arr.tobytes() == fresh.columns[name].tobytes()
 
 
 class TestDecodedPageCache:
