@@ -30,8 +30,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.db.errors import StorageFault
-from repro.db.fetch import SCAN_RETRY, FetchMember, Outcome, fetch, offset_segments, solo
+from repro.db.fetch import (
+    SCAN_RETRY,
+    FetchMember,
+    Outcome,
+    fetch,
+    offset_segments,
+    query_members,
+    solo,
+)
 from repro.db.stats import QueryStats
 from repro.geometry.halfspace import Polyhedron
 
@@ -54,12 +61,80 @@ def _restrict_to_ranges(
     return candidates[np.cumsum(depth[:-1]) > 0]
 
 
+def _members(
+    index: BitmapIndex, polyhedra, cancel_checks, memberships_list
+) -> list[FetchMember]:
+    """One fetch member per query, residual in the index's query space."""
+    # Residual filtering, zone pruning, and dim validation all happen in
+    # the *query* coordinate space, which may be wider than the indexed
+    # column subset on a tuned replica.
+    dims = getattr(index, "query_dims", None) or index.dims
+    return query_members(polyhedra, dims, cancel_checks, memberships_list)
+
+
+def _fetch_candidates(
+    index: BitmapIndex,
+    members: list[FetchMember],
+    candidate_rows_list,
+    use_zone_maps: bool,
+    retry,
+    ranges_list=None,
+) -> tuple[list[Outcome], dict]:
+    """Name each live member's candidate rows and fetch them in one pass.
+
+    ``ranges_list`` (hybrid) restricts each member's candidates to its
+    kd ranges.
+    """
+    table = index.table
+    n = len(members)
+    known_rows = list(candidate_rows_list) if candidate_rows_list is not None else [None] * n
+    # One consistent snapshot serves planning and fetch for every member.
+    snapshot = table.delta_snapshot()
+    zone_map = table.zone_map() if use_zone_maps else None
+
+    # Candidate rows per member: compressed-word ops only, no page read.
+    segments = []
+    for m, member in enumerate(members):
+        if member.error is not None:
+            continue
+        if member.cancel_check is not None:
+            try:
+                member.cancel_check()
+            except BaseException as exc:
+                member.error = exc
+                continue
+        rows = known_rows[m]
+        if rows is None:
+            rows = index.candidate_rows(member.polyhedron, member.memberships)
+        if rows is None:
+            # Nothing constrained the index: every main-tier row is a
+            # candidate (the residual filter still decides membership).
+            rows = np.arange(table.num_rows, dtype=np.int64)
+        if ranges_list is not None:
+            rows = _restrict_to_ranges(rows, ranges_list[m])
+        member.stats.extra["bitmap_candidate_rows"] = int(len(rows))
+        if zone_map is not None and member.polyhedron is not None:
+            member.pruner = zone_map.pruner(member.polyhedron, member.dims)
+        segments += offset_segments(table, m, rows)
+
+    # Page-major across members (stable, so member order within a page):
+    # each member's candidates come ascending, their union does not.
+    segments.sort(key=itemgetter(0))
+    return fetch(
+        table,
+        members,
+        segments,
+        tombstones=snapshot.tombstones if snapshot is not None else None,
+        snapshot=snapshot,
+        retry=retry,
+    )
+
+
 def batch_bitmap_query(
     index: BitmapIndex,
     polyhedra: Sequence[Polyhedron],
     cancel_checks: Sequence[Callable[[], None] | None] | None = None,
     memberships_list: Sequence[dict | None] | None = None,
-    row_ranges_list: Sequence[Sequence[tuple[int, int]] | None] | None = None,
     use_zone_maps: bool = True,
     retry=SCAN_RETRY,
     candidate_rows_list: Sequence[np.ndarray | None] | None = None,
@@ -73,82 +148,14 @@ def batch_bitmap_query(
     on it, and applies each member's full residual to its candidates.
     Member isolation and the ``(results, counters)`` contract match
     :func:`repro.db.scan.batch_full_scan`; a :class:`StorageFault` from
-    the shared read path propagates so the planner can degrade the group
-    to solo execution.
+    the shared read path propagates.
 
-    ``row_ranges_list`` (per-member clustered row ranges from a kd
-    traversal) turns members into hybrid executions -- candidates are
-    intersected with the ranges before any page is touched.
     ``candidate_rows_list`` hands over candidate rows a caller already
     computed from ``index`` for exactly these queries (the planner
     prices the bitmap engine with them), sparing the second AND.
     """
-    table = index.table
-    # Residual filtering, zone pruning, and dim validation all happen in
-    # the *query* coordinate space, which may be wider than the indexed
-    # column subset on a tuned replica.
-    dims = getattr(index, "query_dims", None) or index.dims
-    n = len(polyhedra)
-
-    def per_member(values):
-        return list(values) if values is not None else [None] * n
-
-    checks = per_member(cancel_checks)
-    memberships_list = per_member(memberships_list)
-    ranges_list = per_member(row_ranges_list)
-    known_rows = per_member(candidate_rows_list)
-    for polyhedron in polyhedra:
-        if polyhedron is not None and polyhedron.dim != len(dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(dims)}"
-            )
-
-    # One consistent snapshot serves planning and fetch for every member.
-    snapshot = table.delta_snapshot()
-    zone_map = table.zone_map() if use_zone_maps else None
-
-    # Candidate rows per member: compressed-word ops only, no page read.
-    members: list[FetchMember] = []
-    segments = []
-    for m, polyhedron in enumerate(polyhedra):
-        member = FetchMember(
-            polyhedron=polyhedron,
-            dims=dims,
-            memberships=memberships_list[m],
-            cancel_check=checks[m],
-        )
-        members.append(member)
-        if member.cancel_check is not None:
-            try:
-                member.cancel_check()
-            except BaseException as exc:
-                member.error = exc
-                continue
-        rows = known_rows[m]
-        if rows is None:
-            rows = index.candidate_rows(polyhedron, memberships_list[m])
-        if rows is None:
-            # Nothing constrained the index: every main-tier row is a
-            # candidate (the residual filter still decides membership).
-            rows = np.arange(table.num_rows, dtype=np.int64)
-        if ranges_list[m] is not None:
-            rows = _restrict_to_ranges(rows, ranges_list[m])
-        member.stats.extra["bitmap_candidate_rows"] = int(len(rows))
-        if zone_map is not None and polyhedron is not None:
-            member.pruner = zone_map.pruner(polyhedron, dims)
-        segments += offset_segments(table, m, rows)
-
-    # Page order (stable, so member order within a page): each member's
-    # candidates are sorted, their union across members is not.
-    segments.sort(key=itemgetter(0))
-    return fetch(
-        table,
-        members,
-        segments,
-        tombstones=snapshot.tombstones if snapshot is not None else None,
-        snapshot=snapshot,
-        retry=retry,
-    )
+    members = _members(index, polyhedra, cancel_checks, memberships_list)
+    return _fetch_candidates(index, members, candidate_rows_list, use_zone_maps, retry)
 
 
 def bitmap_query(
@@ -156,15 +163,13 @@ def bitmap_query(
     polyhedron: Polyhedron,
     memberships: dict[str, np.ndarray] | None = None,
     cancel_check: Callable[[], None] | None = None,
-    row_ranges: Sequence[tuple[int, int]] | None = None,
     use_zone_maps: bool = True,
     retry=SCAN_RETRY,
     candidate_rows: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Answer one polyhedron + membership query through the bitmap index.
 
-    The single-member case of :func:`batch_bitmap_query` (same code
-    path, so solo and batched answers are identical by construction).
+    A batch of one of :func:`batch_bitmap_query`.
     """
     return solo(
         batch_bitmap_query(
@@ -172,7 +177,6 @@ def bitmap_query(
             [polyhedron],
             cancel_checks=[cancel_check],
             memberships_list=[memberships],
-            row_ranges_list=[row_ranges],
             use_zone_maps=use_zone_maps,
             retry=retry,
             candidate_rows_list=[candidate_rows],
@@ -192,25 +196,20 @@ def hybrid_query(
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Bitmap prefilter intersected with the kd traversal's row ranges.
 
-    The kd traversal runs in memory (no page I/O) and its traversal
-    stats are merged into the fetch stats, so ``nodes_visited`` /
-    ``cells_*`` read like a kd query while ``pages_touched`` reflects
-    the intersected candidate set.
+    A batch of one of :func:`batch_hybrid_query`.
     """
-    ranges, stats = kd_index.candidate_ranges(
-        polyhedron, use_tight_boxes=use_tight_boxes, cancel_check=cancel_check
+    return solo(
+        batch_hybrid_query(
+            kd_index,
+            bitmap_index,
+            [polyhedron],
+            cancel_checks=[cancel_check],
+            memberships_list=[memberships],
+            use_tight_boxes=use_tight_boxes,
+            use_zone_maps=use_zone_maps,
+            candidate_rows_list=[candidate_rows],
+        )
     )
-    rows, fetch_stats = bitmap_query(
-        bitmap_index,
-        polyhedron,
-        memberships=memberships,
-        cancel_check=cancel_check,
-        row_ranges=ranges,
-        use_zone_maps=use_zone_maps,
-        candidate_rows=candidate_rows,
-    )
-    stats.merge(fetch_stats)
-    return rows, stats
 
 
 def batch_hybrid_query(
@@ -223,46 +222,18 @@ def batch_hybrid_query(
     use_zone_maps: bool = True,
     candidate_rows_list: Sequence[np.ndarray | None] | None = None,
 ) -> tuple[list[Outcome], dict]:
-    """Hybrid execution for a member group, sharing the fetch pass.
+    """Hybrid execution for a member group, sharing the walk and the fetch.
 
-    Each member's kd ranges are collected first (in-memory traversals),
-    then one :func:`batch_bitmap_query` serves every member's
-    intersected candidates with shared page decodes.
+    One kd traversal (:meth:`~repro.core.kdtree.KdTreeIndex.candidate_ranges`,
+    in memory, no page I/O) names every member's clustered row ranges;
+    each member's bitmap candidates are intersected with its ranges, and
+    one fetch pass serves them all.  The traversal counts into the same
+    stats as the fetch, so ``nodes_visited`` / ``cells_*`` read like a
+    kd query while ``pages_touched`` reflects the intersected candidate
+    set.
     """
-    n = len(polyhedra)
-    checks = list(cancel_checks) if cancel_checks is not None else [None] * n
-    traversal_stats: list[QueryStats | None] = [None] * n
-    ranges_list: list[Sequence[tuple[int, int]] | None] = [None] * n
-    errors: list[BaseException | None] = [None] * n
-    for m in range(n):
-        try:
-            ranges_list[m], traversal_stats[m] = kd_index.candidate_ranges(
-                polyhedra[m],
-                use_tight_boxes=use_tight_boxes,
-                cancel_check=checks[m],
-            )
-        except StorageFault:
-            raise
-        except BaseException as exc:
-            errors[m] = exc
-            ranges_list[m] = []
-    results, counters = batch_bitmap_query(
-        bitmap_index,
-        polyhedra,
-        cancel_checks=[
-            None if errors[m] is not None else checks[m] for m in range(n)
-        ],
-        memberships_list=memberships_list,
-        row_ranges_list=ranges_list,
-        use_zone_maps=use_zone_maps,
-        candidate_rows_list=candidate_rows_list,
+    members = _members(bitmap_index, polyhedra, cancel_checks, memberships_list)
+    ranges_list = kd_index.candidate_ranges(members, use_tight_boxes)
+    return _fetch_candidates(
+        bitmap_index, members, candidate_rows_list, use_zone_maps, SCAN_RETRY, ranges_list
     )
-    merged: list[Outcome] = []
-    for m, (rows, stats, error) in enumerate(results):
-        if errors[m] is not None:
-            merged.append((None, traversal_stats[m] or QueryStats(), errors[m]))
-            continue
-        combined = traversal_stats[m] or QueryStats()
-        combined.merge(stats)
-        merged.append((rows, combined, error))
-    return merged, counters

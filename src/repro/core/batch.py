@@ -1,36 +1,34 @@
-"""Shared-work batch execution over the kd-tree and the scan.
+"""The kd engine over a member set, and the batch outcome contract.
 
-The paper's headline numbers (Figure 5, §3.2) are single-query; under
-concurrent traffic the same hot pages get read, CRC-verified, and
-predicate-filtered once *per query*, and the kd-tree's top levels get
-re-walked once per query.  This module amortizes that shared work across
-a micro-batch of queries:
+Below the shard coordinator every query runs as a member of a batch; a
+solo query is a batch of one.  Under concurrent traffic the same hot
+pages would otherwise be read, CRC-verified, and predicate-filtered once
+*per query*, and the kd-tree's top levels re-walked once per query:
 
-* :func:`batch_kd_query` lifts the Figure 4 traversal to a *query set*:
-  each tree node is visited once and classified against every member
-  polyhedron still active there -- OUTSIDE members drop out of the
-  subtree, INSIDE members bulk-claim the node's clustered row range, and
-  PARTIAL members recurse.  The claimed ranges of all members are then
-  served by one call of the fetch kernel (:func:`repro.db.fetch.fetch`),
+* :func:`batch_kd_query` runs the Figure 4 traversal
+  (:meth:`repro.core.kdtree.KdTreeIndex.traverse`) once for the whole
+  member set -- each tree node visited once, classified against every
+  member still active there -- and serves every member's claimed row
+  ranges with one call of the fetch kernel (:func:`repro.db.fetch.fetch`),
   which decodes each needed page once.
+  :meth:`~repro.core.kdtree.KdTreeIndex.query_polyhedron` is its batch
+  of one.
 * :class:`BatchResult` / :class:`BatchMemberResult` are the engine-level
   contract: per-member outcomes stay independent (one member's deadline
   or fault never drops its batch siblings), plus batch-level counters
   for the work sharing the service surfaces in its metrics.
 
 The scan-side counterpart lives in :func:`repro.db.scan.batch_full_scan`;
-the per-query planner front end is
+the planner front end, solo and batched, is
 :meth:`repro.core.planner.QueryPlanner.execute_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Sequence
 
-from repro.db.fetch import FetchMember, Outcome, fetch, range_segments
-from repro.geometry.boxes import BoxRelation
+from repro.db.fetch import Outcome, fetch, query_members, range_segments
 from repro.geometry.halfspace import Polyhedron
 
 __all__ = ["BatchMemberResult", "BatchResult", "batch_kd_query"]
@@ -42,8 +40,9 @@ class BatchMemberResult:
 
     Exactly one of ``planned`` / ``error`` is set.  ``planned`` is a
     :class:`~repro.core.planner.PlannedQuery` (typed loosely to keep the
-    module import-cycle-free); ``error`` carries whatever the member's
-    own cancel check or degraded solo re-execution raised.
+    module import-cycle-free); ``error`` carries whatever the member
+    raised: its own cancel check, a malformed query, or the storage
+    fault of the scan pass it ended up in.
     """
 
     planned: Any | None = None
@@ -77,113 +76,53 @@ def batch_kd_query(
 ) -> tuple[list[Outcome], dict]:
     """Evaluate several polyhedron queries in one kd traversal + fetch.
 
-    The traversal visits each node once, carrying the set of members for
-    whom the node is still unresolved; the claimed row ranges of every
-    member then go to the fetch kernel as one segment list, so each
-    surviving page is decoded exactly once and sliced for every member
-    that claimed rows on it (each member's zone-map pruner applies to
-    its residual-filter ranges only; INSIDE-subtree ranges are bulk
-    returns whose contract is "every clustered row in range").
-    Per-member results are identical to running
-    :meth:`KdTreeIndex.query_polyhedron` solo.
+    :meth:`~repro.core.kdtree.KdTreeIndex.traverse` names every member's
+    clustered row ranges (the ``BETWEEN``s) in one walk: INSIDE subtrees
+    are bulk returns, PARTIAL leaves still need the residual filter.
+    One call of the fetch kernel then serves all of them in the order
+    the walk named them, so each surviving page is decoded once and
+    sliced for every member that claimed rows on it.
+
+    With ``use_zone_maps`` on (and a zone map in the catalog), each
+    member's PARTIAL-leaf ranges also prune at page granularity: a leaf
+    that straddles the query boundary usually holds pages entirely
+    outside it -- skipped -- and pages entirely inside it, whose
+    per-point filter is skipped.  INSIDE subtrees never see the pruner:
+    their contract is "every clustered row in range".
+
+    Merge-on-read: one delta snapshot serves the whole call; its
+    tombstones suppress deleted rows in every range, and its live
+    inserts matching a member's polyhedron join that member's result.
+    ``memberships_list`` gives per-member IN-list filters (column ->
+    values); the walk still classifies on the polyhedron alone (a
+    superset) and the kernel ANDs each member's ``np.isin`` mask into
+    every row it returns, INSIDE-subtree rows included.
 
     Member isolation matches :func:`repro.db.scan.batch_full_scan`: a
     member whose ``cancel_check`` raises is dropped mid-batch with its
     partial rows discarded, siblings unaffected.  A
     :class:`~repro.db.errors.StorageFault` from the shared read path
-    propagates, letting the caller degrade to solo execution.
-
-    Returns ``(results, counters)`` shaped exactly like
+    propagates.  Returns ``(results, counters)`` shaped exactly like
     :func:`~repro.db.scan.batch_full_scan`'s.
-
-    ``memberships_list`` gives per-member IN-list filters (column ->
-    values).  The traversal still classifies on the polyhedron alone (a
-    superset); the kernel ANDs each member's ``np.isin`` mask into
-    every row it returns, INSIDE-subtree rows included.
     """
-    tree = index.tree
     table = index.table
     dims = index.dims
-    n = len(polyhedra)
-    checks = list(cancel_checks) if cancel_checks is not None else [None] * n
-    memberships = (
-        list(memberships_list) if memberships_list is not None else [None] * n
-    )
-    for polyhedron in polyhedra:
-        if polyhedron.dim != len(dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(dims)}"
-            )
+    members = query_members(polyhedra, dims, cancel_checks, memberships_list)
+    ranges = index.traverse(members, use_tight_boxes)
     zone_map = table.zone_map() if use_zone_maps else None
-    members = [
-        FetchMember(
-            polyhedron=polyhedron,
-            dims=dims,
-            memberships=memberships[m],
-            pruner=zone_map.pruner(polyhedron, dims) if zone_map is not None else None,
-            cancel_check=checks[m],
-        )
-        for m, polyhedron in enumerate(polyhedra)
-    ]
-
-    # -- one multi-box traversal (Figure 4 over a query set) ---------------
-    ranges: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    stack: list[tuple[int, tuple[int, ...]]] = [(1, tuple(range(n)))]
-    while stack:
-        node, active = stack.pop()
-        live: list[int] = []
-        for m in active:
-            member = members[m]
-            if member.error is not None:
-                continue
-            if member.cancel_check is not None:
-                try:
-                    member.cancel_check()
-                except BaseException as exc:
-                    member.error = exc
-                    continue
-            live.append(m)
-        if not live:
-            continue
-        start, end, box = tree.visit_info(node, use_tight_boxes)
-        if start == end:
-            continue
-        deeper: list[int] = []
-        for m in live:
-            stats = members[m].stats
-            stats.nodes_visited += 1
-            relation = polyhedra[m].classify_box(box)
-            if relation is BoxRelation.OUTSIDE:
-                stats.cells_outside += 1
-            elif relation is BoxRelation.INSIDE:
-                stats.cells_inside += 1
-                ranges[m].append((start, end, False))
-            elif tree.is_leaf(node):
-                stats.cells_partial += 1
-                ranges[m].append((start, end, True))
-            else:
-                deeper.append(m)
-        if deeper:
-            stack.append((2 * node + 1, tuple(deeper)))
-            stack.append((2 * node, tuple(deeper)))
-
-    # One delta snapshot serves the whole batch: it suppresses tombstoned
-    # rows in every member's fetch and contributes its matching inserts
-    # to every member's result (merge-on-read).
+    if zone_map is not None:
+        for member in members:
+            if member.error is None:
+                member.pruner = zone_map.pruner(member.polyhedron, dims)
     snapshot = table.delta_snapshot()
-    segments = [
-        segment
-        for m in range(n)
-        for start, end, needs_filter in ranges[m]
-        for segment in range_segments(table, m, start, end, needs_filter)
-    ]
-    # Page order (stable, so member order within a page) lets the kernel
-    # coalesce reads across members' ranges.
-    segments.sort(key=itemgetter(0))
     return fetch(
         table,
         members,
-        segments,
+        [
+            segment
+            for m, start, end, needs_filter in ranges
+            for segment in range_segments(table, m, start, end, needs_filter)
+        ],
         tombstones=snapshot.tombstones if snapshot is not None else None,
         snapshot=snapshot,
     )

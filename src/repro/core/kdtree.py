@@ -35,9 +35,11 @@ data and are what the paper visualizes in Figure 15).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.batch import batch_kd_query
 from repro.core.index_base import SpatialIndex, stack_coordinates
 from repro.db.catalog import Database
 from repro.db.fetch import FetchMember, delta_piece, fetch, range_segments, solo
@@ -503,141 +505,105 @@ class KdTreeIndex(SpatialIndex):
     ) -> tuple[dict[str, np.ndarray], QueryStats]:
         """Evaluate a polyhedron query through the tree (Figure 4).
 
-        The traversal names the clustered row ranges (the ``BETWEEN``s):
-        INSIDE subtrees are bulk returns, PARTIAL leaves still need the
-        residual geometric filter.  One call of the fetch kernel
-        (:func:`repro.db.fetch.fetch`) then serves all of them.
-        ``cancel_check`` (when given) runs at every node visit and before
-        every page read, so the query service can abandon a query
-        mid-flight (deadlines).
-
-        With ``use_zone_maps`` on (and a zone map in the catalog), the
-        partial-leaf ranges also prune at page granularity: leaf boxes are
-        coarser than page boxes (a leaf spans many pages), so a leaf that
-        straddles the query boundary usually holds pages entirely outside
-        it -- those are skipped -- and pages entirely inside it, whose
-        per-point residual filter is skipped.  The pruner shares the
-        query's geometry, so results are identical either way.  INSIDE
-        subtrees never see the pruner: their contract is "every
-        clustered row in range".
-
-        Merge-on-read: one delta snapshot serves the query; its
-        tombstones suppress deleted rows in every range, and its live
-        inserts matching the polyhedron join the result as a final piece
-        (the snapshot's own layered grid does the point-in-polyhedron
-        work).
-
-        ``memberships`` (column -> IN-list values) degrades to a
-        vectorized ``np.isin`` filter here: the kernel ANDs it into
-        every row it returns, INSIDE subtrees included -- the traversal
-        itself still prunes on the polyhedron alone, which stays a
-        superset of the answer.
+        A batch of one of :func:`repro.core.batch.batch_kd_query`, which
+        documents the traversal, the zone-map pruning of PARTIAL leaves,
+        merge-on-read and the IN-list ``memberships``.  ``cancel_check``
+        runs at every node visit and before every page read; whatever it
+        raises is re-raised here.
         """
-        ranges, stats = self._traverse(polyhedron, use_tight_boxes, cancel_check)
-        member = FetchMember(
-            polyhedron=polyhedron,
-            dims=self._dims,
-            memberships=memberships,
-            pruner=self._pruner(polyhedron) if use_zone_maps else None,
-            cancel_check=cancel_check,
-            stats=stats,
-        )
-        snapshot = self._table.delta_snapshot()
         return solo(
-            fetch(
-                self._table,
-                [member],
-                [
-                    segment
-                    for start, end, needs_filter in ranges
-                    for segment in range_segments(
-                        self._table, 0, start, end, needs_filter
-                    )
-                ],
-                tombstones=snapshot.tombstones if snapshot is not None else None,
-                snapshot=snapshot,
+            batch_kd_query(
+                self,
+                [polyhedron],
+                [cancel_check],
+                use_tight_boxes=use_tight_boxes,
+                use_zone_maps=use_zone_maps,
+                memberships_list=[memberships],
             )
         )
 
-    def candidate_ranges(
-        self,
-        polyhedron: Polyhedron,
-        use_tight_boxes: bool = True,
-        cancel_check=None,
-    ) -> tuple[list[tuple[int, int]], QueryStats]:
-        """Clustered row ranges the Figure 4 traversal would fetch.
+    def traverse(
+        self, members: Sequence[FetchMember], use_tight_boxes: bool = True
+    ) -> list[tuple[int, int, int, bool]]:
+        """The Figure 4 classification over a member set, in one walk.
 
-        Runs the classification phase only -- no page I/O -- returning
-        the ``[start, end)`` ranges of INSIDE subtrees and PARTIAL
-        leaves plus the traversal stats.  The union of the ranges is a
-        conservative superset of the answer's main-tier rows; the hybrid
-        engine intersects it with the bitmap candidate set.
+        Each tree node is visited once and classified against every
+        member still unresolved there: OUTSIDE members drop out of the
+        subtree, INSIDE members claim its clustered row range (a bulk
+        return), a PARTIAL leaf's range still needs the residual filter,
+        and PARTIAL members of an inner node descend.  Returns
+        ``(member, start, end, needs_filter)`` ranges in right-first
+        depth-first order, every member resolving at a node named
+        together.  That order is the read order the fetch kernel keeps
+        (see :mod:`repro.db.fetch`); callers must not re-sort it.
+
+        Counts into each member's ``stats``.  A member's
+        ``cancel_check`` runs at every node visit; whatever it raises
+        lands in the member's ``error`` and drops it from the walk, its
+        siblings unaffected.
         """
-        ranges, stats = self._traverse(polyhedron, use_tight_boxes, cancel_check)
-        return [(start, end) for start, end, _ in ranges], stats
-
-    def _traverse(
-        self, polyhedron: Polyhedron, use_tight_boxes: bool = True, cancel_check=None
-    ) -> tuple[list[tuple[int, int, bool]], QueryStats]:
-        """The Figure 4 classification: ``(start, end, needs_filter)`` ranges.
-
-        ``needs_filter`` is off for INSIDE subtrees and on for PARTIAL
-        leaves; ranges come in traversal order and are disjoint.
-        """
-        if polyhedron.dim != len(self._dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
-            )
-        stats = QueryStats()
-        ranges: list[tuple[int, int, bool]] = []
-        stack = [1]
+        dim = len(self._dims)
+        for member in members:
+            if member.polyhedron.dim != dim:
+                raise ValueError(f"polyhedron dim {member.polyhedron.dim} != index dim {dim}")
+        tree = self._tree
+        ranges: list[tuple[int, int, int, bool]] = []
+        stack: list[tuple[int, tuple[int, ...]]] = [(1, tuple(range(len(members))))]
         while stack:
-            node = stack.pop()
-            if cancel_check is not None:
-                cancel_check()
-            start, end, box = self._tree.visit_info(node, use_tight_boxes)
+            node, active = stack.pop()
+            live: list[int] = []
+            for m in active:
+                member = members[m]
+                if member.error is not None:
+                    continue
+                if member.cancel_check is not None:
+                    try:
+                        member.cancel_check()
+                    except BaseException as exc:
+                        member.error = exc
+                        continue
+                live.append(m)
+            if not live:
+                continue
+            start, end, box = tree.visit_info(node, use_tight_boxes)
             if start == end:
                 continue
-            stats.nodes_visited += 1
-            relation = polyhedron.classify_box(box)
-            if relation is BoxRelation.OUTSIDE:
-                stats.cells_outside += 1
-            elif relation is BoxRelation.INSIDE:
-                stats.cells_inside += 1
-                ranges.append((start, end, False))
-            elif self._tree.is_leaf(node):
-                stats.cells_partial += 1
-                ranges.append((start, end, True))
-            else:
-                stack.append(2 * node)
-                stack.append(2 * node + 1)
-        return ranges, stats
+            deeper: list[int] = []
+            for m in live:
+                stats = members[m].stats
+                stats.nodes_visited += 1
+                relation = members[m].polyhedron.classify_box(box)
+                if relation is BoxRelation.OUTSIDE:
+                    stats.cells_outside += 1
+                elif relation is BoxRelation.INSIDE:
+                    stats.cells_inside += 1
+                    ranges.append((m, start, end, False))
+                elif tree.is_leaf(node):
+                    stats.cells_partial += 1
+                    ranges.append((m, start, end, True))
+                else:
+                    deeper.append(m)
+            if deeper:
+                below = tuple(deeper)
+                stack.append((2 * node, below))
+                stack.append((2 * node + 1, below))
+        return ranges
 
-    def query_polyhedra(
-        self,
-        polyhedra: list[Polyhedron],
-        cancel_checks: list | None = None,
-        use_tight_boxes: bool = True,
-        use_zone_maps: bool = True,
-    ):
-        """Evaluate several polyhedron queries in one shared traversal.
+    def candidate_ranges(
+        self, members: Sequence[FetchMember], use_tight_boxes: bool = True
+    ) -> list[list[tuple[int, int]]]:
+        """Each member's clustered row ranges the traversal would fetch.
 
-        The Figure 4 logic lifted to a query set: every tree node is
-        visited once and classified against each member still unresolved
-        there, and the claimed row ranges of all members are served by a
-        shared fetch pass that decodes each page once.  Returns
-        per-member ``(rows, stats, error)`` triples plus the shared-work
-        counters -- see :func:`repro.core.batch.batch_kd_query`.
+        Runs :meth:`traverse` only -- no page I/O -- and returns, per
+        member, the ``[start, end)`` ranges of its INSIDE subtrees and
+        PARTIAL leaves.  The union of a member's ranges is a
+        conservative superset of its answer's main-tier rows; the hybrid
+        engine intersects it with the bitmap candidate set.
         """
-        from repro.core.batch import batch_kd_query
-
-        return batch_kd_query(
-            self,
-            polyhedra,
-            cancel_checks=cancel_checks,
-            use_tight_boxes=use_tight_boxes,
-            use_zone_maps=use_zone_maps,
-        )
+        per_member: list[list[tuple[int, int]]] = [[] for _ in members]
+        for m, start, end, _ in self.traverse(members, use_tight_boxes):
+            per_member[m].append((start, end))
+        return per_member
 
     def query_polyhedron_stream(self, polyhedron: Polyhedron, use_tight_boxes: bool = True):
         """Streaming variant of :meth:`query_polyhedron`.
@@ -648,12 +614,14 @@ class KdTreeIndex(SpatialIndex):
         consuming INSIDE subtrees while partial leaves are still being
         fetched and filtered.
         """
-        ranges, _ = self._traverse(polyhedron, use_tight_boxes)
-        pruner = self._pruner(polyhedron)
+        member = FetchMember(polyhedron=polyhedron, dims=self._dims)
+        ranges = self.traverse([member], use_tight_boxes)
+        zone_map = self._table.zone_map()
+        if zone_map is not None:
+            member.pruner = zone_map.pruner(polyhedron, self._dims)
         snapshot = self._table.delta_snapshot()
         tombstones = snapshot.tombstones if snapshot is not None else None
-        member = FetchMember(polyhedron=polyhedron, dims=self._dims, pruner=pruner)
-        for start, end, needs_filter in ranges:
+        for _, start, end, needs_filter in ranges:
             rows, _ = solo(
                 fetch(
                     self._table,
@@ -668,13 +636,6 @@ class KdTreeIndex(SpatialIndex):
         piece = delta_piece(snapshot, member)
         if piece is not None:
             yield piece, BoxRelation.PARTIAL
-
-    def _pruner(self, polyhedron: Polyhedron):
-        """Page-granular zone-map pruner for this query, or ``None``."""
-        zone_map = self._table.zone_map()
-        if zone_map is None:
-            return None
-        return zone_map.pruner(polyhedron, self._dims)
 
     def leaf_rows(
         self, leaf: int, tombstones=AUTO_TOMBSTONES

@@ -16,6 +16,11 @@ implements that loop the way a real engine would:
 3. execute and report both the choice and the estimate, so experiments
    can score the planner against exhaustive execution.
 
+There is one execution path.  :meth:`QueryPlanner.execute_batch` plans
+each member, groups the members by chosen engine and runs one shared
+pass per group; :meth:`QueryPlanner.execute` is a batch of one that
+re-raises its member's error.
+
 The cost model is calibrated online: per engine, an EWMA of
 actual/predicted pages decoded multiplies future predictions, and the
 running estimated-vs-actual selectivity error feeds back into the
@@ -23,12 +28,14 @@ bitmap cost's candidate fraction.  ``cost_report()`` exposes the
 calibration state for tests and the service metrics.
 
 The planner is also where the engine degrades gracefully under storage
-faults: when an index path dies on an unrecoverable
-:class:`~repro.db.errors.StorageFault` (every retry budget below it
-exhausted), the planner falls back to the full scan rather than failing
-the query -- the scan re-reads the pages, and a transient burst that
-killed the traversal has usually passed.  Fallbacks are reported on the
-:class:`PlannedQuery` so the service can surface them in its metrics.
+faults, by one rule: when a kd, bitmap or hybrid group's shared pass
+dies on an unrecoverable :class:`~repro.db.errors.StorageFault` (every
+retry budget below it exhausted), its members join the scan group,
+which runs last -- the scan re-reads the pages, and a transient burst
+that killed the traversal has usually passed.  A fault in the scan pass
+itself is the error of every member in it.  Fallbacks are reported on
+the :class:`PlannedQuery` so the service can surface them in its
+metrics.
 """
 
 from __future__ import annotations
@@ -40,16 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmap.executor import (
-    batch_bitmap_query,
-    batch_hybrid_query,
-    bitmap_query,
-    hybrid_query,
-)
+from repro.bitmap.executor import batch_bitmap_query, batch_hybrid_query
 from repro.bitmap.index import axis_bounds
 from repro.core.batch import BatchMemberResult, BatchResult, batch_kd_query
 from repro.core.kdtree import KdTreeIndex
-from repro.core.queries import polyhedron_batch_full_scan, polyhedron_full_scan
+from repro.core.queries import polyhedron_batch_full_scan
 from repro.db.errors import StaleLayoutError, StorageFault
 from repro.db.stats import QueryStats
 from repro.geometry.halfspace import Polyhedron
@@ -73,7 +75,10 @@ _CALIBRATION_ALPHA = 0.2
 #: query cannot swing an engine's calibration by orders of magnitude.
 _CALIBRATION_CLAMP = (0.1, 10.0)
 
-_ENGINES = ("kdtree", "scan", "bitmap", "hybrid")
+#: The engines, in the order a batch runs their member groups: the scan
+#: last, so members of an index group whose shared pass died on a
+#: storage fault can still join it.
+_ENGINES = ("kdtree", "bitmap", "hybrid", "scan")
 
 #: Cost weight of one paged-index node page relative to a data page.
 #: Node pages are small, compressed, and usually node-cache resident,
@@ -86,6 +91,24 @@ def _rows_for(bitmap, candidates):
     if candidates is not None and candidates[0] is bitmap:
         return candidates[1]
     return None
+
+
+@dataclass
+class _Plan:
+    """One member's planning outcome, carried to its finalisation.
+
+    ``candidates`` is as from :meth:`QueryPlanner._raw_costs`; a group
+    that degrades to the scan sets ``fallback`` / ``reason``.
+    """
+
+    engine: str
+    estimate: float
+    probed: int
+    raw: dict
+    calibrated: dict
+    candidates: tuple | None
+    fallback: bool = False
+    reason: str = ""
 
 
 @dataclass
@@ -598,14 +621,12 @@ class QueryPlanner:
 
     # -- planning -----------------------------------------------------------
 
-    def _plan_member(self, polyhedron: Polyhedron, memberships):
+    def _plan_member(self, polyhedron: Polyhedron, memberships) -> _Plan:
         """Estimate + engine choice for one query.
 
-        Returns ``(engine, estimate, probed, fallback, reason, raw,
-        calibrated, candidates)`` -- ``candidates`` as from
-        :meth:`_raw_costs`.  The estimate folds the membership lists'
-        bin-mass fraction in (when a bitmap index can supply one), so an
-        IN-list query over a full-space box still reads as selective.
+        The estimate folds the membership lists' bin-mass fraction in
+        (when a bitmap index can supply one), so an IN-list query over a
+        full-space box still reads as selective.
         """
         fallback = False
         reason = ""
@@ -628,34 +649,36 @@ class QueryPlanner:
         engine, calibrated, forced_reason = self._choose_engine(estimate, raw)
         if forced_reason and not fallback:
             fallback, reason = True, forced_reason
-        return engine, estimate, probed, fallback, reason, raw, calibrated, candidates
+        return _Plan(engine, estimate, probed, raw, calibrated, candidates, fallback, reason)
 
     def execute(
         self, polyhedron: Polyhedron, cancel_check=None, memberships=None
     ) -> PlannedQuery:
         """Estimate, choose a path, run, and report.
 
-        ``cancel_check`` is a zero-argument callable (or ``None``) run
-        between planning and execution and inside the chosen executor's
-        page/node loops; raising from it abandons the query cooperatively
-        -- this is how the query service enforces per-query deadlines.
-        ``memberships`` maps column names to IN-list value arrays, ANDed
-        with the polyhedron on every engine.
+        A batch of one of :meth:`execute_batch`, unwrapped: the member's
+        error, if any, is raised here.  ``cancel_check`` is a
+        zero-argument callable (or ``None``) run before planning and
+        inside the chosen executor's page/node loops; raising from it
+        abandons the query cooperatively -- this is how the query
+        service enforces per-query deadlines.  ``memberships`` maps
+        column names to IN-list value arrays, ANDed with the polyhedron
+        on every engine.
 
         Degradation: a :class:`~repro.db.errors.StorageFault` during the
         selectivity probe forfeits the estimate (the scan path is chosen,
         which needs none); one during an index path (kd, bitmap, hybrid)
         falls back to the full scan.  A fault from the scan itself
-        propagates -- there is nothing cheaper left to degrade to.
-
-        A :class:`~repro.db.errors.StaleLayoutError` is different: it
-        means a background merge retired the generation this query was
-        reading, so the whole query re-runs against the re-resolved
-        current layout (see :meth:`_retry_when_stale`).
+        propagates -- there is nothing cheaper left to degrade to.  A
+        :class:`~repro.db.errors.StaleLayoutError` re-runs the query
+        against the current layout (see :meth:`_retry_when_stale`).
         """
-        return self._retry_when_stale(
-            lambda: self._execute_once(polyhedron, cancel_check, memberships)
-        )
+        (member,) = self._retry_when_stale(
+            lambda: self._run_members([polyhedron], [cancel_check], [memberships])
+        ).members
+        if member.error is not None:
+            raise member.error
+        return member.planned
 
     def _retry_when_stale(self, attempt):
         """Run ``attempt``, re-running it whenever the layout moved under it.
@@ -678,74 +701,6 @@ class QueryPlanner:
                     raise
         return attempt()
 
-    def _run_engine(
-        self, engine: str, polyhedron, cancel_check, memberships, candidates=None
-    ):
-        """Dispatch one query to one engine; returns ``(rows, stats)``."""
-        if engine == "kdtree":
-            return self.index.query_polyhedron(
-                polyhedron, cancel_check=cancel_check, memberships=memberships
-            )
-        if engine in ("bitmap", "hybrid"):
-            bitmap = self.bitmap_index
-            common = dict(
-                memberships=memberships,
-                cancel_check=cancel_check,
-                candidate_rows=_rows_for(bitmap, candidates),
-            )
-            if engine == "bitmap":
-                return bitmap_query(bitmap, polyhedron, **common)
-            return hybrid_query(self.index, bitmap, polyhedron, **common)
-        return polyhedron_full_scan(
-            self.index.table,
-            self.index.dims,
-            polyhedron,
-            cancel_check=cancel_check,
-            memberships=memberships,
-        )
-
-    def _execute_once(
-        self, polyhedron: Polyhedron, cancel_check=None, memberships=None
-    ) -> PlannedQuery:
-        """One planning-and-execution attempt against the current layout."""
-        if cancel_check is not None:
-            cancel_check()
-        engine, estimate, probed, fallback, reason, raw, calibrated, candidates = (
-            self._plan_member(polyhedron, memberships)
-        )
-        if cancel_check is not None:
-            cancel_check()
-        started = time.perf_counter()
-        try:
-            rows, stats = self._run_engine(
-                engine, polyhedron, cancel_check, memberships, candidates
-            )
-            path = engine
-        except StorageFault as exc:
-            if engine == "scan":
-                raise
-            fallback = True
-            reason = f"{engine} path failed: {type(exc).__name__}"
-            rows, stats = self._run_engine("scan", polyhedron, cancel_check, memberships)
-            path = "scan"
-        planned = self._finalize(
-            PlannedQuery(
-                rows=rows,
-                stats=stats,
-                chosen_path=path,
-                estimated_selectivity=estimate,
-                sampled_pages=probed,
-                fallback=fallback,
-                fallback_reason=reason,
-            ),
-            raw,
-            calibrated,
-        )
-        self._record_trace(
-            polyhedron, memberships, planned, time.perf_counter() - started
-        )
-        return planned
-
     def execute_batch(
         self, polyhedra, cancel_checks=None, memberships_list=None
     ) -> BatchResult:
@@ -754,33 +709,32 @@ class QueryPlanner:
         Members are planned individually (the cached probe makes the
         estimates zero-I/O after the first), then grouped by chosen
         engine: the kd group runs one multi-box traversal
-        (:func:`~repro.core.batch.batch_kd_query`), the scan group one
-        shared scan pass, and the bitmap / hybrid groups one shared
-        candidate-page fetch each -- a batch's members may split across
+        (:func:`~repro.core.batch.batch_kd_query`), the bitmap / hybrid
+        groups one shared candidate-page fetch each, and the scan group
+        one shared scan pass -- a batch's members may split across
         engines, every group decoding each needed page once for all of
         its members.
 
         Isolation matches the batch executors underneath: a member whose
-        ``cancel_check`` raises is recorded as that member's ``error``
+        ``cancel_check`` raises, or whose polyhedron does not match the
+        index's dimensionality, is recorded as that member's ``error``
         and its siblings keep going.  A :class:`StorageFault` that kills
-        a *shared* pass degrades that group's members to independent
-        :meth:`execute` calls -- each then gets the solo path's own retry
-        and fallback-to-scan, and one member's terminal fault cannot
-        take down the rest of the batch.
+        a kd, bitmap or hybrid group's shared pass moves that group's
+        members into the scan group, which runs last, flagged as a
+        fallback; one that kills the scan pass becomes the error of each
+        member in it.
 
         A :class:`~repro.db.errors.StaleLayoutError` anywhere in the
         batch (a merge retired the layout mid-flight) restarts the whole
-        batch against the re-resolved current layout, exactly like the
-        solo path (see :meth:`_retry_when_stale`).
+        batch against the re-resolved current layout (see
+        :meth:`_retry_when_stale`).
         """
         return self._retry_when_stale(
-            lambda: self._execute_batch_once(polyhedra, cancel_checks, memberships_list)
+            lambda: self._run_members(polyhedra, cancel_checks, memberships_list)
         )
 
-    def _execute_batch_once(
-        self, polyhedra, cancel_checks=None, memberships_list=None
-    ) -> BatchResult:
-        """One shared-work attempt against the current layout."""
+    def _run_members(self, polyhedra, cancel_checks, memberships_list) -> BatchResult:
+        """One planning-and-execution attempt against the current layout."""
         n = len(polyhedra)
         checks = list(cancel_checks) if cancel_checks is not None else [None] * n
         member_filters = (
@@ -789,121 +743,87 @@ class QueryPlanner:
         result = BatchResult(
             members=[BatchMemberResult() for _ in range(n)], occupancy=n
         )
-        # (estimate, probed, fallback, reason, raw, calibrated,
-        # candidates) per member; None = errored before planning finished.
-        plans: list[tuple | None] = [None] * n
+        plans: list[_Plan | None] = [None] * n
         groups: dict[str, list[int]] = {name: [] for name in _ENGINES}
+        dim = len(self.index.dims)
         for m, (polyhedron, check) in enumerate(zip(polyhedra, checks)):
-            if check is not None:
-                try:
+            try:
+                if check is not None:
                     check()
-                except BaseException as exc:
-                    result.members[m].error = exc
-                    continue
-            engine, *plans[m] = self._plan_member(polyhedron, member_filters[m])
-            groups[engine].append(m)
+                if polyhedron.dim != dim:
+                    raise ValueError(
+                        f"polyhedron dim {polyhedron.dim} != index dim {dim}"
+                    )
+            except BaseException as exc:
+                result.members[m].error = exc
+                continue
+            plans[m] = self._plan_member(polyhedron, member_filters[m])
+            groups[plans[m].engine].append(m)
 
-        bitmap = self.bitmap_index
-        runners = {
-            "kdtree": lambda polys, chks, mlist, cands: batch_kd_query(
-                self.index, polys, chks, memberships_list=mlist
-            ),
-            "scan": lambda polys, chks, mlist, cands: polyhedron_batch_full_scan(
-                self.index.table, self.index.dims, polys, chks,
-                memberships_list=mlist,
-            ),
-            "bitmap": lambda polys, chks, mlist, cands: batch_bitmap_query(
-                bitmap, polys, chks, memberships_list=mlist,
-                candidate_rows_list=[_rows_for(bitmap, c) for c in cands],
-            ),
-            "hybrid": lambda polys, chks, mlist, cands: batch_hybrid_query(
-                self.index, bitmap, polys, chks, memberships_list=mlist,
-                candidate_rows_list=[_rows_for(bitmap, c) for c in cands],
-            ),
-        }
         for engine in _ENGINES:
-            self._run_group(
-                groups[engine],
-                polyhedra,
-                checks,
-                member_filters,
-                plans,
-                result,
-                path=engine,
-                runner=runners[engine],
-            )
+            group = groups[engine]
+            if not group:
+                continue
+            started = time.perf_counter()
+            try:
+                outcomes, counters = self._run_group(
+                    engine,
+                    [polyhedra[m] for m in group],
+                    [checks[m] for m in group],
+                    [member_filters[m] for m in group],
+                    [plans[m].candidates for m in group],
+                )
+            except StorageFault as exc:
+                if engine == "scan":
+                    for m in group:
+                        result.members[m].error = exc
+                    continue
+                for m in group:
+                    plans[m].fallback = True
+                    plans[m].reason = f"{engine} path failed: {type(exc).__name__}"
+                groups["scan"] += group
+                continue
+            result.pages_decoded += counters["pages_decoded"]
+            result.shared_decode_hits += counters["shared_decode_hits"]
+            # The shared pass served the whole group at once; attribute an
+            # equal share of its wall time to each member's trace entry.
+            member_wall = (time.perf_counter() - started) / len(group)
+            for m, (rows, stats, error) in zip(group, outcomes):
+                if error is not None:
+                    result.members[m].error = error
+                    continue
+                plan = plans[m]
+                planned = self._finalize(
+                    PlannedQuery(
+                        rows=rows,
+                        stats=stats,
+                        chosen_path=engine,
+                        estimated_selectivity=plan.estimate,
+                        sampled_pages=plan.probed,
+                        fallback=plan.fallback,
+                        fallback_reason=plan.reason,
+                    ),
+                    plan.raw,
+                    plan.calibrated,
+                )
+                result.members[m].planned = planned
+                self._record_trace(polyhedra[m], member_filters[m], planned, member_wall)
         return result
 
-    def _run_group(
-        self,
-        group: list[int],
-        polyhedra,
-        checks,
-        member_filters,
-        plans,
-        result: BatchResult,
-        path: str,
-        runner,
-    ) -> None:
-        """Run one same-engine member group through its shared executor.
-
-        Fills ``result.members[m]`` for every ``m`` in ``group`` and
-        folds the group's shared-work counters into ``result``.  On a
-        group-level :class:`StorageFault` every member is re-run solo.
-        """
-        if not group:
-            return
-        started = time.perf_counter()
-        try:
-            outcomes, counters = runner(
-                [polyhedra[m] for m in group],
-                [checks[m] for m in group],
-                [member_filters[m] for m in group],
-                [plans[m][-1] for m in group],
+    def _run_group(self, engine: str, polyhedra, checks, member_filters, candidates):
+        """One engine's shared pass over a member group: ``(outcomes, counters)``."""
+        index = self.index
+        if engine == "kdtree":
+            return batch_kd_query(index, polyhedra, checks, memberships_list=member_filters)
+        if engine == "scan":
+            return polyhedron_batch_full_scan(
+                index.table, index.dims, polyhedra, checks, memberships_list=member_filters
             )
-        except StorageFault as exc:
-            # The shared pass died; peel the members apart so each gets
-            # the solo path's own retries and fallback, and a terminal
-            # fault stays confined to its member.
-            reason = f"batch {path} pass failed: {type(exc).__name__}"
-            for m in group:
-                try:
-                    planned = self.execute(
-                        polyhedra[m],
-                        cancel_check=checks[m],
-                        memberships=member_filters[m],
-                    )
-                except BaseException as solo_exc:
-                    result.members[m].error = solo_exc
-                    continue
-                if not planned.fallback:
-                    planned.fallback = True
-                    planned.fallback_reason = reason
-                result.members[m].planned = planned
-            return
-        group_wall = time.perf_counter() - started
-        result.pages_decoded += counters["pages_decoded"]
-        result.shared_decode_hits += counters["shared_decode_hits"]
-        # The shared pass served the whole group at once; attribute an
-        # equal share of its wall time to each member's trace entry.
-        member_wall = group_wall / max(1, len(group))
-        for m, (rows, stats, error) in zip(group, outcomes):
-            if error is not None:
-                result.members[m].error = error
-                continue
-            estimate, probed, fallback, reason, raw, calibrated, _ = plans[m]
-            planned = self._finalize(
-                PlannedQuery(
-                    rows=rows,
-                    stats=stats,
-                    chosen_path=path,
-                    estimated_selectivity=estimate,
-                    sampled_pages=probed,
-                    fallback=fallback,
-                    fallback_reason=reason,
-                ),
-                raw,
-                calibrated,
-            )
-            result.members[m].planned = planned
-            self._record_trace(polyhedra[m], member_filters[m], planned, member_wall)
+        bitmap = self.bitmap_index
+        common = dict(
+            memberships_list=member_filters,
+            candidate_rows_list=[_rows_for(bitmap, c) for c in candidates],
+        )
+        if engine == "bitmap":
+            return batch_bitmap_query(bitmap, polyhedra, checks, **common)
+        return batch_hybrid_query(index, bitmap, polyhedra, checks, **common)

@@ -9,13 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.db.scan import (
-    BatchScanMember,
-    PartialOnlyPruner,
-    batch_full_scan,
-    full_scan,
-    membership_predicate,
-)
+from repro.db.fetch import Outcome, query_members, solo
+from repro.db.scan import batch_full_scan
 from repro.db.stats import QueryStats
 from repro.db.table import Table
 from repro.geometry.halfspace import Polyhedron
@@ -33,37 +28,19 @@ def polyhedron_full_scan(
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Evaluate a polyhedron query by scanning every page (the baseline).
 
-    ``cancel_check`` is forwarded to :func:`repro.db.scan.full_scan` and
-    runs once per page (cooperative deadline cancellation).  When the
-    table carries a zone map covering ``dims`` (and ``use_zone_maps`` is
-    left on), pages whose min/max box is disjoint from the polyhedron are
-    skipped before any read, and fully-inside pages skip the per-point
-    filter -- the "baseline" then behaves like a poor man's index, which
-    is exactly the comparison the I/O bench draws.
-
-    ``memberships`` ANDs vectorized IN-list filters into the predicate;
-    the zone pruner (built from the polyhedron alone) then keeps its
-    OUTSIDE skipping but loses the INSIDE filter skip, which would be
-    unsound under the stronger predicate.
+    A batch of one of :func:`polyhedron_batch_full_scan`.
+    ``cancel_check`` runs once per page (cooperative deadline
+    cancellation); whatever it raises is re-raised here.
     """
-    if polyhedron.dim != len(dims):
-        raise ValueError(f"polyhedron dim {polyhedron.dim} != len(dims) {len(dims)}")
-
-    def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-        pts = np.column_stack([columns[d] for d in dims])
-        return polyhedron.contains_points(pts)
-
-    if memberships:
-        predicate = membership_predicate(memberships, base=predicate)
-    pruner = None
-    if use_zone_maps:
-        zone_map = table.zone_map()
-        if zone_map is not None:
-            pruner = zone_map.pruner(polyhedron, dims)
-            if memberships:
-                pruner = PartialOnlyPruner(pruner)
-    return full_scan(
-        table, predicate=predicate, cancel_check=cancel_check, pruner=pruner
+    return solo(
+        polyhedron_batch_full_scan(
+            table,
+            dims,
+            [polyhedron],
+            [cancel_check],
+            use_zone_maps=use_zone_maps,
+            memberships_list=[memberships],
+        )
     )
 
 
@@ -74,54 +51,28 @@ def polyhedron_batch_full_scan(
     cancel_checks: list | None = None,
     use_zone_maps: bool = True,
     memberships_list: list[dict | None] | None = None,
-) -> tuple[list[tuple[dict[str, np.ndarray] | None, QueryStats, BaseException | None]], dict]:
+) -> tuple[list[Outcome], dict]:
     """Evaluate several polyhedron queries in one shared scan pass.
 
-    The multi-query analog of :func:`polyhedron_full_scan`: each
-    surviving page is read and decoded once and every member's predicate
-    is evaluated vectorized against the shared column arrays; per-page
-    pruning is the union of the members' zone-map pruners.  Per-member
-    results (rows, stats, error) and the shared-work counters come back
-    exactly as from :func:`repro.db.scan.batch_full_scan`.
-    ``memberships_list`` adds per-member IN-list filters, handled as in
-    the solo scan.
+    Each surviving page is read and decoded once and every member's
+    polyhedron (over ``dims``) is evaluated vectorized against the
+    shared column arrays; per-member results (rows, stats, error) and
+    the shared-work counters come back exactly as from
+    :func:`repro.db.scan.batch_full_scan`.
+
+    When the table carries a zone map covering ``dims`` (and
+    ``use_zone_maps`` is left on), a member skips pages whose min/max
+    box is disjoint from its polyhedron before any read, and its
+    polyhedron test on pages fully inside it -- the "baseline" then
+    behaves like a poor man's index, which is exactly the comparison the
+    I/O bench draws.  ``memberships_list`` adds per-member IN-list
+    filters, which apply to every page the member reads.
     """
-    checks = list(cancel_checks) if cancel_checks is not None else [None] * len(polyhedra)
-    member_filters = (
-        list(memberships_list)
-        if memberships_list is not None
-        else [None] * len(polyhedra)
-    )
+    members = query_members(polyhedra, dims, cancel_checks, memberships_list)
     zone_map = table.zone_map() if use_zone_maps else None
-
-    def make_predicate(polyhedron: Polyhedron, memberships: dict | None):
-        if polyhedron.dim != len(dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != len(dims) {len(dims)}"
-            )
-
-        def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-            pts = np.column_stack([columns[d] for d in dims])
-            return polyhedron.contains_points(pts)
-
-        if memberships:
-            return membership_predicate(memberships, base=predicate)
-        return predicate
-
-    def make_pruner(polyhedron: Polyhedron, memberships: dict | None):
-        if zone_map is None:
-            return None
-        pruner = zone_map.pruner(polyhedron, dims)
-        return PartialOnlyPruner(pruner) if memberships else pruner
-
-    members = [
-        BatchScanMember(
-            predicate=make_predicate(polyhedron, memberships),
-            pruner=make_pruner(polyhedron, memberships),
-            cancel_check=check,
-        )
-        for polyhedron, check, memberships in zip(polyhedra, checks, member_filters)
-    ]
+    if zone_map is not None:
+        for member in members:
+            member.pruner = zone_map.pruner(member.polyhedron, dims)
     return batch_full_scan(table, members)
 
 

@@ -27,11 +27,15 @@ member consumes a page, per-member ``QueryStats``, the ``pages_decoded``
 rows, the residual, tombstone suppression, and the delta tier's
 merge-on-read piece.  Pages are read in the order the segment list first
 names them, and a page serves all of its segments at that one read.
-Engines therefore hand their segments over in page order -- the batch
-engines sort theirs, which is what lets read-ahead runs span members --
-except the solo kd query, which keeps the traversal's right-to-left
-range order: a query that ends on the low pages leaves in the buffer
-pool exactly what the next ascending scan starts with.
+
+One order rule holds for every engine and every batch size, a batch of
+one included: segments come in the order the engine's candidate
+generation produces them, never re-sorted.  The scan and the bitmap
+engines produce ascending pages, page-major across members.  The kd
+traversal produces right-first depth-first range order, every member
+resolving at a node named together, so pages the members share still
+coalesce; a query that ends on the low pages leaves in the buffer pool
+exactly what the next ascending scan starts with.
 
 The read unit is the **run**: consecutive planned pages, at most the
 read-ahead window long, are fetched with one
@@ -73,6 +77,7 @@ __all__ = [
     "delta_piece",
     "fetch",
     "offset_segments",
+    "query_members",
     "range_segments",
     "solo",
 ]
@@ -117,6 +122,29 @@ class FetchMember:
     cancel_check: Callable[[], None] | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: BaseException | None = None
+
+
+def query_members(
+    polyhedra: Sequence[Polyhedron | None],
+    dims: Sequence[str],
+    cancel_checks: Sequence[Callable[[], None] | None] | None = None,
+    memberships_list: Sequence[dict | None] | None = None,
+) -> list[FetchMember]:
+    """One member per polyhedron query over ``dims``, with its check and IN-lists.
+
+    Raises :class:`ValueError` when a polyhedron's dimensionality is not
+    ``len(dims)``.
+    """
+    n = len(polyhedra)
+    checks = cancel_checks if cancel_checks is not None else [None] * n
+    memberships = memberships_list if memberships_list is not None else [None] * n
+    for polyhedron in polyhedra:
+        if polyhedron is not None and polyhedron.dim != len(dims):
+            raise ValueError(f"polyhedron dim {polyhedron.dim} != index dim {len(dims)}")
+    return [
+        FetchMember(polyhedron=polyhedron, dims=dims, memberships=listed, cancel_check=check)
+        for polyhedron, check, listed in zip(polyhedra, checks, memberships)
+    ]
 
 
 class _Gathered(dict):

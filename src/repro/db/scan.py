@@ -6,9 +6,9 @@ scan (``BETWEEN`` over the clustered position).
 
 A scan's candidates are simply "every row of these pages"; reading,
 filtering and merge-on-read are the fetch kernel's
-(:mod:`repro.db.fetch`), which the executors here call with one member
-(or one per query for :func:`batch_full_scan`).  What they inherit from
-it:
+(:mod:`repro.db.fetch`), which the executors here call with one member,
+or with the caller's :class:`~repro.db.fetch.FetchMember` per query for
+:func:`batch_full_scan`.  What they inherit from it:
 
 * a per-page retry budget (``retry``) on top of the buffer pool's: when
   the pool exhausts its backoff on a page, the scan re-attempts that one
@@ -30,7 +30,6 @@ it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,15 +40,11 @@ from repro.db.fetch import SCAN_RETRY, FetchMember, Outcome, fetch, range_segmen
 from repro.db.stats import QueryStats
 from repro.db.table import Table
 from repro.db.zonemap import ZonePruner
-from repro.geometry.boxes import BoxRelation
 
 __all__ = [
-    "BatchScanMember",
-    "PartialOnlyPruner",
     "batch_full_scan",
     "full_scan",
     "range_scan",
-    "membership_predicate",
     "predicate_from_expression",
     "AUTO_TOMBSTONES",
     "SCAN_RETRY",
@@ -84,50 +79,6 @@ def _scan_member(predicate, pruner, cancel_check) -> FetchMember:
     if isinstance(predicate, Expr):
         predicate = predicate_from_expression(predicate)
     return FetchMember(predicate=predicate, pruner=pruner, cancel_check=cancel_check)
-
-
-def membership_predicate(
-    memberships: dict[str, np.ndarray],
-    base: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
-) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
-    """Vectorized IN-list filter: AND of ``np.isin`` per column.
-
-    ``base`` (when given) is a predicate to AND in front -- how the scan
-    and kd engines degrade membership predicates that the bitmap engine
-    evaluates natively.  ``memberships`` must be non-empty.
-    """
-    if not memberships:
-        raise ValueError("memberships must be non-empty")
-    pairs = [(col, np.asarray(values)) for col, values in memberships.items()]
-
-    def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-        mask = None if base is None else np.asarray(base(columns), dtype=bool)
-        for col, values in pairs:
-            piece = np.isin(columns[col], values)
-            mask = piece if mask is None else mask & piece
-        return mask
-
-    return predicate
-
-
-class PartialOnlyPruner:
-    """A zone pruner whose INSIDE verdicts are demoted to PARTIAL.
-
-    The scan executors skip the residual predicate on pages the pruner
-    proves INSIDE -- sound only while predicate and pruner share the
-    same geometry.  When the predicate is *stronger* (polyhedron AND
-    membership filter), INSIDE pages still need the filter; this wrapper
-    keeps the OUTSIDE page skipping and gives up only the filter skip.
-    """
-
-    def __init__(self, pruner: ZonePruner):
-        self._pruner = pruner
-
-    def classify(self, page_id: int) -> BoxRelation:
-        relation = self._pruner.classify(page_id)
-        return (
-            BoxRelation.PARTIAL if relation is BoxRelation.INSIDE else relation
-        )
 
 
 def predicate_from_expression(expr: Expr) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
@@ -221,37 +172,22 @@ def range_scan(
     )
 
 
-@dataclass
-class BatchScanMember:
-    """One query's slice of a shared multi-predicate scan.
-
-    ``predicate=None`` means every row qualifies (the member's geometry
-    is known to contain the whole table, e.g. a shard routed INSIDE).
-    ``pruner`` and ``cancel_check`` behave exactly as their solo-scan
-    counterparts, but per member: a member whose pruner rejects a page
-    skips it even while siblings read it, and a member whose check
-    raises drops out of the batch without disturbing the others.
-    """
-
-    predicate: Predicate | None = None
-    pruner: ZonePruner | None = None
-    cancel_check: Callable[[], None] | None = None
-
-
 def batch_full_scan(
     table: Table,
-    members: list[BatchScanMember],
+    members: list[FetchMember],
     retry: RetryPolicy | None = SCAN_RETRY,
     readahead: int | None = None,
     tombstones=AUTO_TOMBSTONES,
     include_delta: bool = True,
 ) -> tuple[list[Outcome], dict]:
-    """One pass over the table evaluating every member's predicate.
+    """One pass over the table evaluating every member's residual.
 
     The cooperative-scan move: instead of N concurrent queries each
     reading, verifying, and decoding the same pages, one scan decodes
-    each surviving page once and evaluates all member predicates against
-    the shared column arrays.  Page pruning is the *union* of the member
+    each surviving page once and evaluates every member's residual --
+    its polyhedron over its ``dims`` or its predicate (neither: every
+    row qualifies), then its IN-list ``memberships`` -- against the
+    shared column arrays.  Page pruning is the *union* of the member
     pruners -- a page is read iff at least one member wants it, and each
     member that pruned it still counts it in its own ``pages_skipped``
     exactly as a solo scan would.
@@ -261,8 +197,7 @@ def batch_full_scan(
     removes that member from the rest of the scan -- its error is
     reported in its result slot, its partial rows are discarded, and its
     siblings continue undisturbed.  A :class:`StorageFault` from the
-    shared read path (after retries) propagates to the caller, who may
-    degrade the batch to solo execution.
+    shared read path (after retries) propagates to the caller.
 
     Returns ``(results, counters)``: ``results[i]`` is
     ``(rows, stats, error)`` with ``rows=None`` iff ``error`` is set;
@@ -274,7 +209,7 @@ def batch_full_scan(
     tombstones, snapshot = _resolve_delta(table, tombstones, include_delta)
     return fetch(
         table,
-        [_scan_member(m.predicate, m.pruner, m.cancel_check) for m in members],
+        members,
         # Page-major, so every page is named in ascending order whichever
         # members prune it.
         [

@@ -52,12 +52,8 @@ import numpy as np
 from repro.core.batch import BatchMemberResult, BatchResult
 from repro.core.planner import PlannedQuery
 from repro.db.errors import StorageFault
-from repro.db.scan import (
-    BatchScanMember,
-    batch_full_scan,
-    full_scan,
-    membership_predicate,
-)
+from repro.db.fetch import FetchMember
+from repro.db.scan import batch_full_scan
 from repro.db.stats import QueryStats
 from repro.geometry.boxes import Box, BoxRelation
 from repro.geometry.halfspace import Polyhedron
@@ -101,14 +97,18 @@ def _inside(rows: dict, stats: QueryStats) -> PlannedQuery:
     )
 
 
-def _scan_alone(table, member: BatchScanMember) -> tuple:
+def _inside_member(member: tuple) -> FetchMember:
+    """A member whose shard lies INSIDE its polyhedron: IN-lists only."""
+    _, check, memberships = member
+    return FetchMember(memberships=memberships, cancel_check=check)
+
+
+def _scan_alone(table, member: FetchMember) -> tuple:
     try:
-        rows, stats = full_scan(
-            table, predicate=member.predicate, cancel_check=member.cancel_check
-        )
+        (outcome,), _ = batch_full_scan(table, [member])
     except Exception as exc:
         return None, None, exc
-    return rows, stats, None
+    return outcome
 
 
 def run_member_group(
@@ -145,19 +145,14 @@ def run_member_group(
         inside = [i for i, member in enumerate(members) if member[0] is None]
         partial = [i for i, member in enumerate(members) if member[0] is not None]
         if inside:
-            scan = [
-                BatchScanMember(
-                    predicate=(
-                        membership_predicate(members[i][2]) if members[i][2] else None
-                    ),
-                    cancel_check=members[i][1],
-                )
-                for i in inside
-            ]
             try:
-                scanned, shared = batch_full_scan(table, scan)
+                scanned, shared = batch_full_scan(
+                    table, [_inside_member(members[i]) for i in inside]
+                )
             except StorageFault:
-                scanned = [_scan_alone(table, member) for member in scan]
+                scanned = [
+                    _scan_alone(table, _inside_member(members[i])) for i in inside
+                ]
             else:
                 for key in counters:
                     counters[key] += shared[key]

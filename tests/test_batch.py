@@ -2,9 +2,9 @@
 
 Fast-tier coverage of the micro-batching layer: the shared scan pass,
 the multi-box kd traversal, the planner's batched front end (including
-degradation to solo execution on shared-pass faults and the cached
-selectivity probe), admission-queue batch formation, and the service's
-end-to-end batched serving with per-member deadline isolation.  The
+the degrade rule for shared-pass faults, malformed members and the
+cached selectivity probe), admission-queue batch formation, and the
+service's end-to-end batched serving with per-member deadline isolation.  The
 invariant everywhere: batched answers are byte-identical to solo
 answers, and one member's deadline, cancellation, or fault never
 disturbs its batch siblings.
@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from .faultutil import build_kd_setup, fault_free_ground_truth, oid_set
+from .faultutil import BANDS, build_kd_setup, fault_free_ground_truth, oid_set
+from .test_solo_batch_contract import SOLO_KD_READ_SEQUENCE, solo_kd_read_setup
 from repro import (
     Box,
     Database,
@@ -26,9 +27,11 @@ from repro import (
     FaultyStorage,
     KdPartitioner,
     Polyhedron,
+    QueryPlanner,
     QueryService,
     ScatterGatherExecutor,
 )
+from repro.bitmap import BitmapIndex
 from repro.core.batch import batch_kd_query
 from repro.core.queries import polyhedron_batch_full_scan, polyhedron_full_scan
 from repro.db.errors import StorageFault
@@ -45,6 +48,14 @@ SELECTIVITIES = [0.005, 0.02, 0.1, 0.3, 0.6]
 def kd_setup():
     """One kd-indexed magnitude table shared by the read-only tests."""
     return build_kd_setup(num_rows=4000, seed=7)
+
+
+@pytest.fixture(scope="module")
+def bitmap_setup():
+    """A kd- and bitmap-indexed table, so every engine can be forced."""
+    setup = build_kd_setup(num_rows=2000, seed=9)
+    BitmapIndex.build(setup.db, "mag", BANDS)
+    return setup
 
 
 def _mixed_polyhedra(setup, count: int, seed_offset: int = 0):
@@ -112,7 +123,7 @@ class TestBatchKdQuery:
     def test_matches_solo_kd_answers(self, kd_setup):
         polys = _mixed_polyhedra(kd_setup, 8)
         serial = [kd_setup.index.query_polyhedron(p) for p in polys]
-        results, counters = kd_setup.index.query_polyhedra(polys)
+        results, counters = batch_kd_query(kd_setup.index, polys)
         for (ref_rows, _), (rows, _, error) in zip(serial, results):
             assert error is None
             assert rows_equal(ref_rows, rows)
@@ -124,7 +135,7 @@ class TestBatchKdQuery:
         solo_pages = sum(
             kd_setup.index.query_polyhedron(p)[1].pages_touched for p in polys
         )
-        _, counters = kd_setup.index.query_polyhedra(polys)
+        _, counters = batch_kd_query(kd_setup.index, polys)
         assert counters["pages_decoded"] < solo_pages
         assert counters["shared_decode_hits"] > 0
 
@@ -175,21 +186,74 @@ class TestPlannerExecuteBatch:
                 continue
             assert rows_equal(ref_rows, member.planned.rows)
 
-    def test_shared_pass_fault_degrades_members_to_solo(self, kd_setup, monkeypatch):
+    def test_doomed_kd_pass_is_served_by_one_shared_scan(self, kd_setup, monkeypatch):
         polys = _mixed_polyhedra(kd_setup, 6)
         solo = [kd_setup.planner.execute(p) for p in polys]
+        assert any(ref.chosen_path == "kdtree" for ref in solo)
 
         def doomed(*args, **kwargs):
             raise StorageFault("shared pass died")
 
+        scans = []
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return polyhedron_batch_full_scan(*args, **kwargs)
+
         monkeypatch.setattr("repro.core.planner.batch_kd_query", doomed)
+        monkeypatch.setattr("repro.core.planner.polyhedron_batch_full_scan", counted_scan)
         batch = kd_setup.planner.execute_batch(polys)
+        assert len(scans) == 1
         for ref, member in zip(solo, batch.members):
             assert member.error is None
             assert rows_equal(ref.rows, member.planned.rows)
-            if ref.chosen_path == "kdtree":  # served via the degraded path
+            assert member.planned.chosen_path == "scan"
+            if ref.chosen_path == "kdtree":  # moved into the scan group
                 assert member.planned.fallback
-                assert "batch kdtree pass failed" in member.planned.fallback_reason
+                assert member.planned.fallback_reason == "kdtree path failed: StorageFault"
+
+    def test_doomed_scan_pass_fails_only_its_members(self, kd_setup, monkeypatch):
+        polys = _mixed_polyhedra(kd_setup, 8)
+        solo = [kd_setup.planner.execute(p) for p in polys]
+        paths = {ref.chosen_path for ref in solo}
+        assert {"kdtree", "scan"} <= paths
+
+        def doomed(*args, **kwargs):
+            raise StorageFault("scan pass died")
+
+        monkeypatch.setattr("repro.core.planner.polyhedron_batch_full_scan", doomed)
+        batch = kd_setup.planner.execute_batch(polys)
+        for ref, member in zip(solo, batch.members):
+            if ref.chosen_path == "scan":
+                assert isinstance(member.error, StorageFault)
+                assert member.planned is None
+            else:
+                assert member.error is None
+                assert rows_equal(ref.rows, member.planned.rows)
+        scanned = next(p for p, ref in zip(polys, solo) if ref.chosen_path == "scan")
+        with pytest.raises(StorageFault):
+            kd_setup.planner.execute(scanned)
+
+    @pytest.mark.parametrize("engine", ["auto", "kdtree", "scan", "bitmap", "hybrid"])
+    def test_malformed_member_fails_alone(self, bitmap_setup, engine):
+        good = _mixed_polyhedra(bitmap_setup, 2)
+        bad = Polyhedron.from_box(Box.unit(3))  # the index is 5-D
+        planner = QueryPlanner(bitmap_setup.index, seed=7, engine=engine)
+        batch = planner.execute_batch([good[0], bad, good[1]])
+        error = batch.members[1].error
+        assert isinstance(error, ValueError)
+        assert "3" in str(error) and "5" in str(error)
+        for idx, poly in ((0, good[0]), (2, good[1])):
+            assert batch.members[idx].error is None
+            assert rows_equal(planner.execute(poly).rows, batch.members[idx].planned.rows)
+        with pytest.raises(ValueError, match="polyhedron dim 3 != index dim 5"):
+            planner.execute(bad)
+
+    def test_batch_of_one_reads_in_solo_order(self, tmp_path):
+        storage, _, planner, polyhedron = solo_kd_read_setup(tmp_path / "db")
+        batch = planner.execute_batch([polyhedron])
+        assert batch.members[0].planned.chosen_path == "kdtree"
+        assert storage.reads == SOLO_KD_READ_SEQUENCE
 
 
 class TestSelectivityProbeCache:

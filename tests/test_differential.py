@@ -27,7 +27,8 @@ from repro import (
     knn_boundary_points,
     knn_brute_force,
 )
-from repro.db.scan import BatchScanMember, batch_full_scan
+from repro.db.fetch import FetchMember
+from repro.db.scan import batch_full_scan
 from repro.net.pool import ShardWorkerPool
 from repro.core.layered_grid import LayeredGridIndex
 from repro.core.queries import polyhedron_full_scan
@@ -351,7 +352,7 @@ class TestIngestDifferential:
                 np.column_stack([cols[d] for d in DIMS])
             )
 
-        members = [BatchScanMember(predicate=_pred(Polyhedron.from_box(b))) for b in boxes]
+        members = [FetchMember(predicate=_pred(Polyhedron.from_box(b))) for b in boxes]
         results, _ = batch_full_scan(table, members)
         for (rows, _, error), box in zip(results, boxes):
             assert error is None
