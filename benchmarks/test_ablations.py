@@ -176,16 +176,16 @@ def test_ablation_clustering(benchmark, bench_sample):
 
     def run():
         db = Database.in_memory(buffer_pages=None)
-        # paged=False: the leaf-row map below needs tree.permutation.
-        index = KdTreeIndex.build(
-            db, "abl_clustered", bench_sample.columns(), list(BANDS), paged=False
-        )
+        columns = bench_sample.columns()
+        columns["oid"] = np.arange(len(columns["cls"]), dtype=np.int64)
+        index = KdTreeIndex.build(db, "abl_clustered", columns, list(BANDS))
         tree = index.tree
         # Unclustered layout: the same rows, original (shuffled) order.
-        unclustered = db.create_table("abl_unclustered", bench_sample.columns())
-        # Map: clustered leaf -> original row ids.
+        unclustered = db.create_table("abl_unclustered", columns)
+        # Map: clustered leaf -> original row ids, read off the clustered
+        # table's own ``oid`` column.
         leaf_rows = {
-            leaf: tree.permutation[slice(*tree.node_rows(leaf))]
+            leaf: index.table.read_rows(*tree.node_rows(leaf))["oid"]
             for leaf in range(tree.first_leaf, 2 * tree.first_leaf)
         }
         rng = np.random.default_rng(9)

@@ -1,15 +1,17 @@
-"""Paged on-disk kd-tree: node arrays in compressed storage pages.
+"""Paged kd-tree: node arrays in compressed storage pages, served lazily.
 
-The in-memory :class:`~repro.core.kdtree.KdTree` holds every node array
-in process RAM, which caps index size at memory and makes worker spawn
-cost scale with tree size (each process shard used to receive a pickled
-tree).  This module serializes those arrays into fixed-size
-zlib-compressed pages (``RPGZ``) under an index namespace in the same
-:class:`~repro.db.storage.Storage` that holds the data pages, and serves
-traversals through :class:`PagedKdTree`, which materializes node pages
-lazily via the shared :class:`~repro.db.buffer_pool.BufferPool` -- so
-index I/O gets the same coalesced read-ahead, CRC32 verify-once
-discipline, and fault/retry/torn-page semantics as data I/O.
+Every :class:`~repro.core.kdtree.KdTreeIndex` serves its traversals
+through a :class:`PagedKdTree`.  The clustered loader
+(:func:`~repro.core.kdtree.cluster` / :func:`~repro.core.kdtree.install`)
+serializes a freshly built :class:`~repro.core.kdtree.KdTree`'s node
+arrays into fixed-size zlib-compressed pages (``RPGZ``) under the
+table's index namespace in the same :class:`~repro.db.storage.Storage`
+that holds the data pages -- an in-memory database pages them into its
+:class:`~repro.db.storage.MemoryStorage` -- and the build-time arrays
+are released.  :class:`PagedKdTree` materializes node pages on demand
+via the shared :class:`~repro.db.buffer_pool.BufferPool`, so index I/O
+gets the same coalesced read-ahead, CRC32 verify-once discipline, and
+fault/retry/torn-page semantics as data I/O.
 
 Layout.  Nodes are written in **post-order** (the paper's §3.2
 numbering), sliced into groups of ``nodes_per_page``.  Post-order keeps
@@ -18,10 +20,10 @@ run of post-order slots ending at the node itself, so a depth-first
 traversal walks pages mostly sequentially and the read-ahead window
 actually helps.  Because the tree is a perfect binary heap, a node's
 post-order position is *computable from its heap index alone*
-(:func:`post_order_index`): structural queries -- post-order ids,
-BETWEEN ranges, subtree sizes -- need no I/O at all.  Only the
-geometry (split planes, partition/tight boxes) and row ranges live in
-pages.
+(:func:`post_order_index`, and :func:`post_order_ids` for arrays):
+structural queries -- post-order ids, BETWEEN ranges, subtree sizes --
+need no I/O at all.  Only the geometry (split planes, partition/tight
+boxes) and row ranges live in pages.
 
 Above the buffer pool sits a small byte-budgeted **node cache** per
 tree: decoded node pages with their box columns reshaped to ``(n, dim)``
@@ -47,19 +49,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.db.errors import StorageFault
-from repro.db.buffer_pool import DEFAULT_INDEX_CACHE_BYTES
 from repro.db.pages import Page
 from repro.db.storage import index_namespace
 from repro.geometry.boxes import Box
 
 __all__ = [
     "DEFAULT_NODES_PER_PAGE",
+    "HeapTree",
     "PagedTreeLayout",
     "PagedKdTree",
+    "post_order_ids",
     "post_order_index",
     "tree_node_pages",
-    "write_paged_tree",
-    "paged_tree_for",
 ]
 
 #: Nodes per index page.  At ~200 bytes of node payload in 3-4
@@ -92,18 +93,90 @@ def post_order_index(node: int, num_levels: int) -> int:
     return (node - (1 << depth) + 1) * span - 1 - node.bit_count()
 
 
-def subtree_size(node: int, num_levels: int) -> int:
-    """Number of nodes in the subtree rooted at ``node`` (arithmetic)."""
-    return 2 ** (num_levels - int(node).bit_length() + 1) - 1
+def post_order_ids(nodes: np.ndarray, num_levels: int) -> np.ndarray:
+    """1-based post-order ids of an array of heap nodes.
+
+    :func:`post_order_index` plus one, vectorized: the insert path tags
+    each inserted row with its leaf's id without a per-leaf table.
+    numpy before 2.0 has no popcount, so depth and popcount loop over
+    the ``num_levels`` bits a heap index can carry.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    depth = np.zeros_like(nodes)
+    popcount = nodes & 1
+    for bit in range(1, num_levels):
+        shifted = nodes >> bit
+        depth += shifted > 0
+        popcount += shifted & 1
+    return (nodes - (1 << depth) + 1) * (1 << (num_levels - depth)) - popcount
+
+
+class HeapTree:
+    """What a kd-tree knows from its depth alone.
+
+    A perfect binary heap of ``num_levels`` levels: node ``h`` (1-based)
+    has children ``2h`` and ``2h + 1`` and leaves occupy
+    ``[2**(L-1), 2**L)``.  Shared by the build-time
+    :class:`~repro.core.kdtree.KdTree` and the served
+    :class:`PagedKdTree`, which supply ``num_levels``, ``node_rows`` and
+    ``tight_box``.
+    """
+
+    num_levels: int
+
+    @property
+    def num_leaves(self) -> int:
+        return 2 ** (self.num_levels - 1)
+
+    @property
+    def num_nodes(self) -> int:
+        """Heap slots ``1..num_nodes`` (slot 0 unused)."""
+        return 2**self.num_levels - 1
+
+    @property
+    def first_leaf(self) -> int:
+        """Heap index of the leftmost leaf."""
+        return 2 ** (self.num_levels - 1)
+
+    def is_leaf(self, node: int) -> bool:
+        """Whether a heap node is a leaf."""
+        return node >= self.first_leaf
+
+    def leaf_size(self, leaf: int) -> int:
+        """Number of rows in a leaf."""
+        start, end = self.node_rows(leaf)
+        return end - start
+
+    def post_order_range(self, node: int) -> tuple[int, int]:
+        """Inclusive BETWEEN bounds covering every descendant of ``node``."""
+        node_id = post_order_index(node, self.num_levels) + 1
+        subtree = 2 ** (self.num_levels - int(node).bit_length() + 1) - 1
+        return node_id - subtree + 1, node_id
+
+    def leaf_statistics(self) -> dict[str, float]:
+        """Summary used by the E2 build-statistics experiment."""
+        leaves = range(self.first_leaf, 2 * self.first_leaf)
+        sizes = np.array([self.leaf_size(leaf) for leaf in leaves])
+        elongations = np.array(
+            [self.tight_box(leaf).elongation for leaf in leaves if self.leaf_size(leaf) > 1]
+        )
+        finite = elongations[np.isfinite(elongations)]
+        return {
+            "num_levels": float(self.num_levels),
+            "num_leaves": float(self.num_leaves),
+            "min_leaf_size": float(sizes.min()),
+            "max_leaf_size": float(sizes.max()),
+            "mean_leaf_size": float(sizes.mean()),
+            "mean_leaf_elongation": float(finite.mean()) if len(finite) else 1.0,
+        }
 
 
 @dataclass(frozen=True)
 class PagedTreeLayout:
     """Everything needed to reopen a paged tree without reading a page.
 
-    Persisted in the catalog (``kd_indexes``) and shipped to process
-    shard workers inside a :class:`~repro.shard.partitioner.ShardSpec`
-    in place of a pickled tree.
+    Persisted in the catalog (``kd_indexes``) and carried, with the
+    node pages, by a :class:`~repro.core.kdtree.Clustering`.
     """
 
     num_points: int
@@ -112,27 +185,6 @@ class PagedTreeLayout:
     axis_policy: str
     nodes_per_page: int
     num_pages: int
-
-    def to_dict(self) -> dict:
-        return {
-            "num_points": self.num_points,
-            "num_levels": self.num_levels,
-            "dim": self.dim,
-            "axis_policy": self.axis_policy,
-            "nodes_per_page": self.nodes_per_page,
-            "num_pages": self.num_pages,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "PagedTreeLayout":
-        return PagedTreeLayout(
-            num_points=int(payload["num_points"]),
-            num_levels=int(payload["num_levels"]),
-            dim=int(payload["dim"]),
-            axis_policy=str(payload["axis_policy"]),
-            nodes_per_page=int(payload["nodes_per_page"]),
-            num_pages=int(payload["num_pages"]),
-        )
 
     @staticmethod
     def for_tree(tree, nodes_per_page: int = DEFAULT_NODES_PER_PAGE) -> "PagedTreeLayout":
@@ -187,66 +239,17 @@ def tree_node_pages(tree, nodes_per_page: int = DEFAULT_NODES_PER_PAGE) -> list[
     return pages
 
 
-def write_paged_tree(
-    database, physical_name: str, tree, nodes_per_page: int = DEFAULT_NODES_PER_PAGE
-) -> PagedTreeLayout:
-    """Write a tree's node pages under the table's index namespace.
+class PagedKdTree(HeapTree):
+    """Lazily materialized view of a paged kd-tree: the one serving tree.
 
-    Pages go straight to storage (not through ``BufferPool.put``), so a
-    freshly written index starts cold -- cold-start benchmarks measure
-    honest reads, and building never evicts hot data pages.  Any
-    existing pages of the namespace are dropped first (stale-generation
-    hygiene).  A :class:`~repro.db.errors.WriteFault` propagates;
-    callers degrade to serving the in-memory tree
-    (:func:`paged_tree_for`).
-    """
-    namespace = index_namespace(physical_name)
-    database.buffer_pool.invalidate(namespace)
-    database.storage.drop_namespace(namespace)
-    for page in tree_node_pages(tree, nodes_per_page):
-        database.storage.write_page(namespace, page)
-    return PagedTreeLayout.for_tree(tree, nodes_per_page)
+    Serves the traversal surface -- node visits, boxes, split planes,
+    post-order ids, point location -- over the node pages the clustered
+    loader wrote.  The build-time :class:`~repro.core.kdtree.KdTree`
+    (with its O(N) ``permutation``) is not kept: residency here is
+    O(cache budget).
 
-
-def paged_tree_for(
-    database,
-    physical_name: str,
-    tree,
-    nodes_per_page: int = DEFAULT_NODES_PER_PAGE,
-    node_cache_bytes: int | None = None,
-):
-    """Page out a built tree and return the paged view, or degrade.
-
-    On a write fault the partially written namespace is dropped
-    (best-effort) and the in-memory tree itself is returned -- the kd
-    analog of the bitmap engine's drop-stale-entry-on-rebuild-failure
-    discipline: the index stays correct, only its paging is lost.
-    """
-    try:
-        layout = write_paged_tree(database, physical_name, tree, nodes_per_page)
-    except StorageFault:
-        namespace = index_namespace(physical_name)
-        try:
-            database.buffer_pool.invalidate(namespace)
-            database.storage.drop_namespace(namespace)
-        except Exception:
-            pass
-        return tree
-    return PagedKdTree(
-        database, physical_name, layout, node_cache_bytes=node_cache_bytes
-    )
-
-
-class PagedKdTree:
-    """Lazily materialized view of a paged kd-tree.
-
-    Drop-in for the traversal surface of
-    :class:`~repro.core.kdtree.KdTree` (everything except
-    ``permutation``, which is build-time-only and deliberately not kept
-    -- it is O(N) while the whole point here is O(cache budget) residency).
-
-    Structural queries (post-order ids/ranges, subtree sizes, leaf
-    ids) are arithmetic on heap indexes and never touch storage.
+    Structural queries (post-order ids/ranges, subtree sizes) are
+    arithmetic on heap indexes and never touch storage.
     Geometry and row-range accessors probe the node cache; a miss pulls
     the node page through the shared buffer pool (read-ahead over the
     next pages of the post-order sequence) and materializes it under
@@ -272,14 +275,8 @@ class PagedKdTree:
         self.num_levels = layout.num_levels
         self.dim = layout.dim
         self.axis_policy = layout.axis_policy
-        self.num_leaves = 2 ** (layout.num_levels - 1)
-        self.num_nodes = 2**layout.num_levels - 1
         if node_cache_bytes is None:
-            node_cache_bytes = getattr(
-                getattr(database, "options", None),
-                "index_cache_bytes",
-                DEFAULT_INDEX_CACHE_BYTES,
-            )
+            node_cache_bytes = database.options.index_cache_bytes
         self.node_cache_bytes = int(node_cache_bytes)
         #: page_id -> (materialized column dict, approximate bytes)
         self._node_cache: OrderedDict[int, tuple[dict, int]] = OrderedDict()
@@ -349,35 +346,9 @@ class PagedKdTree:
 
     # -- structure accessors (arithmetic; no I/O) ---------------------------
 
-    @property
-    def first_leaf(self) -> int:
-        """Heap index of the leftmost leaf."""
-        return 2 ** (self.num_levels - 1)
-
-    def is_leaf(self, node: int) -> bool:
-        """Whether a heap node is a leaf."""
-        return node >= self.first_leaf
-
     def post_order_id(self, node: int) -> int:
         """Post-order id of a heap node (1-based like the paper's)."""
         return post_order_index(node, self.num_levels) + 1
-
-    def post_order_range(self, node: int) -> tuple[int, int]:
-        """Inclusive BETWEEN bounds covering every descendant of ``node``."""
-        node_id = self.post_order_id(node)
-        return node_id - subtree_size(node, self.num_levels) + 1, node_id
-
-    def leaf_post_order_ids(self) -> np.ndarray:
-        """Post-order ids of the leaves in left-to-right order."""
-        levels = self.num_levels
-        return np.fromiter(
-            (
-                post_order_index(leaf, levels) + 1
-                for leaf in range(self.first_leaf, 2 * self.first_leaf)
-            ),
-            dtype=np.int64,
-            count=self.num_leaves,
-        )
 
     # -- paged accessors ----------------------------------------------------
 
@@ -385,11 +356,6 @@ class PagedKdTree:
         """Clustered row range ``[start, end)`` covered by a node's subtree."""
         cols, slot = self._slot(node)
         return int(cols["seg_start"][slot]), int(cols["seg_end"][slot])
-
-    def leaf_size(self, leaf: int) -> int:
-        """Number of rows in a leaf."""
-        start, end = self.node_rows(leaf)
-        return end - start
 
     def partition_box(self, node: int) -> Box:
         """The space-tiling partition cell of a node."""
@@ -479,28 +445,6 @@ class PagedKdTree:
                 stack.append(2 * node)
                 stack.append(2 * node + 1)
         return found
-
-    def leaf_statistics(self) -> dict[str, float]:
-        """Summary used by the E2 build-statistics experiment."""
-        sizes = np.array(
-            [self.leaf_size(leaf) for leaf in range(self.first_leaf, 2 * self.first_leaf)]
-        )
-        elongations = np.array(
-            [
-                self.tight_box(leaf).elongation
-                for leaf in range(self.first_leaf, 2 * self.first_leaf)
-                if self.leaf_size(leaf) > 1
-            ]
-        )
-        finite = elongations[np.isfinite(elongations)]
-        return {
-            "num_levels": float(self.num_levels),
-            "num_leaves": float(self.num_leaves),
-            "min_leaf_size": float(sizes.min()),
-            "max_leaf_size": float(sizes.max()),
-            "mean_leaf_size": float(sizes.mean()),
-            "mean_leaf_elongation": float(finite.mean()) if len(finite) else 1.0,
-        }
 
     def __repr__(self) -> str:
         return (

@@ -30,6 +30,17 @@ the recursive space partition -- these tile the root box and drive the
 boundary-point k-NN of §3.3) and the *tight* box (the bounding box of the
 node's actual points -- these give much better pruning on highly clustered
 data and are what the paper visualizes in Figure 15).
+
+**One clustered loader.**  Every kd-clustered table -- a fresh build, a
+merge generation, a shard, a replica -- is loaded by the same two steps.
+:func:`cluster` is pure: it builds the :class:`KdTree` and returns the
+``kd_leaf`` column, the encoded node pages and their
+:class:`~repro.core.kdpaged.PagedTreeLayout`.  :func:`install` writes the
+clustered table and the node pages (plus a bitmap index when asked) and
+returns a :class:`KdTreeIndex` serving through a
+:class:`~repro.core.kdpaged.PagedKdTree`.  The halves split so a shard's
+parent can cluster and its worker install.  :class:`KdTree` itself is
+build-only: it is never registered or served.
 """
 
 from __future__ import annotations
@@ -41,15 +52,32 @@ import numpy as np
 
 from repro.core.batch import batch_kd_query
 from repro.core.index_base import SpatialIndex, stack_coordinates
+from repro.core.kdpaged import (
+    HeapTree,
+    PagedKdTree,
+    PagedTreeLayout,
+    post_order_ids,
+    tree_node_pages,
+)
 from repro.db.catalog import Database
+from repro.db.errors import StorageFault
 from repro.db.fetch import FetchMember, delta_piece, fetch, range_segments, solo
+from repro.db.pages import PageCodec
 from repro.db.scan import AUTO_TOMBSTONES, range_scan
 from repro.db.stats import QueryStats
+from repro.db.storage import index_namespace
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box, BoxRelation
 from repro.geometry.halfspace import Polyhedron
 
-__all__ = ["KdTree", "KdTreeIndex", "default_num_levels"]
+__all__ = [
+    "Clustering",
+    "KdTree",
+    "KdTreeIndex",
+    "cluster",
+    "default_num_levels",
+    "install",
+]
 
 
 def _preferred_axis(axis_policy: str) -> int | None:
@@ -75,22 +103,15 @@ def default_num_levels(num_rows: int) -> int:
     return max(1, int(round(np.log2(leaves))) + 1)
 
 
-@dataclass
-class _BuildResult:
-    permutation: np.ndarray
-    split_axis: np.ndarray
-    split_value: np.ndarray
-    seg_start: np.ndarray
-    seg_end: np.ndarray
+class KdTree(HeapTree):
+    """The build-time structure: node arrays of a perfect binary heap.
 
-
-class KdTree:
-    """The in-memory structure: heap-ordered perfect binary tree.
-
-    Node ``h`` (1-based heap index) has children ``2h`` and ``2h + 1``;
-    leaves occupy ``[2**(L-1), 2**L)``.  The structure is small -- O(√N)
-    nodes under the default sizing -- and is the "cover index table" of
-    the paper; the point data itself lives in the clustered engine table.
+    The structure is small -- O(√N) nodes under the default sizing --
+    and is the "cover index table" of the paper; the point data itself
+    lives in the clustered engine table.  It holds the node arrays and
+    the build ``permutation``; queries are served by the
+    :class:`~repro.core.kdpaged.PagedKdTree` its node pages load into
+    (see :func:`cluster`).
     """
 
     def __init__(self, points: np.ndarray, num_levels: int | None = None,
@@ -119,24 +140,29 @@ class KdTree:
                 f"{self.num_levels} levels need >= {2 ** (self.num_levels - 1)} points"
             )
         self.axis_policy = axis_policy
-        self.num_leaves = 2 ** (self.num_levels - 1)
-        self.num_nodes = 2**self.num_levels - 1  # heap slots 1..num_nodes
 
-        build = self._build(points)
-        self.permutation = build.permutation
-        self._split_axis = build.split_axis
-        self._split_value = build.split_value
-        self._seg_start = build.seg_start
-        self._seg_end = build.seg_end
+        (
+            self.permutation,
+            self._split_axis,
+            self._split_value,
+            self._seg_start,
+            self._seg_end,
+        ) = self._build(points)
         self._partition_lo, self._partition_hi = self._partition_boxes(points)
         self._tight_lo, self._tight_hi = self._tight_boxes(points)
-        self._post_order = self._post_order_ids()
-        self._subtree_size = self._subtree_sizes()
+        self._post_order = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        self._post_order[1:] = post_order_ids(
+            np.arange(1, self.num_nodes + 1), self.num_levels
+        )
 
     # -- build -------------------------------------------------------------
 
-    def _build(self, points: np.ndarray) -> _BuildResult:
-        """Level-by-level median partitioning (the iterative SQL build)."""
+    def _build(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Level-by-level median partitioning (the iterative SQL build).
+
+        Returns the permutation and the per-slot split axes, split
+        values and row-range starts and ends.
+        """
         n = self.num_points
         perm = np.arange(n, dtype=np.int64)
         total = self.num_nodes + 1
@@ -172,7 +198,7 @@ class KdTree:
                 left, right = 2 * node, 2 * node + 1
                 seg_start[left], seg_end[left] = start, start + mid
                 seg_start[right], seg_end[right] = start + mid, end
-        return _BuildResult(perm, split_axis, split_value, seg_start, seg_end)
+        return perm, split_axis, split_value, seg_start, seg_end
 
     def _choose_axis(self, points: np.ndarray, segment: np.ndarray, level: int) -> int:
         if self._preferred is not None and len(segment):
@@ -225,50 +251,11 @@ class KdTree:
             hi[node] = np.maximum(hi[2 * node], hi[2 * node + 1])
         return lo, hi
 
-    def _post_order_ids(self) -> np.ndarray:
-        """Post-order id per heap node (ids are 1-based like the paper's)."""
-        ids = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        counter = 0
-        stack: list[tuple[int, bool]] = [(1, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if self.is_leaf(node):
-                counter += 1
-                ids[node] = counter
-            elif expanded:
-                counter += 1
-                ids[node] = counter
-            else:
-                stack.append((node, True))
-                stack.append((2 * node + 1, False))
-                stack.append((2 * node, False))
-        return ids
-
-    def _subtree_sizes(self) -> np.ndarray:
-        sizes = np.ones(self.num_nodes + 1, dtype=np.int64)
-        for node in range(2 ** (self.num_levels - 1) - 1, 0, -1):
-            sizes[node] = 1 + sizes[2 * node] + sizes[2 * node + 1]
-        return sizes
-
     # -- structure accessors ----------------------------------------------------
-
-    @property
-    def first_leaf(self) -> int:
-        """Heap index of the leftmost leaf."""
-        return 2 ** (self.num_levels - 1)
-
-    def is_leaf(self, node: int) -> bool:
-        """Whether a heap node is a leaf."""
-        return node >= self.first_leaf
 
     def node_rows(self, node: int) -> tuple[int, int]:
         """Clustered row range ``[start, end)`` covered by a node's subtree."""
         return int(self._seg_start[node]), int(self._seg_end[node])
-
-    def leaf_size(self, leaf: int) -> int:
-        """Number of rows in a leaf."""
-        start, end = self.node_rows(leaf)
-        return end - start
 
     def partition_box(self, node: int) -> Box:
         """The space-tiling partition cell of a node."""
@@ -279,23 +266,6 @@ class KdTree:
         if not np.all(np.isfinite(self._tight_lo[node])):
             return self.partition_box(node)
         return Box(self._tight_lo[node], self._tight_hi[node])
-
-    def visit_info(self, node: int, tight: bool = True):
-        """One-call node visit: ``(start, end, box)``.
-
-        Returns the node's clustered row range and its pruning box
-        (tight when requested and finite, else the partition cell);
-        ``box`` is ``None`` for empty nodes, which the traversals skip
-        before classifying.  Exists so paged trees
-        (:class:`~repro.core.kdpaged.PagedKdTree`) answer a node visit
-        with one cache probe; the in-memory implementation simply
-        composes the accessors.
-        """
-        start, end = self.node_rows(node)
-        if start == end:
-            return start, end, None
-        box = self.tight_box(node) if tight else self.partition_box(node)
-        return start, end, box
 
     def export_node_arrays(self) -> dict[str, np.ndarray]:
         """The raw node arrays, for serialization into index pages.
@@ -316,99 +286,146 @@ class KdTree:
             "tight_hi": self._tight_hi,
         }
 
-    def post_order_id(self, node: int) -> int:
-        """Post-order id of a heap node."""
-        return int(self._post_order[node])
+    def leaf_ids(self) -> np.ndarray:
+        """Each input row's leaf post-order id: the ``kd_leaf`` column.
 
-    def post_order_range(self, node: int) -> tuple[int, int]:
-        """Inclusive BETWEEN bounds covering every descendant of ``node``."""
-        node_id = int(self._post_order[node])
-        return node_id - int(self._subtree_size[node]) + 1, node_id
-
-    def leaf_post_order_ids(self) -> np.ndarray:
-        """Post-order ids of the leaves in left-to-right order."""
-        return self._post_order[self.first_leaf: 2 * self.first_leaf]
-
-    def split_plane(self, node: int) -> tuple[int, float]:
-        """``(axis, value)`` of an internal node's cut."""
-        if self.is_leaf(node):
-            raise ValueError(f"node {node} is a leaf")
-        return int(self._split_axis[node]), float(self._split_value[node])
-
-    # -- point location ------------------------------------------------------
-
-    def leaf_of_points(self, points: np.ndarray) -> np.ndarray:
-        """Heap index of the leaf whose partition cell holds each row of ``points``.
-
-        One array descent, a level per step, for the whole ``(n, d)``
-        batch.  Ties on a cut plane go to the left child, matching the
-        closed-left convention of the build; points outside the root
-        box land in the outermost leaf on their side.
+        Leaves tile the build permutation left to right, so one repeat
+        of the leaf ids over the leaf sizes, scattered through
+        ``permutation``, tags every row.
         """
-        points = np.asarray(points, dtype=np.float64)
-        rows = np.arange(len(points))
-        nodes = np.ones(len(points), dtype=np.int64)
-        for _ in range(self.num_levels - 1):
-            left = points[rows, self._split_axis[nodes]] <= self._split_value[nodes]
-            nodes = 2 * nodes + ~left
-        return nodes
-
-    def leaf_of_point(self, point: np.ndarray) -> int:
-        """Heap index of the (single) leaf whose partition cell holds ``point``."""
-        return int(self.leaf_of_points(np.asarray(point)[np.newaxis, :])[0])
-
-    def leaves_containing(self, point: np.ndarray) -> list[int]:
-        """All leaves whose *closed* partition cell contains ``point``.
-
-        A point on a cut plane belongs to both sides; the boundary-point
-        k-NN (§3.3) needs every such leaf ("the kd-box(es) on the other
-        side of b").
-        """
-        point = np.asarray(point, dtype=np.float64)
-        found: list[int] = []
-        stack = [1]
-        while stack:
-            node = stack.pop()
-            if self.is_leaf(node):
-                found.append(node)
-                continue
-            axis, value = self.split_plane(node)
-            if point[axis] < value:
-                stack.append(2 * node)
-            elif point[axis] > value:
-                stack.append(2 * node + 1)
-            else:
-                stack.append(2 * node)
-                stack.append(2 * node + 1)
-        return found
-
-    def leaf_statistics(self) -> dict[str, float]:
-        """Summary used by the E2 build-statistics experiment."""
-        sizes = np.array(
-            [self.leaf_size(leaf) for leaf in range(self.first_leaf, 2 * self.first_leaf)]
+        leaves = np.arange(self.first_leaf, 2 * self.first_leaf)
+        ids = np.empty(self.num_points, dtype=np.int64)
+        ids[self.permutation] = np.repeat(
+            self._post_order[leaves], self._seg_end[leaves] - self._seg_start[leaves]
         )
-        elongations = np.array(
-            [
-                self.tight_box(leaf).elongation
-                for leaf in range(self.first_leaf, 2 * self.first_leaf)
-                if self.leaf_size(leaf) > 1
-            ]
-        )
-        finite = elongations[np.isfinite(elongations)]
-        return {
-            "num_levels": float(self.num_levels),
-            "num_leaves": float(self.num_leaves),
-            "min_leaf_size": float(sizes.min()),
-            "max_leaf_size": float(sizes.max()),
-            "mean_leaf_size": float(sizes.mean()),
-            "mean_leaf_elongation": float(finite.mean()) if len(finite) else 1.0,
-        }
+        return ids
+
+
+@dataclass(frozen=True)
+class Clustering:
+    """What :func:`cluster` computes and :func:`install` writes.
+
+    Picklable and self-contained: a shard's parent ships it to the
+    worker inside the :class:`~repro.shard.partitioner.ShardSpec`.
+    """
+
+    #: Leaf post-order id per input row (the clustering column).
+    kd_leaf: np.ndarray
+    #: Encoded (``RPGZ``) node pages in post-order.
+    node_pages: tuple[bytes, ...]
+    layout: PagedTreeLayout
+
+
+def cluster(
+    columns: dict[str, np.ndarray],
+    dims: Sequence[str],
+    *,
+    levels: int | None = None,
+    axis_policy: str = "widest",
+) -> Clustering:
+    """Build the kd-tree over ``columns[dims]``: the pure half of a load.
+
+    The clustered table's row order follows from ``kd_leaf`` alone: the
+    stable cluster sort puts rows in left-to-right leaf order, so the
+    node pages' row ranges address the table :func:`install` writes.
+    """
+    tree = KdTree(
+        stack_coordinates(columns, list(dims)), num_levels=levels, axis_policy=axis_policy
+    )
+    return Clustering(
+        kd_leaf=tree.leaf_ids(),
+        node_pages=tuple(PageCodec.encode(page) for page in tree_node_pages(tree)),
+        layout=PagedTreeLayout.for_tree(tree),
+    )
+
+
+def install(
+    database: Database,
+    name: str,
+    columns: dict[str, np.ndarray],
+    dims: Sequence[str],
+    clustering: Clustering,
+    *,
+    rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
+    physical_name: str | None = None,
+    bitmap: tuple[Sequence[str], int, Sequence[str]] | None = None,
+):
+    """Write a clustered table and its node pages: the storage half of a load.
+
+    Creates table ``name`` from ``columns`` plus ``clustering.kd_leaf``,
+    clustered on ``kd_leaf``, then writes the node pages under the
+    table's index namespace -- straight to storage, so a freshly loaded
+    index starts cold -- and, when ``bitmap`` names ``(bitmap_dims,
+    num_bins, query_dims)``, builds a bitmap index over the table.
+    Without ``physical_name`` the table and both indexes are registered;
+    a merge passes its new generation's name instead, registers nothing
+    and swaps the returned indexes in with the table.
+
+    Write faults: a :class:`~repro.db.errors.StorageFault` while writing
+    the table or the node pages drops whatever this load wrote and
+    re-raises; one while building the bitmap drops the bitmap.
+
+    Returns ``(kd_index, bitmap_index)``, the second ``None`` when no
+    bitmap was asked for or its build faulted.
+    """
+    from repro.bitmap.index import BitmapIndex
+
+    register = physical_name is None
+    table_data = dict(columns)
+    table_data["kd_leaf"] = clustering.kd_leaf
+    try:
+        if register:
+            table = database.create_table(
+                name, table_data, rows_per_page=rows_per_page, clustered_by=("kd_leaf",)
+            )
+        else:
+            table = Table.create(
+                database,
+                name,
+                table_data,
+                rows_per_page=rows_per_page,
+                clustered_by=("kd_leaf",),
+                physical_name=physical_name,
+            )
+        namespace = index_namespace(table.physical_name)
+        database.buffer_pool.invalidate(namespace)
+        database.storage.drop_namespace(namespace)
+        for blob in clustering.node_pages:
+            database.storage.write_page(namespace, PageCodec.decode(blob))
+    except StorageFault:
+        if register:
+            database.drop_table(name)
+        else:
+            database.drop_generation(physical_name)
+        raise
+    tree = PagedKdTree(database, table.physical_name, clustering.layout)
+    index = KdTreeIndex(database, table, tree, list(dims))
+    if register:
+        database.register_index(f"{name}.kdtree", index)
+    bitmap_index = None
+    if bitmap is not None:
+        bitmap_dims, num_bins, query_dims = bitmap
+        try:
+            bitmap_index = BitmapIndex.build(
+                database,
+                name,
+                list(bitmap_dims),
+                num_bins=num_bins,
+                register=register,
+                table=table,
+                table_dims=list(query_dims),
+            )
+        except StorageFault:
+            pass
+    return index, bitmap_index
 
 
 class KdTreeIndex(SpatialIndex):
     """Kd-tree + clustered engine table: the §3.2 index end to end."""
 
-    def __init__(self, database: Database, table: Table, tree, dims: list[str]):
+    def __init__(
+        self, database: Database, table: Table, tree: PagedKdTree, dims: list[str]
+    ):
         self._db = database
         self._table = table
         self._tree = tree
@@ -423,48 +440,20 @@ class KdTreeIndex(SpatialIndex):
         num_levels: int | None = None,
         axis_policy: str = "widest",
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
-        paged: bool = True,
     ) -> "KdTreeIndex":
         """Build the tree over ``data[dims]`` and materialize the clustered table.
 
-        The table gains a ``kd_leaf`` column (the leaf's post-order id)
-        and is clustered on it; the index registers itself in the catalog
-        as ``<name>.kdtree``.
-
-        With ``paged`` on (the default) the node arrays are serialized
-        into compressed pages under the table's index namespace and the
-        index serves traversals through a lazily materialized
-        :class:`~repro.core.kdpaged.PagedKdTree` -- the in-memory arrays
-        (including the O(N) build permutation) are released.  A write
-        fault during paging degrades to serving the in-memory tree.
-        ``paged=False`` keeps the in-memory tree (callers that need
-        ``tree.permutation`` after the build).
+        One :func:`cluster` plus :func:`install`: the table gains a
+        ``kd_leaf`` column (the leaf's post-order id) and is clustered
+        on it, the node arrays are paged under the table's index
+        namespace, and the index registers itself in the catalog as
+        ``<name>.kdtree``.  A write fault raises and leaves nothing
+        behind.
         """
-        points = stack_coordinates(data, list(dims))
-        tree = KdTree(points, num_levels=num_levels, axis_policy=axis_policy)
-
-        leaf_ids = np.empty(tree.num_points, dtype=np.int64)
-        leaf_post = tree.leaf_post_order_ids()
-        for j, leaf in enumerate(range(tree.first_leaf, 2 * tree.first_leaf)):
-            start, end = tree.node_rows(leaf)
-            leaf_ids[tree.permutation[start:end]] = leaf_post[j]
-
-        table_data = dict(data)
-        table_data["kd_leaf"] = leaf_ids
-        # Clustering on kd_leaf reorders rows into left-to-right leaf order
-        # (post-order ids of leaves increase left to right), which is the
-        # same order as tree.permutation -- the row ranges in the tree
-        # therefore address the clustered table directly.
-        table = database.create_table(
-            name, table_data, rows_per_page=rows_per_page, clustered_by=("kd_leaf",)
+        clustering = cluster(data, dims, levels=num_levels, axis_policy=axis_policy)
+        index, _ = install(
+            database, name, data, dims, clustering, rows_per_page=rows_per_page
         )
-        serving_tree = tree
-        if paged:
-            from repro.core.kdpaged import paged_tree_for
-
-            serving_tree = paged_tree_for(database, table.physical_name, tree)
-        index = KdTreeIndex(database, table, serving_tree, dims)
-        database.register_index(f"{name}.kdtree", index)
         return index
 
     @property
@@ -473,14 +462,8 @@ class KdTreeIndex(SpatialIndex):
         return self._table
 
     @property
-    def tree(self):
-        """The tree structure serving traversals.
-
-        Either an in-memory :class:`KdTree` or a paged
-        :class:`~repro.core.kdpaged.PagedKdTree`; both expose the same
-        traversal surface (``visit_info``, boxes, post-order ids, point
-        location).  Only the in-memory tree carries ``permutation``.
-        """
+    def tree(self) -> PagedKdTree:
+        """The paged tree serving traversals."""
         return self._tree
 
     @property

@@ -431,19 +431,17 @@ class QueryPlanner:
         leaves_hit = min(float(leaves), leaves_hit)
         pages_per_leaf = max(1.0, num_rows / (leaves * rows_per_page))
         costs["kdtree"] = min(float(num_pages), leaves_hit * pages_per_leaf)
-        layout = getattr(index.tree, "layout", None)
-        if layout is not None:
-            # Paged tree: the traversal itself reads index node pages.
-            # Discounted relative to data pages -- node pages are served
-            # from the tree's node cache on repeat and a traversal's
-            # working set is a few pages -- but nonzero, so kd never
-            # looks free against scan on a table small enough that the
-            # index rivals the data.
-            node_pages = min(
-                float(layout.num_pages),
-                1.0 + 2.0 * leaves_hit / max(1, layout.nodes_per_page),
-            )
-            costs["kdtree"] += _INDEX_PAGE_READ_COST * node_pages
+        # The traversal itself reads index node pages.  Discounted
+        # relative to data pages -- node pages are served from the
+        # tree's node cache on repeat and a traversal's working set is a
+        # few pages -- but nonzero, so kd never looks free against scan
+        # on a table small enough that the index rivals the data.
+        layout = index.tree.layout
+        node_pages = min(
+            float(layout.num_pages),
+            1.0 + 2.0 * leaves_hit / max(1, layout.nodes_per_page),
+        )
+        costs["kdtree"] += _INDEX_PAGE_READ_COST * node_pages
 
         bitmap = self.bitmap_index
         if bitmap is None:

@@ -220,13 +220,7 @@ class Database:
                 namespaces.update(self.ingest.take_retirees(name, name))
             self.ingest.forget(name)
             for namespace in namespaces:
-                self._zone_maps.pop(namespace, None)
-                # Each data namespace may carry index node pages in its
-                # paired index namespace; both cache levels and storage
-                # are cleared for both.
-                for ns in (namespace, index_namespace(namespace)):
-                    self.buffer_pool.invalidate(ns)
-                    self.storage.drop_namespace(ns)
+                self.drop_generation(namespace)
             stale = [
                 k
                 for k, v in self._indexes.items()
@@ -263,17 +257,25 @@ class Database:
             if generation is not None:
                 self.ingest.install_generation(name, table, generation)
             for namespace in retire or ():
-                if namespace == table.physical_name:
-                    continue
-                self._zone_maps.pop(namespace, None)
-                # Retire the generation's index pages with its data
-                # pages: a stale node page served after the swap would
-                # route reads through a dead layout.
-                for ns in (namespace, index_namespace(namespace)):
-                    self.buffer_pool.invalidate(ns)
-                    self.storage.drop_namespace(ns)
+                if namespace != table.physical_name:
+                    self.drop_generation(namespace)
         self._notify_mutation(name)
         return old
+
+    def drop_generation(self, physical_name: str) -> None:
+        """Drop one physical layout: its data and index node pages, both
+        buffer-pool levels' copies of them, and its zone map.
+
+        Data and node pages always go together: a stale node page served
+        after its data pages are gone would route reads through a dead
+        layout.  Used for dropped tables, retired merge generations and
+        loads that a write fault aborted.
+        """
+        with self.lock:
+            self._zone_maps.pop(physical_name, None)
+            for namespace in (physical_name, index_namespace(physical_name)):
+                self.buffer_pool.invalidate(namespace)
+                self.storage.drop_namespace(namespace)
 
     # -- mutation listeners -------------------------------------------------
 
@@ -423,17 +425,13 @@ class Database:
 
     def _teardown_index(self, index: Any) -> None:
         # Duck-typed on purpose: the catalog cannot import repro.core
-        # (core imports the catalog).  Paged trees expose ``namespace``
-        # and ``drop_node_cache``; in-memory trees and bitmap indexes
-        # expose neither and need no storage teardown here.
+        # (core imports the catalog).  A kd index's paged tree owns an
+        # index namespace and a node cache; bitmap indexes have no tree.
         tree = getattr(index, "tree", None)
-        namespace = getattr(tree, "namespace", None)
-        if namespace is not None:
-            self.buffer_pool.invalidate(namespace)
-            self.storage.drop_namespace(namespace)
-        drop = getattr(tree, "drop_node_cache", None)
-        if drop is not None:
-            drop()
+        if tree is not None:
+            self.buffer_pool.invalidate(tree.namespace)
+            self.storage.drop_namespace(tree.namespace)
+            tree.drop_node_cache()
 
     def registered_indexes(self) -> dict[str, Any]:
         """Snapshot of the index registry (persistence, introspection)."""
@@ -455,15 +453,15 @@ class Database:
         """Clear every cache, simulating a restart / cold run.
 
         Covers the buffer pool (both levels) *and* the node caches of
-        paged kd-trees -- a cold run that kept decoded index nodes
+        the kd indexes' paged trees -- a cold run that kept decoded index nodes
         around would understate cold-start I/O.
         """
         self.buffer_pool.clear()
         with self.lock:
             for index in self._indexes.values():
-                drop = getattr(getattr(index, "tree", None), "drop_node_cache", None)
-                if drop is not None:
-                    drop()
+                tree = getattr(index, "tree", None)
+                if tree is not None:
+                    tree.drop_node_cache()
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,7 @@ story under the simple recovery model).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -79,23 +80,20 @@ def save_catalog(database: Database) -> Path:
             for key, index in sorted(database.registered_indexes().items())
             if key.endswith(".bitmap")
         ],
-        # Paged kd-trees persist as a *layout* (a few integers), not a
+        # Kd-trees persist as a *layout* (a few integers), not a
         # serialized tree: their node pages are already on disk under
         # the index namespace, so reattach reopens them page-for-page --
-        # the restart pays no rebuild and no full deserialize.  Only
-        # paged trees appear here; in-memory trees are rebuilt by their
-        # owners as before.  Absent in catalogs written before the key
-        # existed.
+        # the restart pays no rebuild and no full deserialize.  Absent
+        # in catalogs written before the key existed.
         "kd_indexes": [
             {
                 "name": index.table_name,
                 "table": index.table.physical_name,
                 "dims": index.dims,
-                "layout": index.tree.layout.to_dict(),
+                "layout": dataclasses.asdict(index.tree.layout),
             }
             for key, index in sorted(database.registered_indexes().items())
             if key.endswith(".kdtree")
-            and getattr(index.tree, "layout", None) is not None
         ],
         # Planner calibration: the per-engine EWMA page-cost constants
         # each table's planner learned while serving.  Persisting them
@@ -185,7 +183,7 @@ def attach_database(
 
         if payload["table"] not in physical_names:
             continue
-        layout = PagedTreeLayout.from_dict(payload["layout"])
+        layout = PagedTreeLayout(**payload["layout"])
         stored = database.storage.num_pages(index_namespace(payload["table"]))
         if stored != layout.num_pages:
             continue

@@ -178,11 +178,12 @@ class IngestManager:
             if not np.all(np.isfinite(points)):
                 raise ValueError("inserted coordinates must be finite")
             if missing:
+                from repro.core.kdpaged import post_order_ids
+
                 tree = index.tree
-                leaves = tree.leaf_of_points(points)
-                columns["kd_leaf"] = tree.leaf_post_order_ids()[
-                    leaves - tree.first_leaf
-                ]
+                columns["kd_leaf"] = post_order_ids(
+                    tree.leaf_of_points(points), tree.num_levels
+                )
         extra = set(data) - {spec.name for spec in table.specs}
         if extra:
             raise KeyError(

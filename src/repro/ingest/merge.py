@@ -6,10 +6,13 @@ the merge never touches the pages in-flight queries are reading.  It
 1. fences the merge in the ingest WAL (``merge_begin``),
 2. reads the live main rows (tombstones dropped) plus the live delta
    inserts,
-3. bulk-loads a *new generation* of the table -- a fresh median-split
-   kd-tree over old + new points, a freshly clustered page file under
-   the physical namespace ``<name>@g<generation>``, and regenerated
-   zone maps (``Table.create`` builds them as it emits pages),
+3. bulk-loads a *new generation* of the table through the clustered
+   loader (:func:`~repro.core.kdtree.cluster` then
+   :func:`~repro.core.kdtree.install`) -- a fresh median-split kd-tree
+   over old + new points, a freshly clustered page file and its node
+   pages under the physical namespace ``<name>@g<generation>``, and
+   regenerated zone maps (``Table.create`` builds them as it emits
+   pages),
 4. swaps the new generation in atomically under the catalog lock
    (table, index, and a fresh empty delta tier in one critical
    section), bumping ``layout_version`` so every fingerprint and cache
@@ -89,11 +92,12 @@ def merge_table(
     No-op (``merged=False``) when the table has no pending churn.
     Raises ``ValueError`` if the merge would leave a kd-indexed table
     empty -- an empty point set cannot carry a kd-tree, and the caller
-    should drop the table instead.
+    should drop the table instead.  A write fault while loading the new
+    generation re-raises with nothing of it left behind: the generation,
+    the delta and the served index stay as they were, and the unpaired
+    ``merge_begin`` is invisible to WAL replay.
     """
-    from repro.bitmap.index import BitmapIndex
-    from repro.core.kdtree import KdTree, KdTreeIndex
-    from repro.db.errors import StorageFault
+    from repro.core.kdtree import cluster, install
     from repro.db.table import Table
 
     manager = database.ingest
@@ -136,10 +140,6 @@ def merge_table(
                     f"merge would leave kd-indexed table {name!r} empty; "
                     "drop the table instead"
                 )
-            dims = index.dims
-            points = np.column_stack(
-                [np.asarray(merged[d], dtype=np.float64) for d in dims]
-            )
             # Median-split rebuild over old + new points.  Levels follow
             # the old tree unless the table shrank below its capacity.
             cap = int(np.floor(np.log2(max(num_rows, 1)))) + 1
@@ -147,62 +147,34 @@ def merge_table(
                 min(index.tree.num_levels, cap) if num_levels is None
                 else num_levels
             )
-            tree = KdTree(
-                points, num_levels=max(1, levels),
+            clustering = cluster(
+                merged, index.dims, levels=max(1, levels),
                 axis_policy=index.tree.axis_policy,
             )
-            leaf_ids = np.empty(num_rows, dtype=np.int64)
-            leaf_post = tree.leaf_post_order_ids()
-            for j, leaf in enumerate(range(tree.first_leaf, 2 * tree.first_leaf)):
-                start, end = tree.node_rows(leaf)
-                leaf_ids[tree.permutation[start:end]] = leaf_post[j]
-            merged["kd_leaf"] = leaf_ids
-            new_table = Table.create(
-                database,
-                name,
-                merged,
-                rows_per_page=per_page,
-                clustered_by=("kd_leaf",),
-                physical_name=physical,
-            )
-            serving_tree = tree
-            if getattr(index.tree, "layout", None) is not None:
-                # The outgoing index was paged; page the new generation
-                # too, under the new physical namespace.  A write fault
-                # degrades to serving the in-memory tree (the kd analog
-                # of the bitmap's drop-on-rebuild-failure below: the
-                # answers stay correct, only the paging is lost).
-                from repro.core.kdpaged import paged_tree_for
-
-                serving_tree = paged_tree_for(database, physical, tree)
-            indexes[f"{name}.kdtree"] = KdTreeIndex(
-                database, new_table, serving_tree, dims
-            )
+            # The bitmap is rebuilt over the new generation so it swaps
+            # in atomically with the table and kd-tree.  A tuned bitmap
+            # may cover a dims subset while queries stay in the full
+            # coordinate space; the rebuild keeps that axis mapping.  If
+            # its rebuild faults the bitmap is dropped entirely -- a
+            # stale entry would start raising once the old physical
+            # namespace retires, whereas no entry just degrades the
+            # planner to kd/scan.
             old_bitmap = database.index_if_exists(f"{name}.bitmap")
-            if old_bitmap is not None:
-                # Rebuild the bitmap index over the new generation so it
-                # swaps in atomically with the table and kd-tree.  The
-                # column arrays are re-read from the new table (Table
-                # .create re-clusters, so ``merged`` is not in row
-                # order); a storage fault during the rebuild drops the
-                # bitmap entirely -- a stale entry would start raising
-                # once the old physical namespace retires, whereas no
-                # entry just degrades the planner to kd/scan.
-                try:
-                    indexes[f"{name}.bitmap"] = BitmapIndex.build(
-                        database,
-                        name,
-                        list(old_bitmap.dims),
-                        num_bins=old_bitmap.num_bins,
-                        register=False,
-                        table=new_table,
-                        # A tuned bitmap may cover a dims subset while
-                        # queries stay in the full coordinate space;
-                        # the rebuild must keep that axis mapping.
-                        table_dims=list(old_bitmap.query_dims),
-                    )
-                except StorageFault:
-                    drop_indexes.append(f"{name}.bitmap")
+            new_index, bitmap = install(
+                database, name, merged, index.dims, clustering,
+                rows_per_page=per_page,
+                physical_name=physical,
+                bitmap=(
+                    None if old_bitmap is None else
+                    (old_bitmap.dims, old_bitmap.num_bins, old_bitmap.query_dims)
+                ),
+            )
+            new_table = new_index.table
+            indexes[f"{name}.kdtree"] = new_index
+            if bitmap is not None:
+                indexes[f"{name}.bitmap"] = bitmap
+            elif old_bitmap is not None:
+                drop_indexes.append(f"{name}.bitmap")
         else:
             new_table = Table.create(
                 database,

@@ -49,6 +49,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.kdtree import cluster
 from repro.core.planner import PlannedQuery
 from repro.db.errors import StorageFault
 from repro.db.stats import IOStats
@@ -66,7 +67,7 @@ from repro.net.wire import (
 )
 from repro.net.worker import WorkerConfig, worker_main
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.partitioner import ShardSet, ShardSpec, attach_prebuilt_index
+from repro.shard.partitioner import ShardSet, ShardSpec
 
 __all__ = ["ShardWorkerPool", "WorkerDied"]
 
@@ -707,23 +708,22 @@ class ShardWorkerPool(ShardCoordinator):
             pts = np.column_stack(
                 [np.asarray(columns[d], dtype=np.float64) for d in old.dims]
             )
-            # Clear the prebuilt index fields before recomputing: stale
-            # blobs carried by replace() would describe the pre-recut
-            # tree.  attach_prebuilt_index rebuilds them for the new
-            # rows, so the respawn (and every later crash respawn)
-            # installs pages instead of re-running the build.
+            # Re-cluster the new rows, so the respawn (and every later
+            # crash respawn) installs pages instead of re-running the
+            # build.
+            layout = old.clustering.layout
             new_spec = replace(
                 old,
                 columns=columns,
                 num_rows=num_rows,
-                num_levels=min(old.num_levels, max(1, int(num_rows).bit_length())),
                 tight_box=Box(pts.min(axis=0), pts.max(axis=0)),
-                kd_leaf=None,
-                index_pages=None,
-                index_layout=None,
+                clustering=cluster(
+                    columns,
+                    old.dims,
+                    levels=min(layout.num_levels, max(1, int(num_rows).bit_length())),
+                    axis_policy=layout.axis_policy,
+                ),
             )
-            if old.index_pages is not None:
-                attach_prebuilt_index(new_spec)
             with self._spawn_lock:
                 handle = self._handles[sid]
                 handle.shutdown()

@@ -9,8 +9,10 @@ builds a shallow *router tree* (the top levels of the paper's kd-tree)
 over the coordinates, and turns each router leaf into a :class:`Shard`
 with its own :class:`~repro.db.catalog.Database` (hence its own
 :class:`~repro.db.buffer_pool.BufferPool` and storage backend) and a
-locally built :class:`~repro.core.kdtree.KdTreeIndex` over just that
-shard's rows.
+locally loaded :class:`~repro.core.kdtree.KdTreeIndex` over just that
+shard's rows: the parent runs the clustered loader's pure half
+(:func:`~repro.core.kdtree.cluster`) and the shard's worker its storage
+half (:func:`~repro.core.kdtree.install`).
 
 Because every shard is a kd-subtree, the router leaf's *partition box*
 tiles space with its siblings and bounds every row the shard holds --
@@ -33,11 +35,17 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.bitmap.index import DEFAULT_BITMAP_BINS, BitmapIndex
+from repro.bitmap.index import DEFAULT_BITMAP_BINS
 from repro.core.index_base import stack_coordinates
-from repro.core.kdtree import KdTree, KdTreeIndex, default_num_levels
+from repro.core.kdtree import (
+    Clustering,
+    KdTree,
+    KdTreeIndex,
+    cluster,
+    default_num_levels,
+    install,
+)
 from repro.db.catalog import Database, DatabaseOptions
-from repro.db.errors import StorageFault
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box
 from repro.ingest.delta import DELTA_BASE, SHARD_STRIDE
@@ -47,7 +55,6 @@ __all__ = [
     "Shard",
     "ShardSet",
     "ShardSpec",
-    "attach_prebuilt_index",
     "build_shard",
     "shard_layout_version",
     "to_global_ids",
@@ -94,14 +101,17 @@ def to_local_ids(shard, global_ids: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShardSpec:
-    """A picklable recipe for one shard: data, geometry, and open options.
+    """A picklable recipe for one shard: data, clustering, geometry, options.
 
     Everything a worker -- a thread in this process or a forked/spawned
-    *worker process* -- needs to build the shard's private
-    :class:`~repro.db.catalog.Database` and kd-tree from scratch:
-    the shard's column arrays, its kd geometry (partition and tight
-    boxes, post-order range), its global row offset, and the database
-    open options (including, for fault drills, the parent's seeded
+    *worker process* -- needs to load the shard's private
+    :class:`~repro.db.catalog.Database`: the shard's column arrays, the
+    :class:`~repro.core.kdtree.Clustering` the parent computed for them
+    (so the worker installs page blobs instead of re-running the
+    median-split build, and spawn/respawn cost stops scaling with index
+    depth), its kd geometry (partition and tight boxes, post-order
+    range), its global row offset, and the database open options
+    (including, for fault drills, the parent's seeded
     :class:`~repro.db.faults.FaultInjector`, which pickles with its RNG
     state so the worker reproduces the configured fault sequence).
     """
@@ -112,14 +122,15 @@ class ShardSpec:
     base_name: str
     dims: list[str]
     columns: dict[str, np.ndarray]
-    num_levels: int
-    axis_policy: str
     rows_per_page: int
     row_offset: int
     num_rows: int
     post_order_range: tuple[int, int]
     partition_box: Box
     tight_box: Box
+    #: :func:`~repro.core.kdtree.cluster` of ``columns``; re-cluster
+    #: whenever the columns change.
+    clustering: Clustering
     options: DatabaseOptions = field(default_factory=DatabaseOptions)
     #: Bins per column of the shard's bitmap index; 0 disables it.
     bitmap_bins: int = DEFAULT_BITMAP_BINS
@@ -127,94 +138,10 @@ class ShardSpec:
     #: A tuned replica ships a subset here; the index still answers
     #: queries phrased over the full ``dims`` space.
     bitmap_dims: tuple[str, ...] | None = None
-    #: Prebuilt index shipment (see :func:`attach_prebuilt_index`): the
-    #: parent builds the shard tree once and ships its clustering column
-    #: and encoded node pages, so the worker installs page blobs instead
-    #: of re-running the median-split build.  ``None`` -> the worker
-    #: builds from scratch.
-    kd_leaf: np.ndarray | None = None
-    index_pages: list[bytes] | None = None
-    index_layout: dict | None = None
 
     def column_dtypes(self) -> dict[str, np.dtype]:
         """Result-schema dtypes (what a gather/merge must produce)."""
         return {name: arr.dtype for name, arr in self.columns.items()}
-
-
-def attach_prebuilt_index(spec: ShardSpec) -> ShardSpec:
-    """Build the shard's kd-tree in the parent and ship it as page blobs.
-
-    Fills the spec's ``kd_leaf`` (the clustering column that reproduces
-    the tree's row order byte-for-byte on the worker -- the stable
-    cluster sort puts rows in left-to-right leaf order with original
-    ascending order inside each leaf, exactly the build permutation),
-    ``index_pages`` (encoded ``RPGZ`` node pages), and ``index_layout``.
-    A worker then installs the blobs instead of re-running the
-    median-split build, so spawn/respawn cost stops scaling with index
-    depth.  Must be re-run (or the fields cleared) whenever the spec's
-    columns or tree geometry change -- stale blobs would describe a
-    different tree.
-    """
-    from repro.core.kdpaged import PagedTreeLayout, tree_node_pages
-    from repro.db.pages import PageCodec
-
-    points = stack_coordinates(spec.columns, list(spec.dims))
-    tree = KdTree(
-        points, num_levels=spec.num_levels, axis_policy=spec.axis_policy
-    )
-    leaf_ids = np.empty(tree.num_points, dtype=np.int64)
-    leaf_post = tree.leaf_post_order_ids()
-    for j, leaf in enumerate(range(tree.first_leaf, 2 * tree.first_leaf)):
-        start, end = tree.node_rows(leaf)
-        leaf_ids[tree.permutation[start:end]] = leaf_post[j]
-    spec.kd_leaf = leaf_ids
-    spec.index_pages = [PageCodec.encode(p) for p in tree_node_pages(tree)]
-    spec.index_layout = PagedTreeLayout.for_tree(tree).to_dict()
-    return spec
-
-
-def _install_prebuilt_index(shard_db: Database, spec: ShardSpec) -> KdTreeIndex:
-    """Worker-side install of a parent-built index (see :func:`attach_prebuilt_index`).
-
-    Creates the clustered table from the shipped ``kd_leaf`` column and
-    writes the node-page blobs under the index namespace.  A storage
-    fault during the page install degrades to rebuilding the in-memory
-    tree locally (the table is already clustered identically, so the
-    rebuilt tree's row ranges address it unchanged).
-    """
-    from repro.core.kdpaged import PagedKdTree, PagedTreeLayout
-    from repro.db.pages import PageCodec
-    from repro.db.storage import index_namespace
-
-    table_data = dict(spec.columns)
-    table_data["kd_leaf"] = spec.kd_leaf
-    table = shard_db.create_table(
-        spec.name,
-        table_data,
-        rows_per_page=spec.rows_per_page,
-        clustered_by=("kd_leaf",),
-    )
-    namespace = index_namespace(table.physical_name)
-    try:
-        for blob in spec.index_pages:
-            shard_db.storage.write_page(namespace, PageCodec.decode(blob))
-    except StorageFault:
-        shard_db.buffer_pool.invalidate(namespace)
-        try:
-            shard_db.storage.drop_namespace(namespace)
-        except Exception:
-            pass
-        points = stack_coordinates(spec.columns, list(spec.dims))
-        tree = KdTree(
-            points, num_levels=spec.num_levels, axis_policy=spec.axis_policy
-        )
-    else:
-        tree = PagedKdTree(
-            shard_db, table.physical_name, PagedTreeLayout.from_dict(spec.index_layout)
-        )
-    index = KdTreeIndex(shard_db, table, tree, list(spec.dims))
-    shard_db.register_index(f"{spec.name}.kdtree", index)
-    return index
 
 
 def build_shard(
@@ -224,48 +151,30 @@ def build_shard(
 
     This is the worker-side half of partitioning: the parent computes
     specs once (:meth:`KdPartitioner.plan`) and each worker, wherever it
-    runs, builds its own engine stack from the spec alone.  Specs
-    carrying a prebuilt index (:func:`attach_prebuilt_index`) install
-    its page blobs instead of rebuilding the tree.
+    runs, installs the spec's clustering into its own engine stack.  A
+    write fault raises (see :func:`~repro.core.kdtree.install`).
     """
     if database_factory is not None:
         shard_db = database_factory(spec.shard_id)
     else:
         shard_db = spec.options.open()
-    if (
-        spec.index_pages is not None
-        and spec.index_layout is not None
-        and spec.kd_leaf is not None
-    ):
-        index = _install_prebuilt_index(shard_db, spec)
-    else:
-        index = KdTreeIndex.build(
-            shard_db,
-            spec.name,
-            spec.columns,
-            list(spec.dims),
-            num_levels=spec.num_levels,
-            axis_policy=spec.axis_policy,
-            rows_per_page=spec.rows_per_page,
-        )
-    if spec.bitmap_bins:
-        bitmap_dims = (
-            list(spec.bitmap_dims)
-            if spec.bitmap_dims is not None
-            else list(spec.dims)
-        )
-        try:
-            BitmapIndex.build(
-                shard_db,
-                spec.name,
-                bitmap_dims,
-                num_bins=spec.bitmap_bins,
-                table_dims=list(spec.dims),
+    index, _ = install(
+        shard_db,
+        spec.name,
+        spec.columns,
+        spec.dims,
+        spec.clustering,
+        rows_per_page=spec.rows_per_page,
+        bitmap=(
+            (
+                spec.dims if spec.bitmap_dims is None else spec.bitmap_dims,
+                spec.bitmap_bins,
+                spec.dims,
             )
-        except StorageFault:
-            # A faulty backend that kills the build just leaves the shard
-            # without a bitmap index; its planner keeps the kd/scan paths.
-            pass
+            if spec.bitmap_bins
+            else None
+        ),
+    )
     return Shard(
         shard_id=spec.shard_id,
         database=shard_db,
@@ -543,7 +452,6 @@ class KdPartitioner:
         *,
         options: DatabaseOptions | None = None,
         shard_options: dict[int, DatabaseOptions] | None = None,
-        prebuild_index: bool = True,
         bitmap_bins: int = DEFAULT_BITMAP_BINS,
         bitmap_dims: tuple[str, ...] | None = None,
     ) -> list[ShardSpec]:
@@ -557,11 +465,9 @@ class KdPartitioner:
         give one worker a seeded injector).  The specs feed either
         :func:`build_shard` (thread transport, this process) or a
         :class:`~repro.net.pool.ShardWorkerPool` (process transport).
-
-        With ``prebuild_index`` on (the default) each spec also carries
-        the shard's kd-tree as compressed page blobs
-        (:func:`attach_prebuilt_index`), so workers -- and every later
-        respawn of a dead worker -- skip the median-split build.
+        Each spec carries its shard's :func:`~repro.core.kdtree.cluster`
+        output, so workers -- and every later respawn of a dead worker
+        -- skip the median-split build.
         """
         points = stack_coordinates(data, list(dims))
         if len(points) < self.num_shards:
@@ -592,32 +498,32 @@ class KdPartitioner:
         ):
             start, end = router_tree.node_rows(leaf)
             rows = router_tree.permutation[start:end]
+            columns = {c: arr[rows] for c, arr in arrays.items()}
             specs.append(
                 ShardSpec(
                     shard_id=j,
                     name=f"{name}__shard{j}",
                     base_name=name,
                     dims=list(dims),
-                    columns={c: arr[rows] for c, arr in arrays.items()},
-                    num_levels=min(
-                        shard_levels, max(1, int(len(rows)).bit_length())
-                    ),
-                    axis_policy=self.axis_policy,
+                    columns=columns,
                     rows_per_page=self.rows_per_page,
                     row_offset=offset,
                     num_rows=len(rows),
                     post_order_range=router_tree.post_order_range(leaf),
                     partition_box=router_tree.partition_box(leaf),
                     tight_box=router_tree.tight_box(leaf),
+                    clustering=cluster(
+                        columns,
+                        dims,
+                        levels=min(shard_levels, max(1, int(len(rows)).bit_length())),
+                        axis_policy=self.axis_policy,
+                    ),
                     options=(shard_options or {}).get(j, options),
                     bitmap_bins=bitmap_bins,
                     bitmap_dims=bitmap_dims,
                 )
             )
             offset += len(rows)
-        if prebuild_index:
-            for spec in specs:
-                attach_prebuilt_index(spec)
         return specs
 
     def partition(

@@ -12,7 +12,9 @@ each query wherever it is predicted cheapest, and to *degrade* to any
 live replica when the preferred one faults.
 
 Builds reuse the existing machinery end to end: an unsharded replica is
-a :class:`~repro.core.kdtree.KdTreeIndex` + optional
+loaded by the clustered loader (:func:`~repro.core.kdtree.cluster` /
+:func:`~repro.core.kdtree.install`) into a
+:class:`~repro.core.kdtree.KdTreeIndex` + optional
 :class:`~repro.bitmap.index.BitmapIndex` behind a
 :class:`~repro.core.planner.QueryPlanner`; a sharded replica goes
 through :meth:`~repro.shard.partitioner.KdPartitioner.plan` /
@@ -28,14 +30,14 @@ worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.bitmap.index import BitmapIndex, axis_bounds
+from repro.bitmap.index import axis_bounds
 from repro.core.batch import BatchMemberResult, BatchResult
-from repro.core.kdtree import KdTreeIndex
+from repro.core.kdtree import cluster, install
 from repro.core.planner import PlannedQuery, QueryPlanner
 from repro.db.catalog import Database, DatabaseOptions
 from repro.db.errors import StorageFault
@@ -131,12 +133,7 @@ def _build_replica(
     )
     if config.shards:
         from repro.shard.executor import ScatterGatherExecutor
-        from repro.shard.partitioner import (
-            KdPartitioner,
-            ShardSet,
-            build_shard,
-        )
-        from repro.geometry.boxes import Box
+        from repro.shard.partitioner import KdPartitioner, ShardSet, build_shard
 
         partitioner = KdPartitioner(config.shards, axis_policy=axis_policy)
         specs = partitioner.plan(
@@ -152,27 +149,20 @@ def _build_replica(
                 specs=specs, transport="process", seed=seed + replica_id
             )
         else:
-            shards = [build_shard(spec) for spec in specs]
-            lo = np.min(np.stack([s.partition_box.lo for s in specs]), axis=0)
-            hi = np.max(np.stack([s.partition_box.hi for s in specs]), axis=0)
-            shard_set = ShardSet(name, list(dims), shards, Box(lo, hi))
+            # The shard set's root box defaults to the union of the
+            # partition cells.
+            shard_set = ShardSet(name, list(dims), [build_shard(spec) for spec in specs])
             engine = ScatterGatherExecutor(shard_set, seed=seed + replica_id)
         return Replica(replica_id, config, engine)
     database = options.open()
-    index = KdTreeIndex.build(
-        database, name, data, list(dims), axis_policy=axis_policy
+    index, _ = install(
+        database,
+        name,
+        data,
+        dims,
+        cluster(data, dims, axis_policy=axis_policy),
+        bitmap=(bitmap_dims, config.bitmap_bins, dims) if config.bitmap_bins else None,
     )
-    if config.bitmap_bins:
-        try:
-            BitmapIndex.build(
-                database,
-                name,
-                bitmap_dims,
-                num_bins=config.bitmap_bins,
-                table_dims=list(dims),
-            )
-        except StorageFault:
-            pass  # the replica keeps its kd/scan paths, like a shard would
     planner = QueryPlanner(index, seed=seed + replica_id)
     return Replica(replica_id, config, planner, database=database)
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdpaged import PagedKdTree, paged_tree_for
+from repro.core.kdpaged import PagedKdTree, PagedTreeLayout, post_order_ids, tree_node_pages
 from repro.core.kdtree import KdTree, KdTreeIndex, default_num_levels
 from repro.db import Database
+from repro.db.storage import index_namespace
 from repro.geometry import Box, Polyhedron
 from repro.core import polyhedron_full_scan
 
@@ -25,12 +26,26 @@ def tree(points):
     return KdTree(points, num_levels=6)
 
 
+def _page_out(tree, nodes_per_page: int, node_cache_bytes: int | None = None):
+    """``tree``'s node pages in a fresh in-memory database, served."""
+    db = Database.in_memory(buffer_pages=None)
+    for page in tree_node_pages(tree, nodes_per_page):
+        db.storage.write_page(index_namespace("probe"), page)
+    layout = PagedTreeLayout.for_tree(tree, nodes_per_page)
+    return PagedKdTree(db, "probe", layout, node_cache_bytes=node_cache_bytes)
+
+
+@pytest.fixture(scope="module")
+def served(tree):
+    """The tree that serves ``tree``'s queries: its node pages, paged."""
+    return _page_out(tree, 512)
+
+
 @pytest.fixture(scope="module")
 def paged_tree(tree):
     """``tree`` paged 8 nodes to a page, under a node cache that holds one."""
-    db = Database.in_memory(buffer_pages=None)
-    paged = paged_tree_for(db, "probe", tree, nodes_per_page=8, node_cache_bytes=1)
-    assert isinstance(paged, PagedKdTree) and paged.layout.num_pages == 8
+    paged = _page_out(tree, 8, node_cache_bytes=1)
+    assert paged.layout.num_pages == 8
     return paged
 
 
@@ -116,18 +131,18 @@ class TestStructure:
     def test_permutation_is_a_permutation(self, tree):
         assert np.array_equal(np.sort(tree.permutation), np.arange(tree.num_points))
 
-    def test_split_separates_points(self, tree, points):
+    def test_split_separates_points(self, tree, served, points):
         for node in (1, 2, 3, 7, 15):
-            axis, value = tree.split_plane(node)
+            axis, value = served.split_plane(node)
             l_start, l_end = tree.node_rows(2 * node)
             r_start, r_end = tree.node_rows(2 * node + 1)
             left = points[tree.permutation[l_start:l_end], axis]
             right = points[tree.permutation[r_start:r_end], axis]
             assert left.max() <= value <= right.min()
 
-    def test_split_plane_on_leaf_rejected(self, tree):
+    def test_split_plane_on_leaf_rejected(self, served):
         with pytest.raises(ValueError):
-            tree.split_plane(32)
+            served.split_plane(32)
 
     def test_partition_boxes_tile_root(self, tree, points):
         # Every point lies in its leaf's partition box; leaf boxes' total
@@ -159,18 +174,34 @@ class TestStructure:
 
 
 class TestPostOrder:
-    def test_ids_are_a_permutation(self, tree):
-        ids = [tree.post_order_id(node) for node in range(1, 64)]
+    def test_ids_are_a_permutation(self, served):
+        ids = [served.post_order_id(node) for node in range(1, 64)]
         assert sorted(ids) == list(range(1, 64))
+        assert post_order_ids(np.arange(1, 64), 6).tolist() == ids
 
-    def test_root_is_last(self, tree):
-        assert tree.post_order_id(1) == 63
+    def test_array_ids_match_a_depth_first_walk(self):
+        # The reference: number a perfect heap by an explicit post-order walk.
+        for levels in (1, 2, 5, 9):
+            expected: dict[int, int] = {}
+            stack = [(1, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if node >= 2 ** (levels - 1) or expanded:
+                    expected[node] = len(expected) + 1
+                else:
+                    stack += [(node, True), (2 * node + 1, False), (2 * node, False)]
+            nodes = np.arange(1, 2**levels)
+            assert post_order_ids(nodes, levels).tolist() == [expected[n] for n in nodes]
 
-    def test_subtree_between_property(self, tree):
+    def test_root_is_last(self, served):
+        assert served.post_order_id(1) == 63
+
+    def test_subtree_between_property(self, tree, served):
         # Every descendant's id lies in the node's post-order range --
         # the property that makes subtree retrieval a BETWEEN.
         for node in range(1, 64):
             lo, hi = tree.post_order_range(node)
+            assert served.post_order_range(node) == (lo, hi)
             descendants = [node]
             frontier = [node]
             while frontier:
@@ -179,53 +210,62 @@ class TestPostOrder:
                     frontier += [2 * current, 2 * current + 1]
                     descendants += [2 * current, 2 * current + 1]
             for d in descendants:
-                assert lo <= tree.post_order_id(d) <= hi
+                assert lo <= served.post_order_id(d) <= hi
         assert tree.post_order_range(1) == (1, 63)
 
     def test_leaf_ids_increase_left_to_right(self, tree):
-        leaf_ids = tree.leaf_post_order_ids()
-        assert (np.diff(leaf_ids) > 0).all()
+        # In build order (the clustered table's row order) the kd_leaf
+        # column is non-decreasing and takes one value per leaf.
+        ids = tree.leaf_ids()[tree.permutation]
+        assert (np.diff(ids) >= 0).all()
+        assert len(np.unique(ids)) == tree.num_leaves
 
 
 class TestPointLocation:
-    def test_leaf_of_point_contains_it(self, tree, points):
+    def test_leaf_of_point_contains_it(self, tree, served, points):
         rng = np.random.default_rng(0)
         for idx in rng.choice(tree.num_points, 100, replace=False):
-            leaf = tree.leaf_of_point(points[idx])
+            leaf = served.leaf_of_point(points[idx])
             assert tree.partition_box(leaf).contains_point(points[idx])
+
+    def test_served_point_location_reproduces_leaf_ids(self, tree, served, points):
+        # Insert routing tags a row with the leaf the served tree locates
+        # it in; for the build's own points that is the build's tag.
+        leaves = served.leaf_of_points(points)
+        assert np.array_equal(post_order_ids(leaves, tree.num_levels), tree.leaf_ids())
 
     @settings(max_examples=40, deadline=None)
     @given(probes=st.lists(_probe, max_size=40))
-    def test_leaf_of_points_matches_per_point_descent(self, tree, probes):
-        points = _probe_points(tree, probes)
-        leaves = tree.leaf_of_points(points)
-        assert leaves.tolist() == [tree.leaf_of_point(p) for p in points]
-        assert leaves.tolist() == [_descend(tree, p) for p in points]
+    def test_leaf_of_points_matches_per_point_descent(self, served, probes):
+        points = _probe_points(served, probes)
+        leaves = served.leaf_of_points(points)
+        assert leaves.tolist() == [served.leaf_of_point(p) for p in points]
+        assert leaves.tolist() == [_descend(served, p) for p in points]
 
     @settings(max_examples=40, deadline=None)
     @given(probes=st.lists(_probe, max_size=40))
     def test_paged_leaf_of_points_matches_under_one_page_cache(
-        self, tree, paged_tree, probes
+        self, served, paged_tree, probes
     ):
-        points = _probe_points(tree, probes)
+        points = _probe_points(served, probes)
         leaves = paged_tree.leaf_of_points(points)
         assert leaves.tolist() == [paged_tree.leaf_of_point(p) for p in points]
-        assert leaves.tolist() == [_descend(tree, p) for p in points]
+        assert leaves.tolist() == [_descend(served, p) for p in points]
         assert len(paged_tree._node_cache) <= 1
 
-    def test_leaves_containing_interior_point_is_single(self, tree):
-        point = tree.partition_box(40).center
-        leaves = tree.leaves_containing(point)
-        assert leaves == [tree.leaf_of_point(point)]
+    def test_leaves_containing_interior_point_is_single(self, served):
+        point = served.partition_box(40).center
+        leaves = served.leaves_containing(point)
+        assert leaves == [served.leaf_of_point(point)]
 
-    def test_leaves_containing_cut_plane_point(self, tree):
-        axis, value = tree.split_plane(1)
-        point = tree.partition_box(1).center.copy()
+    def test_leaves_containing_cut_plane_point(self, served):
+        axis, value = served.split_plane(1)
+        point = served.partition_box(1).center.copy()
         point[axis] = value
-        leaves = tree.leaves_containing(point)
+        leaves = served.leaves_containing(point)
         assert len(leaves) >= 2
         for leaf in leaves:
-            assert tree.partition_box(leaf).contains_point(point)
+            assert served.partition_box(leaf).contains_point(point)
 
     def test_leaf_statistics_keys(self, tree):
         stats = tree.leaf_statistics()
@@ -238,10 +278,7 @@ class TestKdTreeIndex:
     def index(self, points):
         db = Database.in_memory(buffer_pages=None)
         data = {"x": points[:, 0], "y": points[:, 1], "z": points[:, 2]}
-        # paged=False: these tests read tree.permutation after the build.
-        return KdTreeIndex.build(
-            db, "kd", data, ["x", "y", "z"], num_levels=6, paged=False
-        )
+        return KdTreeIndex.build(db, "kd", data, ["x", "y", "z"], num_levels=6)
 
     def test_registered_in_catalog(self, index):
         assert index.table.clustered_by == ("kd_leaf",)
@@ -250,10 +287,12 @@ class TestKdTreeIndex:
         leaf_col = index.table.read_column("kd_leaf")
         assert (np.diff(leaf_col) >= 0).all()
 
-    def test_leaf_ranges_address_clustered_table(self, index, points):
-        tree = index.tree
+    def test_leaf_ranges_address_clustered_table(self, index, tree, points):
+        # ``tree`` is the same build over the same points: its
+        # permutation names the rows the served ranges must address.
         for leaf in (32, 45, 63):
-            start, end = tree.node_rows(leaf)
+            start, end = index.tree.node_rows(leaf)
+            assert (start, end) == tree.node_rows(leaf)
             rows = index.table.read_rows(start, end)
             got = np.column_stack([rows["x"], rows["y"], rows["z"]])
             expected = points[tree.permutation[start:end]]

@@ -11,9 +11,25 @@ never return a wrong answer and never hang or kill a worker.
 import numpy as np
 import pytest
 
-from repro import Database, LoggedStorage, QueryPlanner, WriteFault
+from repro import (
+    Box,
+    Database,
+    KdPartitioner,
+    KdTreeIndex,
+    LoggedStorage,
+    Polyhedron,
+    QueryPlanner,
+    WriteFault,
+    attach_database,
+    build_shard,
+    merge_table,
+    save_catalog,
+)
+from repro.core.kdpaged import PagedKdTree
+from repro.core.queries import polyhedron_full_scan
 from repro.db import CorruptPageError, FaultInjector, FaultyStorage, MemoryStorage
 from repro.db.histogram import HistogramStatistics
+from repro.db.storage import FileStorage, index_namespace
 from repro.service import DeadlineExceeded, QueryFault, QueryService, rows_equal
 
 from .faultutil import BANDS, build_kd_setup, fault_free_ground_truth, make_faulty_db
@@ -227,6 +243,112 @@ class TestWriteFaults:
         db.drop_table("t")  # clear any partial pages
         table = db.create_table("t", dict(data), rows_per_page=64)
         assert np.array_equal(table.read_column("a"), data["a"])
+
+
+class _InjectedFileStorage(FileStorage):
+    """File-per-page storage whose writes roll an injector's dice first.
+
+    A subclass rather than a :class:`FaultyStorage` wrapper so that
+    :func:`save_catalog` still sees a file-backed database.
+    """
+
+    def __init__(self, root, injector: FaultInjector):
+        super().__init__(root)
+        self.injector = injector
+
+    def write_page(self, namespace, page):
+        self.injector.on_write_attempt(namespace, page.page_id)
+        super().write_page(namespace, page)
+
+
+_KD_DIMS = ["x", "y", "z"]
+
+
+def _kd_rows(n: int, seed: int, first_oid: int = 0) -> dict:
+    rng = np.random.default_rng(seed)
+    data = {d: rng.normal(0.0, 1.0, n) for d in _KD_DIMS}
+    data["oid"] = np.arange(first_oid, first_oid + n, dtype=np.int64)
+    return data
+
+
+def _index_faults() -> FaultInjector:
+    return FaultInjector(write_fault_rate=1.0, namespace_filter="__kdindex__")
+
+
+def _assert_answers_like_scan(db) -> None:
+    index = db.index("t.kdtree")
+    assert isinstance(index.tree, PagedKdTree)
+    for lo, hi in (([-0.5] * 3, [0.8] * 3), ([-9.0] * 3, [9.0] * 3)):
+        poly = Polyhedron.from_box(Box(np.array(lo), np.array(hi)))
+        rows, _ = index.query_polyhedron(poly)
+        truth, _ = polyhedron_full_scan(db.table("t"), _KD_DIMS, poly)
+        assert rows_equal(rows, truth)
+
+
+class TestKdLoadWriteFaults:
+    """A write fault during a clustered kd load raises and leaves nothing behind."""
+
+    def test_faulted_merge_raises_and_the_next_merge_keeps_the_index(self, tmp_path):
+        injector = FaultInjector()
+        db = Database(_InjectedFileStorage(tmp_path, injector), buffer_pages=None)
+        KdTreeIndex.build(db, "t", _kd_rows(4000, seed=1), _KD_DIMS, rows_per_page=128)
+        table = db.table("t")
+        table.insert_rows(_kd_rows(300, seed=2, first_oid=4000))
+        table.delete_rows(np.arange(0, 4000, 97))
+        live = table.num_live_rows
+
+        injector.configure(write_fault_rate=1.0, namespace_filter="__kdindex__")
+        with pytest.raises(WriteFault):
+            merge_table(db, "t")
+        assert injector.counters()["writes_failed"] >= 1
+        assert db.ingest.state("t").generation == 0
+        assert db.table("t") is table and table.num_live_rows == live
+        for namespace in ("t@g1", index_namespace("t@g1")):
+            assert db.storage.num_pages(namespace) == 0
+            assert namespace not in db.buffer_pool.cached_namespaces()
+        assert "t@g1" not in db.zone_map_names()
+        _assert_answers_like_scan(db)  # main plus delta, as before the merge
+
+        injector.quiesce()
+        report = merge_table(db, "t")
+        assert report.merged and report.generation == 1
+        assert db.table("t").physical_name == "t@g1"
+        _assert_answers_like_scan(db)
+
+        save_catalog(db)
+        reopened = attach_database(tmp_path)
+        restored = reopened.index_if_exists("t.kdtree")
+        assert restored is not None
+        assert restored.tree.layout == db.index("t.kdtree").tree.layout
+        _assert_answers_like_scan(reopened)
+
+    def test_faulted_build_raises_and_leaves_nothing_behind(self):
+        injector = _index_faults()
+        db = Database(FaultyStorage(MemoryStorage(), injector), buffer_pages=None)
+        data = _kd_rows(3000, seed=3)
+        with pytest.raises(WriteFault):
+            KdTreeIndex.build(db, "t", dict(data), _KD_DIMS)
+        assert not db.has_table("t")
+        assert db.index_if_exists("t.kdtree") is None
+        for namespace in ("t", index_namespace("t")):
+            assert db.storage.num_pages(namespace) == 0
+            assert namespace not in db.buffer_pool.cached_namespaces()
+        assert "t" not in db.zone_map_names()
+
+        injector.quiesce()
+        KdTreeIndex.build(db, "t", dict(data), _KD_DIMS)
+        _assert_answers_like_scan(db)
+
+    def test_build_shard_over_a_faulting_database_raises(self):
+        injector = _index_faults()
+        specs = KdPartitioner(2).plan("s", _kd_rows(2000, seed=4), _KD_DIMS)
+        with pytest.raises(WriteFault):
+            build_shard(
+                specs[0],
+                lambda _shard_id: Database(
+                    FaultyStorage(MemoryStorage(), injector), buffer_pages=None
+                ),
+            )
 
 
 class TestInjectedLatency:

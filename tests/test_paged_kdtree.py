@@ -1,12 +1,12 @@
-"""Differential and hygiene tests for the paged on-disk kd-tree.
+"""Differential and hygiene tests for the paged kd-tree, the one serving tree.
 
 The contract under test: a :class:`~repro.core.kdpaged.PagedKdTree`
 serving node pages through the buffer pool -- under a node-cache budget
-deliberately too small to hold the tree -- answers every read path
-(solo, batched, sharded, k-NN, under ingest churn) row-identically to
-the in-memory :class:`~repro.core.kdtree.KdTree` it was serialized
-from.  Plus the cache-hygiene half: generation swaps and index drops
-must never leave a stale node page reachable.
+deliberately too small to hold the tree -- serves exactly the node
+arrays the build computed, and answers every read path (solo, batched,
+sharded, k-NN, under ingest churn) row-identically to a full scan.
+Plus the cache-hygiene half: generation swaps and index drops must
+never leave a stale node page reachable.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from repro import (
     save_catalog,
 )
 from repro.core.batch import batch_kd_query
+from repro.core.index_base import stack_coordinates
 from repro.core.kdpaged import PagedKdTree
+from repro.core.kdtree import KdTree
 from repro.core.queries import polyhedron_full_scan
 from repro.service import rows_equal
 
@@ -72,7 +74,8 @@ def _oids(rows: dict) -> frozenset[int]:
 
 @pytest.fixture(scope="module")
 def paged_pair():
-    """The same dataset behind a paged and an in-memory kd index.
+    """One dataset behind a paged kd index, plus the same build's
+    :class:`~repro.core.kdtree.KdTree` (the arrays it was paged from).
 
     The paged side runs with a node-cache budget far below one page, so
     every cross-page traversal evicts -- correctness must not depend on
@@ -81,13 +84,15 @@ def paged_pair():
     data = _make_data()
     db = Database.in_memory(buffer_pages=None, index_cache_bytes=TINY_CACHE)
     paged = KdTreeIndex.build(db, "pg", dict(data), DIMS, num_levels=NUM_LEVELS)
-    mem = KdTreeIndex.build(
-        db, "mem", dict(data), DIMS, num_levels=NUM_LEVELS, paged=False
-    )
+    built = KdTree(stack_coordinates(data, DIMS), num_levels=NUM_LEVELS)
     assert isinstance(paged.tree, PagedKdTree)
     assert paged.tree.layout.num_pages >= 4
-    assert not isinstance(mem.tree, PagedKdTree)
-    return db, paged, mem
+    return db, paged, built
+
+
+def _scan(index, polyhedron) -> dict:
+    rows, _ = polyhedron_full_scan(index.table, DIMS, polyhedron)
+    return rows
 
 
 _center = st.floats(min_value=-2.0, max_value=5.0, allow_nan=False)
@@ -103,44 +108,47 @@ def _box_from_draws(centers, widths) -> Box:
     return Box(lo, hi)
 
 
-def _box_eq(a: Box, b: Box) -> bool:
-    return np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-
-
 class TestStructuralEquivalence:
     def test_paged_tree_mirrors_in_memory_nodes(self, paged_pair):
-        _, paged, mem = paged_pair
-        ptree, mtree = paged.tree, mem.tree
-        assert ptree.first_leaf == mtree.first_leaf
-        for node in range(1, 2 * mtree.first_leaf):
-            assert ptree.post_order_id(node) == mtree.post_order_id(node)
-            assert ptree.post_order_range(node) == mtree.post_order_range(node)
-            assert ptree.node_rows(node) == mtree.node_rows(node)
-            assert _box_eq(ptree.partition_box(node), mtree.partition_box(node))
-            assert _box_eq(ptree.tight_box(node), mtree.tight_box(node))
-            if not mtree.is_leaf(node):
-                assert ptree.split_plane(node) == mtree.split_plane(node)
+        # Built arrays equal served arrays, node by node through pages.
+        _, paged, built = paged_pair
+        arrays = built.export_node_arrays()
+        served = paged.tree
+        nodes = range(1, 2 * built.first_leaf)
+        assert [served.post_order_id(n) for n in nodes] == arrays["post_order"][1:].tolist()
+        for name, position in (("seg_start", 0), ("seg_end", 1)):
+            got = [served.node_rows(n)[position] for n in nodes]
+            assert got == arrays[name][1:].tolist()
+        for kind in ("partition", "tight"):
+            for side in ("lo", "hi"):
+                want = arrays[f"{kind}_{side}"][1:]
+                box_of = served.partition_box if kind == "partition" else served.tight_box
+                got = np.array([getattr(box_of(n), side) for n in nodes])
+                finite = np.isfinite(want).all(axis=1)
+                assert np.array_equal(got[finite], want[finite])
+        inner = range(1, built.first_leaf)
+        assert [served.split_plane(n) for n in inner] == [
+            (int(arrays["split_axis"][n]), float(arrays["split_value"][n])) for n in inner
+        ]
 
     def test_leaf_statistics_identical(self, paged_pair):
-        _, paged, mem = paged_pair
-        assert paged.tree.leaf_statistics() == mem.tree.leaf_statistics()
+        _, paged, built = paged_pair
+        assert paged.tree.leaf_statistics() == built.leaf_statistics()
 
 
 class TestQueryDifferential:
     @_SETTINGS
     @given(draw=_box_strategy)
     def test_solo_queries_row_identical(self, paged_pair, draw):
-        _, paged, mem = paged_pair
+        _, paged, _ = paged_pair
         polyhedron = Polyhedron.from_box(_box_from_draws(*draw))
+        truth = _scan(paged, polyhedron)
         for tight in (True, False):
-            p_rows, _ = paged.query_polyhedron(polyhedron, use_tight_boxes=tight)
-            m_rows, _ = mem.query_polyhedron(polyhedron, use_tight_boxes=tight)
-            assert _oids(p_rows) == _oids(m_rows)
-        scan_rows, _ = polyhedron_full_scan(paged.table, DIMS, polyhedron)
-        assert rows_equal(p_rows, scan_rows)
+            rows, _ = paged.query_polyhedron(polyhedron, use_tight_boxes=tight)
+            assert rows_equal(rows, truth)
 
     def test_batched_queries_row_identical(self, paged_pair):
-        _, paged, mem = paged_pair
+        _, paged, _ = paged_pair
         rng = np.random.default_rng(21)
         polys = []
         for _ in range(6):
@@ -149,11 +157,10 @@ class TestQueryDifferential:
             polys.append(
                 Polyhedron.from_box(Box(center - widths / 2, center + widths / 2))
             )
-        p_results, _ = batch_kd_query(paged, polys)
-        m_results, _ = batch_kd_query(mem, polys)
-        for (p_rows, _, p_err), (m_rows, _, m_err) in zip(p_results, m_results):
-            assert p_err is None and m_err is None
-            assert _oids(p_rows) == _oids(m_rows)
+        results, _ = batch_kd_query(paged, polys)
+        for poly, (rows, _, err) in zip(polys, results):
+            assert err is None
+            assert _oids(rows) == _oids(_scan(paged, poly))
 
     @_SETTINGS
     @given(
@@ -165,7 +172,7 @@ class TestQueryDifferential:
         k=st.integers(min_value=1, max_value=40),
     )
     def test_knn_identical(self, paged_pair, point, k):
-        _, paged, mem = paged_pair
+        _, paged, _ = paged_pair
         query = np.asarray(point, dtype=np.float64)
         truth = knn_brute_force(paged.table, DIMS, query, k)
         for searcher in (knn_boundary_points, knn_best_first):
@@ -218,7 +225,7 @@ class TestShardedDifferential:
         specs = KdPartitioner(
             2, buffer_pages=None, index_cache_bytes=TINY_CACHE
         ).plan("pgproc", dict(data), DIMS)
-        assert all(spec.index_pages for spec in specs)
+        assert all(spec.clustering.node_pages for spec in specs)
         executor = ScatterGatherExecutor(specs=specs, transport="process")
         try:
             rng = np.random.default_rng(5)
@@ -236,14 +243,10 @@ class TestShardedDifferential:
 
 
 class TestIngestChurn:
-    def test_paged_tracks_in_memory_through_inserts_and_merge(self):
+    def test_paged_tracks_full_scan_through_inserts_and_merge(self):
         data = _make_data(seed=37)
-        db_p = Database.in_memory(buffer_pages=None, index_cache_bytes=TINY_CACHE)
-        db_m = Database.in_memory(buffer_pages=None)
-        paged = KdTreeIndex.build(db_p, "t", dict(data), DIMS, num_levels=NUM_LEVELS)
-        mem = KdTreeIndex.build(
-            db_m, "t", dict(data), DIMS, num_levels=NUM_LEVELS, paged=False
-        )
+        db = Database.in_memory(buffer_pages=None, index_cache_bytes=TINY_CACHE)
+        KdTreeIndex.build(db, "t", dict(data), DIMS, num_levels=NUM_LEVELS)
 
         rng = np.random.default_rng(41)
         polys = []
@@ -255,27 +258,25 @@ class TestIngestChurn:
             )
 
         def check():
+            index = db.index("t.kdtree")
+            assert isinstance(index.tree, PagedKdTree)
             for poly in polys:
-                p_rows, _ = db_p.index("t.kdtree").query_polyhedron(poly)
-                m_rows, _ = db_m.index("t.kdtree").query_polyhedron(poly)
-                assert _oids(p_rows) == _oids(m_rows)
+                rows, _ = index.query_polyhedron(poly)
+                assert rows_equal(rows, _scan(index, poly))
 
-        fresh = {
-            "x": rng.normal(1.5, 1.0, 600),
-            "y": rng.normal(1.0, 1.0, 600),
-            "z": rng.normal(0.5, 1.0, 600),
-            "oid": np.arange(NUM_ROWS, NUM_ROWS + 600, dtype=np.int64),
-        }
-        for db in (db_p, db_m):
-            db.ingest.insert("t", {k: v.copy() for k, v in fresh.items()})
-        check()  # merge-on-read over the delta tier
+        db.ingest.insert(
+            "t",
+            {
+                "x": rng.normal(1.5, 1.0, 600),
+                "y": rng.normal(1.0, 1.0, 600),
+                "z": rng.normal(0.5, 1.0, 600),
+                "oid": np.arange(NUM_ROWS, NUM_ROWS + 600, dtype=np.int64),
+            },
+        )
+        db.table("t").delete_rows(np.arange(0, NUM_ROWS, 7))
+        check()  # merge-on-read over the delta tier and tombstones
 
-        for db in (db_p, db_m):
-            report = merge_table(db, "t")
-            assert report.merged
-        # The rebuilt generation preserves each side's serving mode.
-        assert isinstance(db_p.index("t.kdtree").tree, PagedKdTree)
-        assert not isinstance(db_m.index("t.kdtree").tree, PagedKdTree)
+        assert merge_table(db, "t").merged
         check()
 
 
