@@ -68,8 +68,7 @@ def _members(
     # Residual filtering, zone pruning, and dim validation all happen in
     # the *query* coordinate space, which may be wider than the indexed
     # column subset on a tuned replica.
-    dims = getattr(index, "query_dims", None) or index.dims
-    return query_members(polyhedra, dims, cancel_checks, memberships_list)
+    return query_members(polyhedra, index.query_dims, cancel_checks, memberships_list)
 
 
 def _fetch_candidates(

@@ -87,8 +87,31 @@ def _build_columns(args: argparse.Namespace):
 
 def _index_cache_bytes(args: argparse.Namespace) -> int | None:
     """``--index-cache-mb`` in bytes (``None`` = database default)."""
-    mb = getattr(args, "index_cache_mb", None)
+    mb = args.index_cache_mb
     return None if mb is None else int(mb * (1 << 20))
+
+
+def _serving_database(args: argparse.Namespace):
+    """The in-memory database ``replay`` and ``serve`` build the table in."""
+    from repro import Database
+
+    cache_bytes = _index_cache_bytes(args)
+    return Database.in_memory(
+        buffer_pages=args.buffer_pages,
+        **({} if cache_bytes is None else {"index_cache_bytes": cache_bytes}),
+    )
+
+
+def _replay_queries(args: argparse.Namespace, sample):
+    """The replayed stream and its unique-query count: a mixed Figure 2
+    workload, repeated to ``--duplicate-fraction``."""
+    from repro.datasets import QueryWorkload
+
+    workload = QueryWorkload(sample.magnitudes, seed=args.seed)
+    unique = max(1, int(args.queries * (1.0 - args.duplicate_fraction)))
+    base = workload.mixed(unique, selectivities=[0.001, 0.01, 0.05, 0.2, 0.5])
+    polyhedra = [q.polyhedron(_BANDS) for q in base]
+    return [polyhedra[i % unique] for i in range(args.queries)], unique
 
 
 def _build_engine(args: argparse.Namespace, db, columns):
@@ -96,8 +119,8 @@ def _build_engine(args: argparse.Namespace, db, columns):
     from repro import KdPartitioner, KdTreeIndex, QueryPlanner, ScatterGatherExecutor
     from repro.bitmap import BitmapIndex
 
-    transport = getattr(args, "transport", "thread")
-    engine_choice = getattr(args, "engine", "auto")
+    transport = args.transport
+    engine_choice = args.engine
     if args.shards:
         print(
             f"generating {args.rows} objects and partitioning into "
@@ -131,20 +154,9 @@ def _build_engine(args: argparse.Namespace, db, columns):
     return QueryPlanner(index, seed=args.seed, engine=engine_choice), db
 
 
-def _print_index_cache(engine, service_db) -> None:
+def _print_index_cache(engine) -> None:
     """Paged kd-tree node-cache summary (hit rate, pages decoded)."""
-    io = None
-    if service_db is not None:
-        io = service_db.io_stats.snapshot().as_dict()
-    else:
-        io_stats = getattr(engine, "io_stats", None)
-        if callable(io_stats):
-            try:
-                io = io_stats().as_dict()
-            except Exception:
-                io = None
-    if not io:
-        return
+    io = engine.io_stats().snapshot().as_dict()
     probes = io.get("node_cache_hits", 0) + io.get("node_cache_misses", 0)
     decoded = io.get("index_pages_decoded", 0)
     if not probes and not decoded:
@@ -159,16 +171,10 @@ def _print_index_cache(engine, service_db) -> None:
 
 
 def _print_worker_util(engine, wall_s: float) -> None:
-    """Per-worker utilization: busy seconds over the replay wall clock."""
-    worker_stats = getattr(engine, "worker_stats", None)
-    if not callable(worker_stats):
-        return
-    stats = worker_stats()
-    if not stats:
-        return
-    transport = getattr(engine, "transport", "thread")
-    print(f"per-worker utilization (transport={transport}):")
-    for entry in stats:
+    """Per-worker utilization of a sharded engine: busy seconds over the
+    replay wall clock."""
+    print(f"per-worker utilization (transport={engine.transport}):")
+    for entry in engine.worker_stats():
         util = entry["busy_s"] / wall_s if wall_s > 0 else 0.0
         pid = f" pid={entry['pid']}" if entry.get("pid") else ""
         respawns = (
@@ -218,7 +224,7 @@ def _capture_trace(args: argparse.Namespace, columns, queries):
     BitmapIndex.build(db, "magnitudes_trace", _BANDS)
     planner = QueryPlanner(index, seed=args.seed)
     recorder = WorkloadTraceRecorder()
-    planner.trace_recorder = recorder
+    planner.attach_trace_recorder(recorder)
     for polyhedron in queries:
         planner.execute(polyhedron)
     return list(recorder.observations())
@@ -234,10 +240,9 @@ def _tuned_configs(args: argparse.Namespace, columns, queries, num_replicas):
         read_trace,
     )
 
-    trace_in = getattr(args, "trace_in", "")
-    if trace_in:
-        observations = read_trace(trace_in)
-        print(f"loaded {len(observations)} trace observations from {trace_in}")
+    if args.trace_in:
+        observations = read_trace(args.trace_in)
+        print(f"loaded {len(observations)} trace observations from {args.trace_in}")
     else:
         print("capturing a tuning trace on the default configuration...")
         observations = _capture_trace(args, columns, queries)
@@ -246,8 +251,7 @@ def _tuned_configs(args: argparse.Namespace, columns, queries, num_replicas):
     )
     evaluator = CostReplayEvaluator(profile, trace=observations)
     selector = GreedyConfigSelector(evaluator)
-    budget_mb = getattr(args, "budget_mb", None)
-    budget = int(budget_mb * (1 << 20)) if budget_mb else None
+    budget = int(args.budget_mb * (1 << 20)) if args.budget_mb else None
     plan = selector.select_divergent(
         observations, num_replicas, budget_bytes=budget
     )
@@ -277,18 +281,15 @@ def _build_replica_engine(args: argparse.Namespace, columns, queries):
         _BANDS,
         configs,
         seed=args.seed,
-        transport=getattr(args, "transport", "thread"),
+        transport=args.transport,
         key_column="oid",
     )
     return ReplicaRouter(replica_set)
 
 
-def _print_routing(engine) -> None:
-    """Per-replica routing shares and degradation count (router engines)."""
-    report_fn = getattr(engine, "routing_report", None)
-    if not callable(report_fn):
-        return
-    report = report_fn()
+def _print_routing(router) -> None:
+    """Per-replica routing shares and degradation count."""
+    report = router.routing_report()
     total = sum(report["routes"].values())
     if not total:
         return
@@ -300,8 +301,6 @@ def _print_routing(engine) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro import Database
-    from repro.datasets import QueryWorkload
     from repro.service import QueryService, replay_workload, rows_equal, run_serial
 
     if args.connect:
@@ -310,17 +309,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         args.replicas = 1
 
     sample, columns = _build_columns(args)
-    cache_bytes = _index_cache_bytes(args)
-    db = Database.in_memory(
-        buffer_pages=args.buffer_pages,
-        **({} if cache_bytes is None else {"index_cache_bytes": cache_bytes}),
-    )
+    db = _serving_database(args)
 
-    workload = QueryWorkload(sample.magnitudes, seed=args.seed)
-    unique = max(1, int(args.queries * (1.0 - args.duplicate_fraction)))
-    base = workload.mixed(unique, selectivities=[0.001, 0.01, 0.05, 0.2, 0.5])
-    polyhedra = [q.polyhedron(_BANDS) for q in base]
-    queries = [polyhedra[i % unique] for i in range(args.queries)]
+    queries, unique = _replay_queries(args, sample)
 
     if args.replicas:
         engine = _build_replica_engine(args, columns, queries)
@@ -362,11 +353,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"\ncompleted {report.completed}/{len(queries)} in "
         f"{report.wall_time_s:.2f} s ({report.throughput_qps:.1f} q/s), "
         f"{report.resubmissions} backpressure retries "
-        f"[transport={getattr(engine, 'transport', 'inprocess')}]"
+        f"[transport={engine.transport}]"
     )
-    _print_worker_util(engine, report.wall_time_s)
-    _print_index_cache(engine, service_db)
-    _print_routing(engine)
+    if args.replicas:
+        _print_routing(engine)
+    elif args.shards:
+        _print_worker_util(engine, report.wall_time_s)
+    _print_index_cache(engine)
     summary = service.metrics.summary()
     if summary["batches"]:
         print(
@@ -376,32 +369,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"{int(summary['batch_pages_decoded'])} decoded pages"
         )
     print(service.metrics.format_report(db.procedures if service_db else None))
-    cost_report = getattr(engine, "cost_report", None)
-    if callable(cost_report):
-        calib = cost_report()
-        if "calibration" not in calib:
-            # A replica router reports per-replica snapshots; flatten to
-            # the preferred replica ordering for the one-line summary.
-            for tag, replica_calib in sorted(calib.items()):
-                factors = ", ".join(
-                    f"{name}={factor:.2f}"
-                    for name, factor in sorted(
-                        replica_calib["calibration"].items()
-                    )
-                )
-                print(
-                    f"replica {tag} cost calibration "
-                    f"({int(replica_calib['observations'])} obs): {factors}"
-                )
-            calib = None
-    if callable(cost_report) and calib is not None:
-        factors = ", ".join(
-            f"{name}={factor:.2f}"
-            for name, factor in sorted(calib["calibration"].items())
-        )
+    calib = engine.cost_report()
+    if args.replicas:
+        # A replica router reports one snapshot per planner-backed replica.
+        for tag, replica_calib in sorted(calib.items()):
+            print(
+                f"replica {tag} cost calibration "
+                f"({int(replica_calib['observations'])} obs): "
+                f"{_factors(replica_calib)}"
+            )
+    elif calib:
         print(
             f"planner cost calibration ({int(calib['observations'])} obs): "
-            f"{factors}; selectivity bias {calib['selectivity_bias']:+.4f}"
+            f"{_factors(calib)}; selectivity bias {calib['selectivity_bias']:+.4f}"
         )
     if report.errors:
         print(f"errors: {[(i, type(e).__name__) for i, e in report.errors[:5]]}")
@@ -427,10 +407,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             )
         print(f"row-for-row mismatches: {mismatches}")
         exit_code = 1 if mismatches else 0
-    close = getattr(engine, "close", None)
-    if callable(close):
-        close()
+    engine.close()
     return exit_code
+
+
+def _factors(calib: dict) -> str:
+    """One planner's calibration factors, ``name=factor`` by engine."""
+    return ", ".join(
+        f"{name}={factor:.2f}" for name, factor in sorted(calib["calibration"].items())
+    )
 
 
 def _replay_connect(args: argparse.Namespace) -> int:
@@ -441,7 +426,6 @@ def _replay_connect(args: argparse.Namespace) -> int:
     from those flags).
     """
     from repro import Database
-    from repro.datasets import QueryWorkload
     from repro.net import replay_over_network
 
     host, _, port_text = args.connect.rpartition(":")
@@ -451,11 +435,7 @@ def _replay_connect(args: argparse.Namespace) -> int:
     port = int(port_text)
 
     sample, columns = _build_columns(args)
-    workload = QueryWorkload(sample.magnitudes, seed=args.seed)
-    unique = max(1, int(args.queries * (1.0 - args.duplicate_fraction)))
-    base = workload.mixed(unique, selectivities=[0.001, 0.01, 0.05, 0.2, 0.5])
-    polyhedra = [q.polyhedron(_BANDS) for q in base]
-    queries = [polyhedra[i % unique] for i in range(args.queries)]
+    queries, unique = _replay_queries(args, sample)
 
     print(
         f"replaying {len(queries)} queries ({unique} unique) against "
@@ -468,12 +448,7 @@ def _replay_connect(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         deadline=args.deadline_ms / 1e3 if args.deadline_ms else None,
     )
-    transport = "unknown"
-    engine_counters = report.report.get("engine", {})
-    if "worker_deaths" in engine_counters:
-        transport = "process"
-    elif engine_counters:
-        transport = "thread"
+    transport = report.report.get("transport", "unknown")
     print(
         f"\ncompleted {report.completed}/{len(queries)} in "
         f"{report.wall_time_s:.2f} s ({report.throughput_qps:.1f} q/s), "
@@ -556,16 +531,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the network front door until SIGTERM/SIGINT drains it."""
-    from repro import Database
     from repro.net.server import serve
     from repro.service import QueryService
 
     _, columns = _build_columns(args)
-    cache_bytes = _index_cache_bytes(args)
-    db = Database.in_memory(
-        buffer_pages=args.buffer_pages,
-        **({} if cache_bytes is None else {"index_cache_bytes": cache_bytes}),
-    )
+    db = _serving_database(args)
     engine, service_db = _build_engine(args, db, columns)
     service = QueryService(
         service_db,
@@ -581,7 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = server.address
         print(
             f"serving magnitudes ({args.rows} rows, "
-            f"transport={getattr(engine, 'transport', 'inprocess')}) "
+            f"transport={engine.transport}) "
             f"on {host}:{port}",
             flush=True,
         )
@@ -597,9 +567,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if service.running:
             service.stop(drain=False)
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
+        engine.close()
     print("drained; bye")
     return 0
 
@@ -633,6 +601,8 @@ def _cmd_bench_hint(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
+    from repro.core.engines import engine_choices
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Spatial indexing of large multidimensional databases "
@@ -663,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         help="kd-subtree shard count (power of two; 0 = single unsharded index)",
     )
     replay.add_argument(
-        "--engine", choices=["auto", "kd", "scan", "bitmap", "hybrid"],
+        "--engine", choices=engine_choices(),
         default="auto",
         help="force one access path for every query (auto = cost-based choice)",
     )
@@ -770,7 +740,7 @@ def main(argv: list[str] | None = None) -> int:
         help="shard execution transport (process = one worker process per shard)",
     )
     srv.add_argument(
-        "--engine", choices=["auto", "kd", "scan", "bitmap", "hybrid"],
+        "--engine", choices=engine_choices(),
         default="auto",
         help="force one access path for every query (auto = cost-based choice)",
     )

@@ -8,18 +8,17 @@ implements that loop the way a real engine would:
 
 1. estimate selectivity from a small *page sample* (a TABLESAMPLE-style
    probe: cheap, biased only by intra-page correlation);
-2. choose the access path: the paper's crossover rule picks the
-   kd-tree-vs-scan baseline, and when a binned bitmap index exists over
-   the table a second cost-based stage compares the baseline against
-   the bitmap engine and the hybrid (bitmap prefilter restricted to the
-   kd traversal's row ranges) on estimated pages decoded;
+2. choose among the registered engines (:mod:`repro.core.engines`): the
+   paper's crossover rule picks the kd-tree-vs-scan baseline, and every
+   other available engine -- the bitmap and the hybrid, when a binned
+   bitmap index exists -- competes against it on estimated pages decoded;
 3. execute and report both the choice and the estimate, so experiments
    can score the planner against exhaustive execution.
 
-There is one execution path.  :meth:`QueryPlanner.execute_batch` plans
-each member, groups the members by chosen engine and runs one shared
-pass per group; :meth:`QueryPlanner.execute` is a batch of one that
-re-raises its member's error.
+:class:`QueryEngine` is the one contract every engine the service drives
+implements; :class:`QueryPlanner` is the single-table one.  It has one
+execution path: plan each member of a batch, group the members by chosen
+engine and run one shared pass per group (a solo query is a batch of one).
 
 The cost model is calibrated online: per engine, an EWMA of
 actual/predicted pages decoded multiplies future predictions, and the
@@ -28,12 +27,12 @@ bitmap cost's candidate fraction.  ``cost_report()`` exposes the
 calibration state for tests and the service metrics.
 
 The planner is also where the engine degrades gracefully under storage
-faults, by one rule: when a kd, bitmap or hybrid group's shared pass
-dies on an unrecoverable :class:`~repro.db.errors.StorageFault` (every
-retry budget below it exhausted), its members join the scan group,
-which runs last -- the scan re-reads the pages, and a transient burst
-that killed the traversal has usually passed.  A fault in the scan pass
-itself is the error of every member in it.  Fallbacks are reported on
+faults, by one rule: when an index group's shared pass dies on an
+unrecoverable :class:`~repro.db.errors.StorageFault` (every retry budget
+below it exhausted), its members join the scan group, which runs last
+-- the scan re-reads the pages, and a transient burst that killed the
+traversal has usually passed.  A fault in the scan pass itself is the
+error of every member in it.  Fallbacks are reported on
 the :class:`PlannedQuery` so the service can surface them in its
 metrics.
 """
@@ -47,18 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmap.executor import batch_bitmap_query, batch_hybrid_query
 from repro.bitmap.index import axis_bounds
-from repro.core.batch import BatchMemberResult, BatchResult, batch_kd_query
+from repro.core.batch import BatchMemberResult, BatchResult
+from repro.core.engines import ENGINES, KD, SCAN, Engine, Pricing, engine_named
 from repro.core.kdtree import KdTreeIndex
-from repro.core.queries import polyhedron_batch_full_scan
 from repro.db.errors import StaleLayoutError, StorageFault
-from repro.db.stats import QueryStats
+from repro.db.stats import IOStats, QueryStats
 from repro.geometry.halfspace import Polyhedron
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["PlannedQuery", "QueryPlanner"]
+__all__ = ["PlannedQuery", "QueryEngine", "QueryPlanner"]
 
 #: Backstop on re-running a query after background merges retire the
 #: generation it was reading.  Each retry is gated on the physical
@@ -75,23 +73,6 @@ _CALIBRATION_ALPHA = 0.2
 #: query cannot swing an engine's calibration by orders of magnitude.
 _CALIBRATION_CLAMP = (0.1, 10.0)
 
-#: The engines, in the order a batch runs their member groups: the scan
-#: last, so members of an index group whose shared pass died on a
-#: storage fault can still join it.
-_ENGINES = ("kdtree", "bitmap", "hybrid", "scan")
-
-#: Cost weight of one paged-index node page relative to a data page.
-#: Node pages are small, compressed, and usually node-cache resident,
-#: so a traversal's index I/O is a light surcharge, not a data read.
-_INDEX_PAGE_READ_COST = 0.25
-
-
-def _rows_for(bitmap, candidates):
-    """The plan's candidate rows, if they came from this ``bitmap`` object."""
-    if candidates is not None and candidates[0] is bitmap:
-        return candidates[1]
-    return None
-
 
 @dataclass
 class _Plan:
@@ -101,7 +82,7 @@ class _Plan:
     that degrades to the scan sets ``fallback`` / ``reason``.
     """
 
-    engine: str
+    engine: Engine
     estimate: float
     probed: int
     raw: dict
@@ -150,8 +131,125 @@ class PlannedQuery:
     no_cache: bool = False
 
 
-class QueryPlanner:
-    """Chooses among kd-tree, scan, bitmap, and hybrid per query.
+class QueryEngine:
+    """What the service, TCP server, CLI and replica router drive.
+
+    Subclasses: :class:`QueryPlanner` (one table),
+    :class:`~repro.shard.coordinator.ShardCoordinator` (both shard
+    transports) and :class:`~repro.tune.replicas.ReplicaRouter`.  Each
+    supplies ``table_name`` / ``dims`` / ``layout_version``,
+    ``io_stats()`` and ``_run_batch``, which :meth:`execute` (a batch of
+    one) and :meth:`execute_batch` share.  Each executed query is
+    recorded once, by the engine, into the attached ``trace_recorder``.
+    """
+
+    #: Where execution happens (reports, replays, the TCP greeting).
+    transport = "inprocess"
+    #: Optional workload-trace hook (:mod:`repro.tune.trace`).
+    trace_recorder = None
+    #: Replica tag stamped on recorded observations (router use).
+    trace_tag = ""
+
+    #: Name of the table results come from (cache fingerprinting).
+    table_name: str
+    #: Ordered coordinate column names.
+    dims: list[str]
+    #: Layout tag folded into result-cache fingerprints; it moves on every
+    #: write, merge and re-cut.
+    layout_version: str
+
+    def execute(
+        self, polyhedron: Polyhedron, cancel_check=None, memberships=None
+    ) -> PlannedQuery:
+        """Run one query: a batch of one whose member error is raised here.
+
+        ``cancel_check`` is a zero-argument callable (or ``None``) run
+        before planning and inside the page/node loops; raising from it
+        abandons the query cooperatively -- this is how the query
+        service enforces per-query deadlines.  ``memberships`` maps
+        column names to IN-list value arrays, ANDed with the polyhedron.
+        """
+        (member,) = self._run_batch([polyhedron], [cancel_check], [memberships]).members
+        if member.error is not None:
+            raise member.error
+        return member.planned
+
+    def execute_batch(
+        self, polyhedra, cancel_checks=None, memberships_list=None
+    ) -> BatchResult:
+        """Run a micro-batch with shared work; each member keeps its own
+        check, filters and error."""
+        n = len(polyhedra)
+        return self._run_batch(
+            list(polyhedra),
+            list(cancel_checks) if cancel_checks is not None else [None] * n,
+            list(memberships_list) if memberships_list is not None else [None] * n,
+        )
+
+    def _run_batch(self, polyhedra, checks, member_filters) -> BatchResult:
+        raise NotImplementedError
+
+    def predict_cost(self, polyhedron: Polyhedron, memberships=None) -> float | None:
+        """Predicted pages decoded, no execution; ``None`` when pricing
+        would need a round trip to shards (the router then prices the
+        query by its config model)."""
+        return None
+
+    def counters(self) -> dict[str, int]:
+        """Cumulative engine counters (the service report's ``engine``)."""
+        return {}
+
+    def io_stats(self) -> IOStats:
+        """I/O counters of every storage backend behind this engine."""
+        raise NotImplementedError
+
+    def cost_report(self) -> dict:
+        """Cost-model calibration state; empty when there is none."""
+        return {}
+
+    def cache_scope(self, polyhedron: Polyhedron, memberships=None) -> str:
+        """Extra result-cache fingerprint scope for this query."""
+        return ""
+
+    def attach_trace_recorder(self, recorder, tag: str = "") -> None:
+        """Fold every executed query into ``recorder``, tagged ``tag``."""
+        self.trace_recorder = recorder
+        self.trace_tag = tag
+
+    def close(self) -> None:
+        """Release whatever the engine runs on (idempotent)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _record_trace(self, polyhedron, memberships, planned, wall_s) -> None:
+        """Fold an executed query into the attached trace ring, if any.
+
+        Never raises: trace capture is observability, not the query
+        path, so a recorder bug must not fail user queries.
+        """
+        recorder = self.trace_recorder
+        if recorder is None:
+            return
+        try:
+            recorder.record(
+                self.table_name,
+                self.dims,
+                polyhedron,
+                memberships,
+                planned,
+                wall_s,
+                replica=self.trace_tag,
+            )
+        except Exception:  # pragma: no cover - defensive
+            logger.exception("trace recording failed")
+
+
+class QueryPlanner(QueryEngine):
+    """Chooses among the registered engines per query.
 
     Parameters
     ----------
@@ -163,12 +261,16 @@ class QueryPlanner:
     sample_pages:
         Pages probed for the selectivity estimate.
     engine:
-        ``"auto"`` (cost-based choice) or a forced engine out of
-        ``kdtree``/``kd``, ``scan``, ``bitmap``, ``hybrid`` for A/B
-        runs.  Forcing ``bitmap``/``hybrid`` without a registered
-        bitmap index degrades to the baseline choice and annotates the
-        result as a fallback.
+        ``"auto"`` (cost-based choice) or a forced engine, by any name
+        :func:`~repro.core.engines.engine_named` accepts, for A/B runs.
+        Forcing an engine whose index the table lacks degrades to the
+        baseline choice and annotates the result as a fallback.
     """
+
+    # Bound in this class's own namespace so per-class instrumentation
+    # times the planner alone.
+    execute = QueryEngine.execute
+    execute_batch = QueryEngine.execute_batch
 
     def __init__(
         self,
@@ -188,9 +290,7 @@ class QueryPlanner:
             raise ValueError("crossover must be in (0, 1]")
         if sample_pages < 1:
             raise ValueError("sample_pages must be >= 1")
-        engine = {"kd": "kdtree"}.get(engine, engine)
-        if engine != "auto" and engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
+        forced = None if engine == "auto" else engine_named(engine)
         self._index = index
         self._db = index.table.database
         self._index_key = f"{index.table.name}.kdtree"
@@ -198,7 +298,8 @@ class QueryPlanner:
         self.crossover = crossover
         self.sample_pages = sample_pages
         self.statistics = statistics
-        self.engine = engine
+        #: The forced engine, or ``None`` for the cost-based choice.
+        self.engine = forced
         self._rng = np.random.default_rng(seed)
         # The query service shares one planner across worker threads;
         # numpy Generators are not thread-safe, so draws are serialized.
@@ -213,15 +314,10 @@ class QueryPlanner:
         self._probe_cache: tuple[np.ndarray, int] | None = None
         # Online cost-model state, shared across worker threads.
         self._cost_lock = threading.Lock()
-        self._calibration: dict[str, float] = {name: 1.0 for name in _ENGINES}
+        self._calibration = {engine.name: 1.0 for engine in ENGINES}
         self._selectivity_bias = 0.0
         self._selectivity_abs_error = 0.0
         self._observations = 0
-        #: Optional workload-trace hook (:mod:`repro.tune.trace`): when
-        #: set, every executed query is folded into the recorder's ring.
-        self.trace_recorder = None
-        #: Replica tag stamped on recorded observations (router use).
-        self.trace_tag = ""
         self._restore_calibration()
         index.table.database.add_mutation_listener(self._on_catalog_mutation)
 
@@ -232,10 +328,7 @@ class QueryPlanner:
         learned before shutdown; without a snapshot (fresh build, older
         catalog version) the neutral defaults stand.
         """
-        loader = getattr(self._db, "planner_calibration", None)
-        if not callable(loader):
-            return
-        snapshot = loader(self._index.table.name)
+        snapshot = self._db.planner_calibration(self._index.table.name)
         if not snapshot:
             return
         low, high = _CALIBRATION_CLAMP
@@ -277,19 +370,14 @@ class QueryPlanner:
         """
         return self._db.index_if_exists(self._bitmap_key)
 
-    # -- engine protocol ----------------------------------------------------
-    # The query service treats its execution engine as anything with
-    # execute(polyhedron, cancel_check) plus these identity properties;
-    # the sharded ScatterGatherExecutor implements the same contract.
+    # -- the QueryEngine contract -------------------------------------------
 
     @property
     def table_name(self) -> str:
-        """Name of the table results come from (cache fingerprinting)."""
         return self.index.table.name
 
     @property
     def dims(self) -> list[str]:
-        """Ordered coordinate column names of the underlying index."""
         return self.index.dims
 
     @property
@@ -303,6 +391,9 @@ class QueryPlanner:
         boundaries (plus per-shard epochs) instead.
         """
         return f"unsharded:{self.index.table.layout_version}"
+
+    def io_stats(self) -> IOStats:
+        return self._db.io_stats
 
     def estimate_selectivity(self, polyhedron: Polyhedron) -> tuple[float, int]:
         """Page-sample estimate of returned/total.
@@ -365,7 +456,7 @@ class QueryPlanner:
 
     # -- cost model ---------------------------------------------------------
 
-    def _axis_fractions(self, polyhedron: Polyhedron) -> np.ndarray:
+    def axis_fractions(self, polyhedron: Polyhedron) -> np.ndarray:
         """Per-axis survival fractions of the query's bounding slab.
 
         Fraction of the probe sample inside ``[low_i, high_i]`` for every
@@ -390,84 +481,25 @@ class QueryPlanner:
             fractions[axis] = max(float(inside.mean()), floor)
         return fractions
 
+    @property
+    def selectivity_bias(self) -> float:
+        """Running mean of actual minus estimated selectivity (EWMA)."""
+        with self._cost_lock:
+            return self._selectivity_bias
+
     def _raw_costs(self, polyhedron: Polyhedron, memberships):
         """Predicted pages decoded per engine, before calibration.
 
-        Returns ``(costs, candidates)``.  ``candidates`` is ``(bitmap
-        index, candidate rows)`` when pricing the bitmap engine built
-        the exact candidate set, else ``None``: the execution this plan
-        is for reuses the rows instead of ANDing the bitmaps again --
-        only against that same index object, never a later query or a
-        layout a merge swapped in since.
-
-        - ``scan``: every page.
-        - ``kdtree``: leaves whose cell survives the per-axis slab
-          fractions (each axis contributes ``f_i * L^(1/d) + 1`` of its
-          ``L^(1/d)`` splits -- the +1 is the straddling cell), times
-          pages per leaf.
-        - ``bitmap``: the exact candidate page count.  The candidate
-          superset comes from in-memory bitmap ANDs, so before any page
-          read the planner already knows which pages it lands on; the
-          kd-clustered layout makes that far smaller than one page per
-          candidate row.  When nothing constrains the index the fraction
-          estimate (nudged by the running selectivity bias) stands in.
-        - ``hybrid``: the independence-assumption intersection of the kd
-          and bitmap page sets, plus a small constant for the extra
-          traversal; never worse than either input.
+        Returns ``(costs, candidates)``: each registered engine's price
+        (``inf`` where the engine is unavailable), and the bitmap
+        candidates pricing built (see :class:`~repro.core.engines.Pricing`).
         """
-        index = self.index
-        table = index.table
-        num_pages = max(1, table.num_pages)
-        num_rows = max(1, table.num_rows)
-        rows_per_page = max(1, table.rows_per_page)
-        costs: dict[str, float] = {"scan": float(num_pages)}
-
-        leaves = max(1, index.tree.num_leaves)
-        dim = max(1, len(index.dims))
-        per_axis_splits = leaves ** (1.0 / dim)
-        leaves_hit = 1.0
-        for fraction in self._axis_fractions(polyhedron):
-            leaves_hit *= min(per_axis_splits, fraction * per_axis_splits + 1.0)
-        leaves_hit = min(float(leaves), leaves_hit)
-        pages_per_leaf = max(1.0, num_rows / (leaves * rows_per_page))
-        costs["kdtree"] = min(float(num_pages), leaves_hit * pages_per_leaf)
-        # The traversal itself reads index node pages.  Discounted
-        # relative to data pages -- node pages are served from the
-        # tree's node cache on repeat and a traversal's working set is a
-        # few pages -- but nonzero, so kd never looks free against scan
-        # on a table small enough that the index rivals the data.
-        layout = index.tree.layout
-        node_pages = min(
-            float(layout.num_pages),
-            1.0 + 2.0 * leaves_hit / max(1, layout.nodes_per_page),
-        )
-        costs["kdtree"] += _INDEX_PAGE_READ_COST * node_pages
-
-        bitmap = self.bitmap_index
-        if bitmap is None:
-            costs["bitmap"] = float("inf")
-            costs["hybrid"] = float("inf")
-            return costs, None
-        candidates = None
-        candidate = bitmap.candidate_bitmap(polyhedron, memberships)
-        if candidate is None:
-            # Nothing constrains the index: fall back to the fraction
-            # estimate, corrected by the observed selectivity bias.
-            fraction = bitmap.estimate_fraction(polyhedron, memberships)
-            if fraction is None:
-                fraction = 1.0
-            with self._cost_lock:
-                bias = self._selectivity_bias
-            fraction = min(1.0, max(1.0 / num_rows, fraction + bias))
-            costs["bitmap"] = min(float(num_pages), max(1.0, fraction * num_rows))
-        else:
-            rows = candidate.to_indices()
-            candidates = (bitmap, rows)
-            candidate_pages = len(np.unique(rows // rows_per_page))
-            costs["bitmap"] = min(float(num_pages), max(1.0, float(candidate_pages)))
-        hybrid = max(1.0, costs["kdtree"] * costs["bitmap"] / num_pages)
-        costs["hybrid"] = min(costs["kdtree"], costs["bitmap"], hybrid) + 2.0
-        return costs, candidates
+        query = Pricing(polyhedron, memberships)
+        for engine in ENGINES:
+            query.costs[engine.name] = (
+                engine.price(self, query) if engine.available(self) else float("inf")
+            )
+        return query.costs, query.candidates
 
     def _calibrated(self, raw: dict[str, float]) -> dict[str, float]:
         with self._cost_lock:
@@ -476,31 +508,30 @@ class QueryPlanner:
 
     def _choose_engine(
         self, estimate: float, raw: dict[str, float]
-    ) -> tuple[str, dict[str, float], str]:
+    ) -> tuple[Engine, dict[str, float], str]:
         """Pick the engine; returns ``(engine, calibrated_costs, fallback_reason)``.
 
         Stage 1 is the paper's crossover rule (kd below, scan above;
         a NaN estimate from a failed probe chooses the scan).  Stage 2
-        runs only when a bitmap index exists: the baseline competes
-        against the bitmap and hybrid engines on calibrated predicted
-        pages, ties going to the earlier entrant (baseline first).
+        lets every other available engine compete against that baseline
+        on calibrated predicted pages, ties going to the earlier entrant
+        (baseline first, then registry order).
         """
         calibrated = self._calibrated(raw)
-        baseline = "kdtree" if estimate <= self.crossover else "scan"
-        if self.engine != "auto":
-            if self.engine in ("bitmap", "hybrid") and self.bitmap_index is None:
-                return (
-                    baseline,
-                    calibrated,
-                    f"forced engine {self.engine!r} unavailable: no bitmap index",
-                )
-            return self.engine, calibrated, ""
-        if self.bitmap_index is None:
-            return baseline, calibrated, ""
+        baseline = KD if estimate <= self.crossover else SCAN
+        forced = self.engine
+        if forced is not None:
+            if not forced.available(self):
+                reason = f"forced engine {forced.name!r} unavailable: no {forced.needs}"
+                return baseline, calibrated, reason
+            return forced, calibrated, ""
         best = baseline
-        for candidate in ("bitmap", "hybrid"):
-            if calibrated[candidate] < calibrated[best]:
-                best = candidate
+        for engine in ENGINES:
+            # An unavailable engine was priced at infinity.
+            if engine not in (KD, SCAN) and calibrated.get(
+                engine.name, float("inf")
+            ) < calibrated.get(best.name, float("inf")):
+                best = engine
         return best, calibrated, ""
 
     def _observe(
@@ -515,12 +546,7 @@ class QueryPlanner:
         low, high = _CALIBRATION_CLAMP
         alpha = _CALIBRATION_ALPHA
         with self._cost_lock:
-            if (
-                engine in self._calibration
-                and raw_cost is not None
-                and np.isfinite(raw_cost)
-                and raw_cost > 0
-            ):
+            if raw_cost is not None and np.isfinite(raw_cost) and raw_cost > 0:
                 ratio = min(high, max(low, stats.pages_touched / raw_cost))
                 blended = (1 - alpha) * self._calibration[engine] + alpha * ratio
                 self._calibration[engine] = min(high, max(low, blended))
@@ -533,17 +559,9 @@ class QueryPlanner:
                     (1 - alpha) * self._selectivity_abs_error + alpha * abs(error)
                 )
             self._observations += 1
-            snapshot = {
-                "calibration": dict(self._calibration),
-                "selectivity_bias": self._selectivity_bias,
-                "selectivity_abs_error": self._selectivity_abs_error,
-                "observations": self._observations,
-            }
         # Outside the cost lock: hand the catalog the latest snapshot so
         # save_catalog persists learned constants across restarts.
-        saver = getattr(self._db, "save_planner_calibration", None)
-        if callable(saver):
-            saver(self._index.table.name, snapshot)
+        self._db.save_planner_calibration(self._index.table.name, self.cost_report())
 
     def cost_report(self) -> dict:
         """Snapshot of the online calibration state (tests, metrics)."""
@@ -575,28 +593,6 @@ class QueryPlanner:
         if not finite:
             return float(max(1, self.index.table.num_pages))
         return min(finite)
-
-    def _record_trace(self, polyhedron, memberships, planned, wall_s) -> None:
-        """Fold an executed query into the attached trace ring, if any.
-
-        Never raises: trace capture is observability, not the query
-        path, so a recorder bug must not fail user queries.
-        """
-        recorder = self.trace_recorder
-        if recorder is None:
-            return
-        try:
-            recorder.record(
-                self.table_name,
-                self.dims,
-                polyhedron,
-                memberships,
-                planned,
-                wall_s,
-                replica=self.trace_tag,
-            )
-        except Exception:  # pragma: no cover - defensive
-            logger.exception("trace recording failed")
 
     def _finalize(
         self, planned: PlannedQuery, raw: dict[str, float], calibrated: dict[str, float]
@@ -643,40 +639,11 @@ class QueryPlanner:
         try:
             raw, candidates = self._raw_costs(polyhedron, memberships)
         except StorageFault:
-            raw, candidates = {"scan": float(self.index.table.num_pages or 1)}, None
+            raw, candidates = {SCAN.name: float(self.index.table.num_pages or 1)}, None
         engine, calibrated, forced_reason = self._choose_engine(estimate, raw)
         if forced_reason and not fallback:
             fallback, reason = True, forced_reason
         return _Plan(engine, estimate, probed, raw, calibrated, candidates, fallback, reason)
-
-    def execute(
-        self, polyhedron: Polyhedron, cancel_check=None, memberships=None
-    ) -> PlannedQuery:
-        """Estimate, choose a path, run, and report.
-
-        A batch of one of :meth:`execute_batch`, unwrapped: the member's
-        error, if any, is raised here.  ``cancel_check`` is a
-        zero-argument callable (or ``None``) run before planning and
-        inside the chosen executor's page/node loops; raising from it
-        abandons the query cooperatively -- this is how the query
-        service enforces per-query deadlines.  ``memberships`` maps
-        column names to IN-list value arrays, ANDed with the polyhedron
-        on every engine.
-
-        Degradation: a :class:`~repro.db.errors.StorageFault` during the
-        selectivity probe forfeits the estimate (the scan path is chosen,
-        which needs none); one during an index path (kd, bitmap, hybrid)
-        falls back to the full scan.  A fault from the scan itself
-        propagates -- there is nothing cheaper left to degrade to.  A
-        :class:`~repro.db.errors.StaleLayoutError` re-runs the query
-        against the current layout (see :meth:`_retry_when_stale`).
-        """
-        (member,) = self._retry_when_stale(
-            lambda: self._run_members([polyhedron], [cancel_check], [memberships])
-        ).members
-        if member.error is not None:
-            raise member.error
-        return member.planned
 
     def _retry_when_stale(self, attempt):
         """Run ``attempt``, re-running it whenever the layout moved under it.
@@ -699,28 +666,23 @@ class QueryPlanner:
                     raise
         return attempt()
 
-    def execute_batch(
-        self, polyhedra, cancel_checks=None, memberships_list=None
-    ) -> BatchResult:
-        """Plan and run a micro-batch of queries with shared work.
+    def _run_batch(self, polyhedra, checks, member_filters) -> BatchResult:
+        """Plan every member, then run one shared pass per engine group.
 
         Members are planned individually (the cached probe makes the
         estimates zero-I/O after the first), then grouped by chosen
-        engine: the kd group runs one multi-box traversal
-        (:func:`~repro.core.batch.batch_kd_query`), the bitmap / hybrid
-        groups one shared candidate-page fetch each, and the scan group
-        one shared scan pass -- a batch's members may split across
-        engines, every group decoding each needed page once for all of
-        its members.
+        engine, and each group's engine runs one shared pass -- a
+        batch's members may split across engines, every group decoding
+        each needed page once for all of its members.
 
         Isolation matches the batch executors underneath: a member whose
-        ``cancel_check`` raises, or whose polyhedron does not match the
-        index's dimensionality, is recorded as that member's ``error``
-        and its siblings keep going.  A :class:`StorageFault` that kills
-        a kd, bitmap or hybrid group's shared pass moves that group's
-        members into the scan group, which runs last, flagged as a
-        fallback; one that kills the scan pass becomes the error of each
-        member in it.
+        check raises, or whose polyhedron does not match the index's
+        dimensionality, is recorded as that member's ``error`` and its
+        siblings keep going.  A :class:`StorageFault` that kills an index
+        group's shared pass moves that group's members into the scan
+        group, which runs last, flagged as a fallback; one that kills the
+        scan pass becomes the error of each member in it (a solo query
+        therefore raises it -- there is nothing cheaper to degrade to).
 
         A :class:`~repro.db.errors.StaleLayoutError` anywhere in the
         batch (a merge retired the layout mid-flight) restarts the whole
@@ -728,21 +690,17 @@ class QueryPlanner:
         :meth:`_retry_when_stale`).
         """
         return self._retry_when_stale(
-            lambda: self._run_members(polyhedra, cancel_checks, memberships_list)
+            lambda: self._run_members(polyhedra, checks, member_filters)
         )
 
-    def _run_members(self, polyhedra, cancel_checks, memberships_list) -> BatchResult:
+    def _run_members(self, polyhedra, checks, member_filters) -> BatchResult:
         """One planning-and-execution attempt against the current layout."""
         n = len(polyhedra)
-        checks = list(cancel_checks) if cancel_checks is not None else [None] * n
-        member_filters = (
-            list(memberships_list) if memberships_list is not None else [None] * n
-        )
         result = BatchResult(
             members=[BatchMemberResult() for _ in range(n)], occupancy=n
         )
         plans: list[_Plan | None] = [None] * n
-        groups: dict[str, list[int]] = {name: [] for name in _ENGINES}
+        groups: dict[Engine, list[int]] = {engine: [] for engine in ENGINES}
         dim = len(self.index.dims)
         for m, (polyhedron, check) in enumerate(zip(polyhedra, checks)):
             try:
@@ -758,28 +716,28 @@ class QueryPlanner:
             plans[m] = self._plan_member(polyhedron, member_filters[m])
             groups[plans[m].engine].append(m)
 
-        for engine in _ENGINES:
+        for engine in ENGINES:
             group = groups[engine]
             if not group:
                 continue
             started = time.perf_counter()
             try:
-                outcomes, counters = self._run_group(
-                    engine,
+                outcomes, counters = engine.run(
+                    self,
                     [polyhedra[m] for m in group],
                     [checks[m] for m in group],
                     [member_filters[m] for m in group],
                     [plans[m].candidates for m in group],
                 )
             except StorageFault as exc:
-                if engine == "scan":
+                if engine is SCAN:
                     for m in group:
                         result.members[m].error = exc
                     continue
                 for m in group:
                     plans[m].fallback = True
-                    plans[m].reason = f"{engine} path failed: {type(exc).__name__}"
-                groups["scan"] += group
+                    plans[m].reason = f"{engine.name} path failed: {type(exc).__name__}"
+                groups[SCAN] += group
                 continue
             result.pages_decoded += counters["pages_decoded"]
             result.shared_decode_hits += counters["shared_decode_hits"]
@@ -795,7 +753,7 @@ class QueryPlanner:
                     PlannedQuery(
                         rows=rows,
                         stats=stats,
-                        chosen_path=engine,
+                        chosen_path=engine.name,
                         estimated_selectivity=plan.estimate,
                         sampled_pages=plan.probed,
                         fallback=plan.fallback,
@@ -807,21 +765,3 @@ class QueryPlanner:
                 result.members[m].planned = planned
                 self._record_trace(polyhedra[m], member_filters[m], planned, member_wall)
         return result
-
-    def _run_group(self, engine: str, polyhedra, checks, member_filters, candidates):
-        """One engine's shared pass over a member group: ``(outcomes, counters)``."""
-        index = self.index
-        if engine == "kdtree":
-            return batch_kd_query(index, polyhedra, checks, memberships_list=member_filters)
-        if engine == "scan":
-            return polyhedron_batch_full_scan(
-                index.table, index.dims, polyhedra, checks, memberships_list=member_filters
-            )
-        bitmap = self.bitmap_index
-        common = dict(
-            memberships_list=member_filters,
-            candidate_rows_list=[_rows_for(bitmap, c) for c in candidates],
-        )
-        if engine == "bitmap":
-            return batch_bitmap_query(bitmap, polyhedra, checks, **common)
-        return batch_hybrid_query(index, bitmap, polyhedra, checks, **common)

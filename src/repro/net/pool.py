@@ -303,7 +303,7 @@ class _WorkerHandle:
 
 
 class ShardWorkerPool(ShardCoordinator):
-    """One worker process per kd-subtree shard, behind the engine protocol.
+    """One worker process per kd-subtree shard, behind one query engine.
 
     Parameters
     ----------

@@ -229,7 +229,7 @@ class QueryServer:
                     "table": engine.table_name,
                     "dims": list(engine.dims),
                     "layout_version": engine.layout_version,
-                    "transport": getattr(engine, "transport", "inprocess"),
+                    "transport": engine.transport,
                     "max_inflight": conn.max_inflight,
                     "session": conn.session.session_id,
                 },

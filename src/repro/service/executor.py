@@ -2,11 +2,11 @@
 
 This is the reproduction's SkyServer front end, in-process: clients open
 sessions, submit polyhedron queries, and get tickets; a pool of worker
-threads pulls admitted queries, routes each through the *engine* --
-anything implementing ``execute(polyhedron, cancel_check)`` plus
-``table_name`` / ``dims`` / ``layout_version``, i.e. a single-table
-:class:`~repro.core.planner.QueryPlanner` or a
-:class:`~repro.shard.ScatterGatherExecutor` over a partitioned one --
+threads pulls admitted queries, routes each through the *engine* -- a
+:class:`~repro.core.planner.QueryEngine`: a single-table
+:class:`~repro.core.planner.QueryPlanner`, a
+:class:`~repro.shard.ScatterGatherExecutor` over a partitioned table on
+either transport, or a :class:`~repro.tune.replicas.ReplicaRouter` --
 consults the result cache, and enforces per-query deadlines with
 cooperative cancellation checks inside the scan/kd-tree iteration loops
 (for a sharded engine the check propagates into every in-flight shard
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.planner import PlannedQuery
+from repro.core.planner import PlannedQuery, QueryEngine
 from repro.db.catalog import Database
 from repro.db.errors import StorageFault
 from repro.geometry.halfspace import Polyhedron
@@ -39,7 +39,7 @@ from repro.service.errors import (
     QueryFault,
     ServiceClosed,
 )
-from repro.service.metrics import MetricsRegistry, QueryMetrics
+from repro.service.metrics import MetricsRegistry, QueryMetrics, shard_paths_of
 from repro.service.result_cache import ResultCache, query_fingerprint
 from repro.service.session import Session, SessionManager
 
@@ -151,11 +151,9 @@ class QueryService:
         engine runs one database per shard); cache invalidation then
         rides solely on the engine's ``layout_version``.
     planner:
-        The engine every admitted query runs through: any object with
-        ``execute(polyhedron, cancel_check) -> PlannedQuery`` plus
-        ``table_name`` / ``dims`` / ``layout_version`` properties
-        (:class:`~repro.core.planner.QueryPlanner` or
-        :class:`~repro.shard.ScatterGatherExecutor`).
+        The :class:`~repro.core.planner.QueryEngine` every admitted query
+        runs through (a planner, a sharded executor on either transport,
+        or a replica router).
     workers:
         Worker thread count (the paper's server ran fully parallel I/O).
     queue_depth:
@@ -172,8 +170,8 @@ class QueryService:
         Maximum micro-batch occupancy.  ``1`` (the default) serves each
         query alone; larger values let a worker pull several admitted
         queries at once and run them through the engine's
-        ``execute_batch`` (when it has one), decoding shared pages once
-        for the whole batch.  Result-cache hits are peeled off before
+        ``execute_batch``, decoding shared pages once for the whole
+        batch.  Result-cache hits are peeled off before
         batch formation, and each member keeps its own deadline,
         cancellation, and failure handling.
     batch_delay_s:
@@ -189,15 +187,14 @@ class QueryService:
     trace_recorder:
         A :class:`~repro.tune.trace.WorkloadTraceRecorder` fed by every
         executed (non-cache-hit) query -- the raw material of the
-        auto-tuner.  Planner-backed engines record themselves (with
-        per-replica tags under a router); the service records only for
-        engines that cannot.
+        auto-tuner.  It is attached to the engine, which records each
+        query it executes once (with per-replica tags under a router).
     """
 
     def __init__(
         self,
         database: Database | None,
-        planner: Any = None,
+        planner: QueryEngine | None = None,
         *,
         workers: int = 4,
         queue_depth: int = 64,
@@ -227,13 +224,8 @@ class QueryService:
             raise ValueError("a planner (or replicas) is required")
         self.database = database
         self.planner = planner
-        self.trace_recorder = trace_recorder
         if trace_recorder is not None:
-            attach = getattr(planner, "attach_trace_recorder", None)
-            if callable(attach):
-                attach(trace_recorder)
-            elif hasattr(planner, "trace_recorder"):
-                planner.trace_recorder = trace_recorder
+            planner.attach_trace_recorder(trace_recorder)
         self.sessions = SessionManager()
         self.admission = AdmissionQueue(queue_depth)
         self.cache = (
@@ -245,7 +237,6 @@ class QueryService:
         self.default_deadline = default_deadline
         self.batch_size = batch_size
         self.batch_delay_s = batch_delay_s
-        self._engine_batches = callable(getattr(planner, "execute_batch", None))
         self._num_workers = workers
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -377,37 +368,32 @@ class QueryService:
     def report(self) -> dict:
         """Everything the service knows about its own behavior.
 
-        With a sharded engine (``database is None``), the ``io`` section
-        aggregates across the per-shard backends and an ``engine``
-        section carries the scatter-gather counters.
+        The ``io`` section is the engine's (aggregated across shards or
+        replicas), and the ``engine`` section carries its counters (the
+        scatter-gather and routing counts; empty for a planner).
         """
-        report = {
+        return {
             "service": self.metrics.summary(),
             "admission": self.admission.counters(),
             "cache": self.cache.counters() if self.cache is not None else {},
             # The engine layout the cache is currently fingerprinting
             # against; moves on every ingest write, merge, and re-cut.
-            "layout_version": getattr(self.planner, "layout_version", ""),
+            "layout_version": self.planner.layout_version,
+            "transport": self.planner.transport,
+            "io": self.planner.io_stats().as_dict(),
+            "engine": self.planner.counters(),
+            "procedures": (
+                self.database.procedures.timings() if self.database is not None else {}
+            ),
             "sessions": {
                 s.session_id: s.snapshot().as_dict() for s in self.sessions.all()
             },
         }
-        if self.database is not None:
-            report["procedures"] = self.database.procedures.timings()
-            report["io"] = self.database.io_stats.as_dict()
-        else:
-            report["procedures"] = {}
-            engine_io = getattr(self.planner, "io_stats", None)
-            report["io"] = engine_io().as_dict() if callable(engine_io) else {}
-        engine_counters = getattr(self.planner, "counters", None)
-        if callable(engine_counters):
-            report["engine"] = engine_counters()
-        return report
 
     # -- worker side ----------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        batched = self.batch_size > 1 and self._engine_batches
+        batched = self.batch_size > 1
         while not self._stop.is_set():
             if batched:
                 items = self.admission.pop_batch(
@@ -435,7 +421,15 @@ class QueryService:
         try:
             if item.deadline is not None:
                 item.deadline.check()
-            planned, cache_hit = self._plan_or_cached(item)
+            planned = self._cache_get(item)
+            cache_hit = planned is not None
+            if not cache_hit:
+                planned = self.planner.execute(
+                    item.polyhedron,
+                    cancel_check=item.deadline.check if item.deadline is not None else None,
+                    memberships=item.memberships,
+                )
+                self._cache_put(item, planned)
             self._complete_item(item, planned, cache_hit, started)
         except Exception as exc:
             self._fail_item(item, exc, started)
@@ -504,28 +498,6 @@ class QueryService:
         queue_wait = started - item.enqueued_at
         session = item.ticket.session
         exec_time = time.monotonic() - started
-        # Engines exposing ``trace_recorder`` (planners, replica
-        # routers) record their own executions with engine-level wall
-        # times; for the rest (e.g. process shard pools) the service is
-        # the only vantage point.  Cache hits decode nothing and are
-        # never trace-worthy.
-        if (
-            self.trace_recorder is not None
-            and not cache_hit
-            and getattr(self.planner, "trace_recorder", None)
-            is not self.trace_recorder
-        ):
-            try:
-                self.trace_recorder.record(
-                    self.planner.table_name,
-                    self.planner.dims,
-                    item.polyhedron,
-                    item.memberships,
-                    planned,
-                    exec_time,
-                )
-            except Exception:
-                pass  # tracing must never fail a served query
         fallback = planned.fallback and not cache_hit
         metrics = QueryMetrics(
             query_id=item.ticket.query_id,
@@ -542,9 +514,9 @@ class QueryService:
             chosen_path="cache" if cache_hit else planned.chosen_path,
             estimated_selectivity=planned.estimated_selectivity,
             actual_selectivity=(
-                float("nan") if cache_hit
-                else getattr(planned, "actual_selectivity", float("nan"))
+                float("nan") if cache_hit else planned.actual_selectivity
             ),
+            shard_paths={} if cache_hit else shard_paths_of(planned.stats),
             fallback=fallback,
             fallback_reason=planned.fallback_reason if fallback else "",
             shards_dispatched=0 if cache_hit else planned.shards_dispatched,
@@ -603,17 +575,13 @@ class QueryService:
         # Under a replica router the engine scopes each fingerprint to
         # the replica/config that would serve the query, so divergently
         # configured copies never share result-cache entries.
-        config_id = ""
-        scope = getattr(self.planner, "cache_scope", None)
-        if callable(scope):
-            config_id = scope(item.polyhedron, item.memberships)
         return query_fingerprint(
             self.planner.table_name,
             self.planner.dims,
             item.polyhedron,
-            layout_version=getattr(self.planner, "layout_version", ""),
+            layout_version=self.planner.layout_version,
             memberships=item.memberships,
-            config_id=config_id,
+            config_id=self.planner.cache_scope(item.polyhedron, item.memberships),
         )
 
     def _cache_get(self, item: _WorkItem) -> PlannedQuery | None:
@@ -627,30 +595,10 @@ class QueryService:
         # ``no_cache`` is the routing layer's veto: an answer served by a
         # degraded (non-preferred) replica carries the preferred
         # replica's fingerprint scope and must not be replayed under it.
-        if (
-            self.cache is not None
-            and not planned.partial
-            and not getattr(planned, "no_cache", False)
-        ):
+        if self.cache is not None and not planned.partial and not planned.no_cache:
             self.cache.put(
                 self._fingerprint(item), self.planner.table_name, planned
             )
-
-    def _plan_or_cached(self, item: _WorkItem) -> tuple[PlannedQuery, bool]:
-        cached = self._cache_get(item)
-        if cached is not None:
-            return cached, True
-        planned = self._plan(item)
-        self._cache_put(item, planned)
-        return planned, False
-
-    def _plan(self, item: _WorkItem) -> PlannedQuery:
-        cancel = item.deadline.check if item.deadline is not None else None
-        if item.memberships is not None:
-            return self.planner.execute(
-                item.polyhedron, cancel_check=cancel, memberships=item.memberships
-            )
-        return self.planner.execute(item.polyhedron, cancel_check=cancel)
 
     def _record_failure(
         self,

@@ -12,16 +12,29 @@ aggregates them into the service-level view a replay prints.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.engines import ENGINES
 from repro.db.procedures import ProcedureRegistry
+from repro.db.stats import QueryStats
 
-__all__ = ["QueryMetrics", "MetricsRegistry", "SELECTIVITY_ERROR_BUCKETS"]
+__all__ = ["QueryMetrics", "MetricsRegistry", "SELECTIVITY_ERROR_BUCKETS", "shard_paths_of"]
+
+_SHARD_PATH = "shard_path_"
 
 #: Upper bounds of the ``selectivity_error`` histogram buckets (absolute
 #: |estimated - actual| selectivity); errors above the last bound land
 #: in a final ``inf`` bucket.
 SELECTIVITY_ERROR_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5)
+
+
+def shard_paths_of(stats: QueryStats) -> dict[str, int]:
+    """A sharded answer's shard count per access path (from its extras)."""
+    return {
+        key[len(_SHARD_PATH):]: int(count)
+        for key, count in stats.extra.items()
+        if key.startswith(_SHARD_PATH)
+    }
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,8 @@ class QueryMetrics:
     shard_faults: int = 0
     #: The result covers only the surviving shards (degraded, not failed).
     partial: bool = False
+    #: Sharded engines only: shard answers per access path.
+    shard_paths: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -168,10 +183,12 @@ class MetricsRegistry:
             "max_queue_wait_s": max(waits) if waits else 0.0,
             "mean_exec_time_s": sum(execs) / len(execs) if execs else 0.0,
             "max_exec_time_s": max(execs) if execs else 0.0,
-            "kdtree_queries": float(sum(1 for r in done if r.chosen_path == "kdtree")),
-            "scan_queries": float(sum(1 for r in done if r.chosen_path == "scan")),
-            "bitmap_queries": float(sum(1 for r in done if r.chosen_path == "bitmap")),
-            "hybrid_queries": float(sum(1 for r in done if r.chosen_path == "hybrid")),
+            **{
+                f"{engine.name}_queries": float(
+                    sum((r.shard_paths or {r.chosen_path: 1}).get(engine.name, 0) for r in done)
+                )
+                for engine in ENGINES
+            },
             "mean_selectivity_error": (
                 sum(errors) / len(errors) if errors else 0.0
             ),
@@ -240,10 +257,10 @@ class MetricsRegistry:
             f"  pages skipped      {int(s['pages_skipped']):>8}"
             f"   prefetched {int(s['pages_prefetched'])}",
             f"  rows returned      {int(s['rows_returned']):>8}",
-            f"  planner: kd-tree   {int(s['kdtree_queries']):>8}"
-            f"   scan {int(s['scan_queries'])}"
-            f"   bitmap {int(s['bitmap_queries'])}"
-            f"   hybrid {int(s['hybrid_queries'])}",
+            "  planner            "
+            + "   ".join(
+                f"{engine.name} {int(s[f'{engine.name}_queries'])}" for engine in ENGINES
+            ),
             f"  selectivity error  mean {s['mean_selectivity_error']:8.4f}"
             f"   max {s['max_selectivity_error']:.4f}",
             f"  planner fallbacks  {int(s['planner_fallbacks']):>8}",

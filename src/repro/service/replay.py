@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.planner import QueryPlanner
+from repro.core.planner import QueryEngine
 from repro.geometry.halfspace import Polyhedron
 from repro.service.errors import AdmissionRejected
 from repro.service.executor import QueryOutcome, QueryService
@@ -137,7 +137,7 @@ def replay_workload(
 
 
 def run_serial(
-    planner: QueryPlanner, queries, dims: list[str] | None = None
+    planner: QueryEngine, queries, dims: list[str] | None = None
 ) -> list[dict]:
     """Execute the same queries one by one, bypassing the service.
 

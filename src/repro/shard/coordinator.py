@@ -1,9 +1,10 @@
 """One scatter-gather coordinator for a kd-subtree-sharded table.
 
 :class:`ShardCoordinator` is everything sharded execution does that does
-not depend on *where* a shard runs, and it implements the planner's
-engine protocol (``execute`` / ``execute_batch`` plus ``table_name`` /
-``dims`` / ``layout_version``), so the service drives it unchanged:
+not depend on *where* a shard runs.  It is a
+:class:`~repro.core.planner.QueryEngine`, so the service, the TCP server
+and the replica router drive it exactly as they drive a single-table
+planner:
 
 1. **route** -- the :class:`~repro.shard.router.ShardRouter` classifies
    every shard's box (stretched over pending delta inserts) against each
@@ -14,7 +15,8 @@ engine protocol (``execute`` / ``execute_batch`` plus ``table_name`` /
 3. **gather** -- per-shard member outcomes stream back through one queue;
    each is rebased into the global row-id namespace and folded into its
    member, and every member is finalised once into a sharded
-   :class:`~repro.core.planner.PlannedQuery`.
+   :class:`~repro.core.planner.PlannedQuery` -- and recorded there, once,
+   into an attached trace recorder.
 
 Solo :meth:`ShardCoordinator.execute` is a batch of one.  The per-member
 rule: the first deadline or unexpected error a member hits on any shard
@@ -45,12 +47,13 @@ from __future__ import annotations
 import math
 import queue
 import threading
+import time
 from typing import Callable
 
 import numpy as np
 
 from repro.core.batch import BatchMemberResult, BatchResult
-from repro.core.planner import PlannedQuery
+from repro.core.planner import PlannedQuery, QueryEngine
 from repro.db.errors import StorageFault
 from repro.db.fetch import FetchMember
 from repro.db.scan import batch_full_scan
@@ -209,7 +212,7 @@ class _Gathered:
         self.sampled_pages += planned.sampled_pages
 
 
-class ShardCoordinator:
+class ShardCoordinator(QueryEngine):
     """Routing, scatter, gather and the write path over one transport.
 
     Subclasses are the transports (see the module docstring).  ``schema``
@@ -251,16 +254,14 @@ class ShardCoordinator:
         self._write_lock = threading.Lock()
         self._counters = dict.fromkeys(self._COUNTERS + counters, 0)
 
-    # -- engine protocol ----------------------------------------------------
+    # -- the QueryEngine contract -------------------------------------------
 
     @property
     def table_name(self) -> str:
-        """Logical name of the sharded table (cache fingerprinting)."""
         return self.shard_set.name
 
     @property
     def dims(self) -> list[str]:
-        """Ordered coordinate column names."""
         return list(self.shard_set.dims)
 
     @property
@@ -278,58 +279,25 @@ class ShardCoordinator:
         """
         return f"{self.shard_set.layout_version}|{','.join(self._epochs)}"
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
 
     # -- queries ------------------------------------------------------------
 
-    def execute(
-        self,
-        polyhedron: Polyhedron,
-        cancel_check: Callable[[], None] | None = None,
-        memberships: dict[str, np.ndarray] | None = None,
-    ) -> PlannedQuery:
-        """Route, scatter and gather one polyhedron query (a batch of one).
-
-        ``memberships`` (column -> IN-list values) rides to every
-        dispatched shard; routing stays polyhedron-only -- membership
-        filters never widen the dispatched set, they only thin rows
-        inside it.
-        """
-        member = self._scatter([polyhedron], [cancel_check], [memberships]).members[0]
-        if member.error is not None:
-            raise member.error
-        return member.planned
-
-    def execute_batch(
-        self,
-        polyhedra: list[Polyhedron],
-        cancel_checks: list[Callable[[], None] | None] | None = None,
-        memberships_list: list[dict | None] | None = None,
-    ) -> BatchResult:
+    def _run_batch(self, polyhedra, checks, filters) -> BatchResult:
         """Route, scatter and gather a micro-batch in one fan-out.
 
         Each shard receives one member group covering every member routed
         to it, so a page hot across the batch is decoded once per shard.
         A member's deadline or error fails that member alone; a shard's
         storage fault degrades the members it served to flagged partials.
+        IN-lists ride to every dispatched shard; routing stays
+        polyhedron-only -- membership filters never widen the dispatched
+        set, they only thin rows inside it.
         """
-        n = len(polyhedra)
-        return self._scatter(
-            list(polyhedra),
-            list(cancel_checks) if cancel_checks is not None else [None] * n,
-            list(memberships_list) if memberships_list is not None else [None] * n,
-        )
-
-    def _scatter(self, polyhedra, checks, filters) -> BatchResult:
         self._check_open()
+        started = time.perf_counter()
         n = len(polyhedra)
         result = BatchResult(members=[BatchMemberResult() for _ in range(n)], occupancy=n)
         gathered: dict[int, _Gathered] = {}
@@ -417,6 +385,9 @@ class ShardCoordinator:
             else:
                 fail_member(m, outcome)
 
+        # Like the planner's shared pass, the fan-out served every member
+        # at once; each trace entry gets an equal share of its wall time.
+        member_wall = (time.perf_counter() - started) / max(1, n)
         note = dict.fromkeys(
             ("queries", "shards_dispatched", "shards_pruned", "shard_faults", "partial_results"),
             0,
@@ -432,14 +403,17 @@ class ShardCoordinator:
                 result.members[m].error = g.fault
                 continue
             note["partial_results"] += 1 if g.failed else 0
-            result.members[m].planned = self._finalise(g)
+            planned = self._finalise(g)
+            result.members[m].planned = planned
+            self._record_trace(polyhedra[m], filters[m], planned, member_wall)
         self._note(**note)
         return result
 
     def _finalise(self, g: _Gathered) -> PlannedQuery:
         decision = g.decision
+        total_rows = self.shard_set.total_rows
         if g.estimated_rows:
-            estimate = g.weighted / self.shard_set.total_rows
+            estimate = g.weighted / total_rows
         else:
             estimate = float("nan") if decision.dispatched else 0.0
         for path, count in g.paths.items():
@@ -458,6 +432,7 @@ class ShardCoordinator:
             shard_faults=len(g.failed),
             partial=bool(g.failed),
             failed_shards=tuple(sorted(g.failed)),
+            actual_selectivity=g.stats.rows_returned / max(1, total_rows),
         )
 
     def _merge_pieces(self, pieces: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -11,8 +11,9 @@ choice, fault fallback), a cancelled member trips a per-shard event its
 page and node loops poll, and the write RPCs are direct calls into each
 shard's database.  Passing ``transport="process"`` (with ``specs=``)
 returns the process transport instead,
-:class:`~repro.net.pool.ShardWorkerPool`, which speaks the same engine
-protocol with one worker process per shard.
+:class:`~repro.net.pool.ShardWorkerPool`: the same
+:class:`~repro.core.planner.QueryEngine` with one worker process per
+shard.
 
 On top of the coordinator this transport adds the frontier-merged,
 exact k-NN across shard borders (:func:`~repro.shard.knn.scatter_gather_knn`)
@@ -39,7 +40,7 @@ __all__ = ["ScatterGatherExecutor"]
 
 
 class ScatterGatherExecutor(ShardCoordinator):
-    """Parallel per-shard engines behind a planner-shaped facade.
+    """Parallel per-shard planners behind one query engine.
 
     Parameters
     ----------
@@ -76,8 +77,8 @@ class ScatterGatherExecutor(ShardCoordinator):
         **process_opts,
     ):
         # transport="process" swaps the thread pool for one worker
-        # process per shard (repro.net); the returned pool speaks the
-        # same engine protocol, so callers are transport-agnostic.
+        # process per shard (repro.net); the returned pool is the same
+        # QueryEngine, so callers are transport-agnostic.
         if transport == "process":
             if specs is None:
                 raise ValueError(

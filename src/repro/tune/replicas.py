@@ -38,7 +38,7 @@ import numpy as np
 from repro.bitmap.index import axis_bounds
 from repro.core.batch import BatchMemberResult, BatchResult
 from repro.core.kdtree import cluster, install
-from repro.core.planner import PlannedQuery, QueryPlanner
+from repro.core.planner import PlannedQuery, QueryEngine, QueryPlanner
 from repro.db.catalog import Database, DatabaseOptions
 from repro.db.errors import StorageFault
 from repro.db.stats import IOStats
@@ -83,13 +83,13 @@ class ReplicaSpec:
 
 @dataclass
 class Replica:
-    """One materialized copy: its config and planner-shaped engine."""
+    """One materialized copy: its config and its engine."""
 
     replica_id: int
     config: TuningConfig
     #: A QueryPlanner (unsharded) or ScatterGatherExecutor/worker pool
-    #: (sharded) -- anything speaking the engine protocol.
-    engine: object
+    #: (sharded).
+    engine: QueryEngine
     #: The replica's own database (``None`` for sharded engines, whose
     #: shards each own one).
     database: Database | None = None
@@ -296,9 +296,7 @@ class ReplicaSet:
 
     def close(self) -> None:
         for replica in self.replicas:
-            close = getattr(replica.engine, "close", None)
-            if callable(close):
-                close()
+            replica.engine.close()
 
 
 def _trivial_polyhedron(dim: int) -> Polyhedron:
@@ -310,16 +308,16 @@ def _trivial_polyhedron(dim: int) -> Polyhedron:
     return Polyhedron([Halfspace(normal, np.inf)])
 
 
-class ReplicaRouter:
-    """Planner-shaped facade that routes each query to its best replica.
+class ReplicaRouter(QueryEngine):
+    """A query engine that routes each query to its best replica.
 
-    Scoring: replicas whose engine exposes ``predict_cost`` (unsharded
-    planners) answer with their calibrated in-memory prediction --
-    for the bitmap engine that is the *exact* candidate page count,
-    computed from compressed bitmap ANDs before any I/O.  Engines that
-    cannot be asked cheaply (process-pool shards) are scored by the
-    shared :class:`CostReplayEvaluator` config model instead, so no
-    routing decision ever crosses a process boundary.
+    Scoring: replicas whose engine prices a query in memory (unsharded
+    planners) answer with their calibrated prediction -- for the bitmap
+    engine that is the *exact* candidate page count, computed from
+    compressed bitmap ANDs before any I/O.  Engines whose
+    ``predict_cost`` is ``None`` (sharded ones) are scored by the shared
+    :class:`CostReplayEvaluator` config model instead, so no routing
+    decision ever crosses a process boundary.
 
     Degradation: replicas are tried in ascending predicted cost; a
     :class:`StorageFault` from one moves on to the next live replica.
@@ -334,9 +332,8 @@ class ReplicaRouter:
         self._evaluator = CostReplayEvaluator(replica_set.profile)
         self._routes = {replica.replica_id: 0 for replica in replica_set}
         self._degraded = 0
-        self.trace_recorder = None
 
-    # -- engine-protocol identity -------------------------------------------
+    # -- the QueryEngine contract -------------------------------------------
 
     @property
     def table_name(self) -> str:
@@ -351,7 +348,7 @@ class ReplicaRouter:
         """Every replica's layout, concatenated: any copy moving (merge,
         repartition, ingest epoch) invalidates cached results."""
         parts = [
-            f"{replica.scope}@{getattr(replica.engine, 'layout_version', '')}"
+            f"{replica.scope}@{replica.engine.layout_version}"
             for replica in self.replica_set
         ]
         return "replicas:" + ";".join(parts)
@@ -388,20 +385,12 @@ class ReplicaRouter:
         observation: TraceObservation | None = None
         scores: dict[int, float] = {}
         for replica in self.replica_set:
-            predictor = getattr(replica.engine, "predict_cost", None)
-            if callable(predictor):
-                try:
-                    scores[replica.replica_id] = float(
-                        predictor(polyhedron, memberships)
-                    )
-                    continue
-                except StorageFault:
-                    pass  # price the sick replica by the config model
-            if observation is None:
-                observation = self._query_observation(polyhedron, memberships)
-            scores[replica.replica_id] = self._evaluator.predict_pages(
-                replica.config, observation
-            )
+            predicted = replica.engine.predict_cost(polyhedron, memberships)
+            if predicted is None:
+                if observation is None:
+                    observation = self._query_observation(polyhedron, memberships)
+                predicted = self._evaluator.predict_pages(replica.config, observation)
+            scores[replica.replica_id] = float(predicted)
         return scores
 
     def route(self, polyhedron: Polyhedron, memberships=None) -> list[int]:
@@ -494,40 +483,30 @@ class ReplicaRouter:
             groups.setdefault(preferred, []).append(m)
         for replica_id in sorted(groups):
             group = groups[replica_id]
-            replica = self.replica_set[replica_id]
-            batch_runner = getattr(replica.engine, "execute_batch", None)
-            if callable(batch_runner):
-                try:
-                    sub = batch_runner(
-                        [polyhedra[m] for m in group],
-                        cancel_checks=[checks[m] for m in group],
-                        memberships_list=[member_filters[m] for m in group],
-                    )
-                except StorageFault:
-                    self._solo_retry(group, polyhedra, checks, member_filters,
-                                     result, exclude=frozenset({replica_id}))
-                    continue
-                result.pages_decoded += sub.pages_decoded
-                result.shared_decode_hits += sub.shared_decode_hits
-                retry: list[int] = []
-                for m, member in zip(group, sub.members):
-                    if member.error is not None and isinstance(
-                        member.error, StorageFault
-                    ):
-                        retry.append(m)
-                        continue
-                    if member.planned is not None:
-                        member.planned.stats.extra["replica_id"] = replica_id
-                        self._routes[replica_id] = (
-                            self._routes.get(replica_id, 0) + 1
-                        )
-                    result.members[m] = member
-                if retry:
-                    self._solo_retry(retry, polyhedra, checks, member_filters,
-                                     result, exclude=frozenset({replica_id}))
-            else:
+            try:
+                sub = self.replica_set[replica_id].engine.execute_batch(
+                    [polyhedra[m] for m in group],
+                    cancel_checks=[checks[m] for m in group],
+                    memberships_list=[member_filters[m] for m in group],
+                )
+            except StorageFault:
                 self._solo_retry(group, polyhedra, checks, member_filters,
-                                 result, exclude=frozenset())
+                                 result, exclude=frozenset({replica_id}))
+                continue
+            result.pages_decoded += sub.pages_decoded
+            result.shared_decode_hits += sub.shared_decode_hits
+            retry: list[int] = []
+            for m, member in zip(group, sub.members):
+                if isinstance(member.error, StorageFault):
+                    retry.append(m)
+                    continue
+                if member.planned is not None:
+                    member.planned.stats.extra["replica_id"] = replica_id
+                    self._routes[replica_id] = self._routes.get(replica_id, 0) + 1
+                result.members[m] = member
+            if retry:
+                self._solo_retry(retry, polyhedra, checks, member_filters,
+                                 result, exclude=frozenset({replica_id}))
         return result
 
     def _solo_retry(self, members, polyhedra, checks, member_filters, result,
@@ -555,18 +534,14 @@ class ReplicaRouter:
 
     # -- observability / lifecycle ------------------------------------------
 
-    def attach_trace_recorder(self, recorder) -> None:
-        """Wire a workload-trace ring into every planner-backed replica.
+    def attach_trace_recorder(self, recorder, tag: str = "") -> None:
+        """Wire a workload-trace ring into every replica, tagged by replica.
 
-        The service checks ``self.trace_recorder`` to avoid recording
-        the same execution twice (planners record themselves).
+        The replicas record what they execute; the router itself never
+        does, so each query is recorded once.
         """
-        self.trace_recorder = recorder
         for replica in self.replica_set:
-            engine = replica.engine
-            if isinstance(engine, QueryPlanner):
-                engine.trace_recorder = recorder
-                engine.trace_tag = replica.tag
+            replica.engine.attach_trace_recorder(recorder, replica.tag)
 
     def counters(self) -> dict[str, int]:
         total: dict[str, int] = {
@@ -574,33 +549,20 @@ class ReplicaRouter:
         }
         total["degraded"] = self._degraded
         for replica in self.replica_set:
-            getter = getattr(replica.engine, "counters", None)
-            if callable(getter):
-                for key, value in getter().items():
-                    total[key] = total.get(key, 0) + value
+            for key, value in replica.engine.counters().items():
+                total[key] = total.get(key, 0) + value
         return total
 
     def io_stats(self) -> IOStats:
         total = IOStats()
         for replica in self.replica_set:
-            getter = getattr(replica.engine, "io_stats", None)
-            if callable(getter):
-                stats = getter()
-            elif replica.database is not None:
-                stats = replica.database.io_stats
-            else:
-                continue
-            total.add(**stats.snapshot().as_dict())
+            total.add(**replica.engine.io_stats().snapshot().as_dict())
         return total
 
     def cost_report(self) -> dict:
-        """Per-replica planner calibration snapshots (where available)."""
-        report = {}
-        for replica in self.replica_set:
-            getter = getattr(replica.engine, "cost_report", None)
-            if callable(getter):
-                report[replica.tag] = getter()
-        return report
+        """Per-replica planner calibration snapshots (where there is one)."""
+        reports = {replica.tag: replica.engine.cost_report() for replica in self.replica_set}
+        return {tag: report for tag, report in reports.items() if report}
 
     def close(self) -> None:
         self.replica_set.close()

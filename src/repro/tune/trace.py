@@ -31,7 +31,7 @@ import json
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -108,14 +108,6 @@ class TraceObservation:
     rows_returned: int = 0
     #: Which replica served it (empty on a single-table engine).
     replica: str = ""
-
-    def constrained_axes(self) -> list[int]:
-        """Axis indices with at least one finite bound."""
-        return [
-            axis
-            for axis in range(len(self.dims))
-            if math.isfinite(self.lows[axis]) or math.isfinite(self.highs[axis])
-        ]
 
     # -- JSONL round-trip ---------------------------------------------------
 
@@ -219,9 +211,7 @@ def observation_from_query(
         actual_pages=int(stats.pages_touched),
         wall_s=float(wall_s),
         estimated_selectivity=float(planned.estimated_selectivity),
-        actual_selectivity=float(
-            getattr(planned, "actual_selectivity", float("nan"))
-        ),
+        actual_selectivity=float(planned.actual_selectivity),
         rows_returned=int(stats.rows_returned),
         replica=replica,
     )
@@ -295,24 +285,6 @@ class WorkloadTraceRecorder:
         """Write the ring as JSON-lines; returns the line count."""
         return write_trace(path, self.observations())
 
-    def tagged(self, replica: str) -> "_TaggedRecorder":
-        """A view that stamps ``replica`` on everything it records."""
-        return _TaggedRecorder(self, replica)
-
-
-class _TaggedRecorder:
-    """Thin recorder facade that pins the ``replica`` tag (router use)."""
-
-    def __init__(self, recorder: WorkloadTraceRecorder, replica: str):
-        self._recorder = recorder
-        self.replica = replica
-
-    def record(self, table_name, dims, polyhedron, memberships, planned, wall_s, replica=""):
-        return self._recorder.record(
-            table_name, dims, polyhedron, memberships, planned, wall_s,
-            replica=replica or self.replica,
-        )
-
 
 def write_trace(path: str | Path, observations: Iterable[TraceObservation]) -> int:
     """Write observations as one JSON object per line; returns the count."""
@@ -334,8 +306,3 @@ def read_trace(path: str | Path) -> list[TraceObservation]:
             if line:
                 observations.append(TraceObservation.from_json_dict(json.loads(line)))
     return observations
-
-
-def retag(observation: TraceObservation, replica: str) -> TraceObservation:
-    """Copy an observation with a different replica tag."""
-    return replace(observation, replica=replica)

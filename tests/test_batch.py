@@ -200,8 +200,8 @@ class TestPlannerExecuteBatch:
             scans.append(args)
             return polyhedron_batch_full_scan(*args, **kwargs)
 
-        monkeypatch.setattr("repro.core.planner.batch_kd_query", doomed)
-        monkeypatch.setattr("repro.core.planner.polyhedron_batch_full_scan", counted_scan)
+        monkeypatch.setattr("repro.core.engines.batch_kd_query", doomed)
+        monkeypatch.setattr("repro.core.engines.polyhedron_batch_full_scan", counted_scan)
         batch = kd_setup.planner.execute_batch(polys)
         assert len(scans) == 1
         for ref, member in zip(solo, batch.members):
@@ -221,7 +221,7 @@ class TestPlannerExecuteBatch:
         def doomed(*args, **kwargs):
             raise StorageFault("scan pass died")
 
-        monkeypatch.setattr("repro.core.planner.polyhedron_batch_full_scan", doomed)
+        monkeypatch.setattr("repro.core.engines.polyhedron_batch_full_scan", doomed)
         batch = kd_setup.planner.execute_batch(polys)
         for ref, member in zip(solo, batch.members):
             if ref.chosen_path == "scan":

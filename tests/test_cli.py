@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.engines import ENGINES
 
 
 class TestCli:
@@ -31,3 +32,37 @@ class TestCli:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+REPLAY = ["replay", "--rows", "2000", "--queries", "12", "--verify"]
+
+
+def _engine_counts(out: str) -> dict[str, int]:
+    """The metrics report's per-engine line, as ``{engine: answers}``."""
+    line = next(
+        line for line in out.splitlines() if line.strip().startswith("planner ")
+    )
+    words = line.split()[1:]
+    return {name: int(count) for name, count in zip(words[::2], words[1::2])}
+
+
+class TestReplay:
+    @pytest.mark.parametrize("engine", ["auto", *(e.name for e in ENGINES)])
+    def test_every_engine_replays_exactly(self, capsys, engine):
+        assert main([*REPLAY, "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert "row-for-row mismatches: 0" in out
+        counts = _engine_counts(out)
+        assert set(counts) == {e.name for e in ENGINES}
+        if engine == "auto":
+            assert sum(counts.values()) > 0
+        else:
+            assert counts[engine] > 0
+            assert sum(counts.values()) == counts[engine]
+
+    def test_sharded_replay_counts_shard_answers(self, capsys):
+        assert main([*REPLAY, "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "row-for-row mismatches: 0" in out
+        assert "per-worker utilization (transport=thread)" in out
+        assert sum(_engine_counts(out).values()) > 0

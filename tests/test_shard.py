@@ -402,6 +402,34 @@ class TestServiceIntegration:
             assert "shards dispatched" in service.metrics.format_report()
         engine.close()
 
+    def test_sharded_answers_count_in_engine_metrics(self, shard_setup):
+        _, shard_set, _, _ = shard_setup
+        engine = ScatterGatherExecutor(shard_set)
+        poly = Polyhedron.from_box(Box.cube(np.array([0.0, 0.0, 0.0]), 0.8))
+        with QueryService(None, engine, workers=2) as service:
+            outcome = service.execute(poly)
+            summary = service.metrics.summary()
+            report = service.metrics.format_report()
+        engine.close()
+        # Each shard's engine choice rides back as a shard_path_<name>
+        # extra; the service counts every one under that engine.
+        paths = {
+            key[len("shard_path_"):]: count
+            for key, count in outcome.stats.extra.items()
+            if key.startswith("shard_path_") and key != "shard_path_inside"
+        }
+        assert paths
+        for name, count in paths.items():
+            assert summary[f"{name}_queries"] == count
+            assert f"{name} {count}" in report
+        # The gather measures the actual selectivity against the same
+        # row total as its estimate, so the error is a real number.
+        actual = outcome.metrics.actual_selectivity
+        assert actual == pytest.approx(len(outcome.rows["_row_id"]) / shard_set.total_rows)
+        assert summary["max_selectivity_error"] == pytest.approx(
+            abs(outcome.estimated_selectivity - actual)
+        )
+
     def test_partial_results_are_not_cached(self):
         data, shard_set, injector = _faulty_shard_setup(fault_shard=0)
         engine = ScatterGatherExecutor(shard_set)
