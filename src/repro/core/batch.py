@@ -5,12 +5,12 @@ solo query is a batch of one.  Under concurrent traffic the same hot
 pages would otherwise be read, CRC-verified, and predicate-filtered once
 *per query*, and the kd-tree's top levels re-walked once per query:
 
-* :func:`batch_kd_query` runs the Figure 4 traversal
+* :func:`batch_kd_query` runs the Figure 4 walk
   (:meth:`repro.core.kdtree.KdTreeIndex.traverse`) once for the whole
-  member set -- each tree node visited once, classified against every
-  member still active there -- and serves every member's claimed row
-  ranges with one call of the fetch kernel (:func:`repro.db.fetch.fetch`),
-  which decodes each needed page once.
+  member set -- level by level, each level's nodes gathered once and
+  classified against every member still active at them -- and serves
+  every member's claimed row ranges with one call of the fetch kernel
+  (:func:`repro.db.fetch.fetch`), which decodes each needed page once.
   :meth:`~repro.core.kdtree.KdTreeIndex.query_polyhedron` is its batch
   of one.
 * :class:`BatchResult` / :class:`BatchMemberResult` are the engine-level
@@ -77,11 +77,13 @@ def batch_kd_query(
     """Evaluate several polyhedron queries in one kd traversal + fetch.
 
     :meth:`~repro.core.kdtree.KdTreeIndex.traverse` names every member's
-    clustered row ranges (the ``BETWEEN``s) in one walk: INSIDE subtrees
-    are bulk returns, PARTIAL leaves still need the residual filter.
-    One call of the fetch kernel then serves all of them in the order
-    the walk named them, so each surviving page is decoded once and
-    sliced for every member that claimed rows on it.
+    clustered row ranges (the ``BETWEEN``s) in one level-by-level walk:
+    each level's node boxes are classified against every member still
+    active there in one array pass per member, INSIDE subtrees are bulk
+    returns, PARTIAL leaves still need the residual filter.  One call of
+    the fetch kernel then serves all of them in the order the walk
+    names them (right-first depth-first), so each surviving page is
+    decoded once and sliced for every member that claimed rows on it.
 
     With ``use_zone_maps`` on (and a zone map in the catalog), each
     member's PARTIAL-leaf ranges also prune at page granularity: a leaf
@@ -99,8 +101,9 @@ def batch_kd_query(
     every row it returns, INSIDE-subtree rows included.
 
     Member isolation matches :func:`repro.db.scan.batch_full_scan`: a
-    member whose ``cancel_check`` raises is dropped mid-batch with its
-    partial rows discarded, siblings unaffected.  A
+    member whose ``cancel_check`` raises (once per tree level in the
+    walk, before every page read in the fetch) is dropped mid-batch with
+    its partial rows discarded, siblings unaffected.  A
     :class:`~repro.db.errors.StorageFault` from the shared read path
     propagates.  Returns ``(results, counters)`` shaped exactly like
     :func:`~repro.db.scan.batch_full_scan`'s.

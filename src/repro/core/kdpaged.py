@@ -16,10 +16,13 @@ fault/retry/torn-page semantics as data I/O.
 Layout.  Nodes are written in **post-order** (the paper's §3.2
 numbering), sliced into groups of ``nodes_per_page``.  Post-order keeps
 subtrees page-local: the descendants of any node occupy a contiguous
-run of post-order slots ending at the node itself, so a depth-first
-traversal walks pages mostly sequentially and the read-ahead window
-actually helps.  Because the tree is a perfect binary heap, a node's
-post-order position is *computable from its heap index alone*
+run of post-order slots ending at the node itself.  The nodes of one
+level appear left to right, so a level's frontier in heap order visits
+its node pages in ascending order: the query walk and insert routing
+gather a level with one node-cache probe per page
+(:meth:`PagedKdTree.level_info`).
+Because the tree is a perfect binary heap, a node's post-order
+position is *computable from its heap index alone*
 (:func:`post_order_index`, and :func:`post_order_ids` for arrays):
 structural queries -- post-order ids, BETWEEN ranges, subtree sizes --
 need no I/O at all.  Only the geometry (split planes, partition/tight
@@ -84,13 +87,31 @@ def post_order_index(node: int, num_levels: int) -> int:
 
     (each path bit contributes ``bit * 2**(num_levels - k) - bit``;
     the powers collapse into the shifted node index, the ``- bit``
-    terms into the popcount).  This runs on every node-cache probe, so
-    O(1) here is measurable on traversal-heavy workloads.
+    terms into the popcount).  The level walks evaluate it as one array
+    expression per level, every node of a level sharing ``d``.
     """
     node = int(node)
     depth = node.bit_length() - 1
     span = 1 << (num_levels - depth)
     return (node - (1 << depth) + 1) * span - 1 - node.bit_count()
+
+
+#: Set bits of every 16-bit value.  numpy before 2.0 has no
+#: ``bitwise_count``; a table lookup per 16 bits of heap index is its
+#: stand-in (one lookup for trees of up to 16 levels).
+_POPCOUNT16 = (
+    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
+)
+
+
+def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits of each non-negative ``int64`` below ``2**bits``."""
+    count = _POPCOUNT16[values & 0xFFFF]
+    for shift in range(16, bits, 16):
+        count = count + _POPCOUNT16[(values >> shift) & 0xFFFF]
+    return count
 
 
 def post_order_ids(nodes: np.ndarray, num_levels: int) -> np.ndarray:
@@ -377,6 +398,54 @@ class PagedKdTree(HeapTree):
         cols, slot = self._slot(node)
         return int(cols["split_axis"][slot]), float(cols["split_value"][slot])
 
+    def _level_pages(
+        self, nodes: np.ndarray, depth: int
+    ) -> list[tuple[dict, np.ndarray]]:
+        """``(page columns, slots)`` runs covering ascending heap ``nodes`` at ``depth``.
+
+        Depth is shared, so the post-order slots are one array
+        expression of :func:`post_order_index`'s closed form.  Within a
+        level post-order runs left to right, so each node page's nodes
+        form one contiguous run: one node-cache probe per page.
+        """
+        span = 1 << (self.num_levels - depth)
+        post = (nodes - (1 << depth) + 1) * span - 1 - _popcount(nodes, depth + 1)
+        npp = self.layout.nodes_per_page
+        pages = post // npp
+        slots = post - pages * npp
+        if pages[0] == pages[-1]:
+            return [(self._page_columns(int(pages[0])), slots)]
+        bounds = [0, *(np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist(), len(nodes)]
+        return [
+            (self._page_columns(int(pages[first])), slots[first:stop])
+            for first, stop in zip(bounds[:-1], bounds[1:])
+        ]
+
+    @staticmethod
+    def _gather(runs: list[tuple[dict, np.ndarray]], name: str) -> np.ndarray:
+        parts = [cols[name][slots] for cols, slots in runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def level_info(self, nodes: np.ndarray, depth: int, tight: bool = True):
+        """:meth:`visit_info` for a whole level: ``(start, end, lo, hi)`` arrays.
+
+        ``nodes`` are ascending heap indexes at ``depth``, at least one.
+        Each node's box is its tight box where that is finite and its
+        partition box otherwise, as :meth:`visit_info` chooses; empty
+        nodes (``start == end``) are included, for the caller to drop.
+        """
+        runs = self._level_pages(nodes, depth)
+        start, end = self._gather(runs, "seg_start"), self._gather(runs, "seg_end")
+        if not tight:
+            return start, end, self._gather(runs, "plo"), self._gather(runs, "phi")
+        lo, hi = self._gather(runs, "tlo"), self._gather(runs, "thi")
+        finite = np.isfinite(lo).all(axis=1)
+        if not finite.all():
+            finite = finite[:, np.newaxis]
+            lo = np.where(finite, lo, self._gather(runs, "plo"))
+            hi = np.where(finite, hi, self._gather(runs, "phi"))
+        return start, end, lo, hi
+
     def visit_info(self, node: int, tight: bool = True):
         """One-probe node visit: ``(start, end, box)``.
 
@@ -402,23 +471,25 @@ class PagedKdTree(HeapTree):
         """Heap index of the leaf whose partition cell holds each row of ``points``.
 
         Level-synchronous: the whole ``(n, d)`` batch steps down one
-        level at a time, and each level probes the node cache once per
-        *distinct* frontier node -- at most ``num_leaves - 1`` probes
-        per batch however many points it holds.  Ties on a cut plane go
-        left, as the build does.
+        level at a time, and each level gathers the split planes of its
+        distinct frontier nodes with one node-cache probe per node page.
+        Ties on a cut plane go left, as the build does.
         """
         points = np.asarray(points, dtype=np.float64)
         rows = np.arange(len(points))
         nodes = np.ones(len(points), dtype=np.int64)
-        for _ in range(self.num_levels - 1):
-            frontier, member = np.unique(nodes, return_inverse=True)
-            axes = np.empty(len(frontier), dtype=np.int64)
-            values = np.empty(len(frontier))
-            for i, node in enumerate(frontier.tolist()):
-                cols, slot = self._slot(node)
-                axes[i] = cols["split_axis"][slot]
-                values[i] = cols["split_value"][slot]
-            left = points[rows, axes[member]] <= values[member]
+        if not len(points):
+            return nodes
+        for depth in range(self.num_levels - 1):
+            # Nodes at ``depth`` are ``2**depth + [0, 2**depth)``: a
+            # presence count finds the frontier without sorting.
+            offset = nodes - (1 << depth)
+            present = np.bincount(offset, minlength=1 << depth) > 0
+            frontier = np.flatnonzero(present) + (1 << depth)
+            member = (np.cumsum(present) - 1)[offset]
+            runs = self._level_pages(frontier, depth)
+            axes = self._gather(runs, "split_axis")[member]
+            left = points[rows, axes] <= self._gather(runs, "split_value")[member]
             nodes = 2 * nodes + ~left
         return nodes
 

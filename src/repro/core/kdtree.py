@@ -21,9 +21,11 @@ Reproduced design decisions, in the paper's own terms:
   its child leaf nodes can be selected trivially using BETWEEN."  Rows are
   tagged with their leaf's post-order id and the table is clustered on it,
   so a subtree is a contiguous row range.
-* **Polyhedron evaluation** (Figure 4): recursive classification of node
-  bounding boxes against the query polyhedron; fully inside -> bulk
-  return, outside -> reject, partial leaves -> residual per-point filter.
+* **Polyhedron evaluation** (Figure 4): classification of node bounding
+  boxes against the query polyhedron, one tree level at a time (the
+  query-side mirror of the level-wise build); fully inside -> bulk
+  return, outside -> reject, partial inner nodes -> descend, partial
+  leaves -> residual per-point filter.
 
 The tree keeps two box families per node: the *partition* box (the cell of
 the recursive space partition -- these tile the root box and drive the
@@ -68,7 +70,7 @@ from repro.db.stats import QueryStats
 from repro.db.storage import index_namespace
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box, BoxRelation
-from repro.geometry.halfspace import Polyhedron
+from repro.geometry.halfspace import INSIDE, OUTSIDE, PARTIAL, Polyhedron
 
 __all__ = [
     "Clustering",
@@ -491,8 +493,8 @@ class KdTreeIndex(SpatialIndex):
         A batch of one of :func:`repro.core.batch.batch_kd_query`, which
         documents the traversal, the zone-map pruning of PARTIAL leaves,
         merge-on-read and the IN-list ``memberships``.  ``cancel_check``
-        runs at every node visit and before every page read; whatever it
-        raises is re-raised here.
+        runs once per tree level the walk reaches and before every page
+        read; whatever it raises is re-raised here.
         """
         return solo(
             batch_kd_query(
@@ -508,69 +510,116 @@ class KdTreeIndex(SpatialIndex):
     def traverse(
         self, members: Sequence[FetchMember], use_tight_boxes: bool = True
     ) -> list[tuple[int, int, int, bool]]:
-        """The Figure 4 classification over a member set, in one walk.
+        """The Figure 4 classification over a member set, one level at a time.
 
-        Each tree node is visited once and classified against every
-        member still unresolved there: OUTSIDE members drop out of the
-        subtree, INSIDE members claim its clustered row range (a bulk
-        return), a PARTIAL leaf's range still needs the residual filter,
-        and PARTIAL members of an inner node descend.  Returns
-        ``(member, start, end, needs_filter)`` ranges in right-first
-        depth-first order, every member resolving at a node named
-        together.  That order is the read order the fetch kernel keeps
-        (see :mod:`repro.db.fetch`); callers must not re-sort it.
+        The walk keeps a frontier of nodes at one depth and, per node,
+        the members still unresolved there.  Each level gathers the
+        frontier's row ranges and boxes in one pass over the node pages
+        (:meth:`~repro.core.kdpaged.PagedKdTree.level_info`), drops empty
+        nodes, and classifies the level with one
+        :meth:`~repro.geometry.halfspace.Polyhedron.classify_boxes` call
+        per live member, reading the verdicts of the (node, member)
+        pairs still open: OUTSIDE members drop out of the subtree, INSIDE
+        members claim its clustered row range (a bulk return), a PARTIAL
+        leaf's range still needs the residual filter, and PARTIAL members
+        of an inner node descend to both children.
 
-        Counts into each member's ``stats``.  A member's
-        ``cancel_check`` runs at every node visit; whatever it raises
-        lands in the member's ``error`` and drops it from the walk, its
-        siblings unaffected.
+        Returns ``(member, start, end, needs_filter)`` ranges sorted by
+        end row descending, then start, depth and member: the right-first
+        depth-first order of the per-node walk, every member resolving at
+        a node named together.  That order is the read order the fetch
+        kernel keeps (see :mod:`repro.db.fetch`); callers must not
+        re-sort it.
+
+        Counts into each member's ``stats``.  A member's ``cancel_check``
+        runs once per level while the member is still in the frontier;
+        whatever it raises lands in the member's ``error`` and drops it
+        from the walk, its siblings unaffected.
         """
         dim = len(self._dims)
         for member in members:
             if member.polyhedron.dim != dim:
                 raise ValueError(f"polyhedron dim {member.polyhedron.dim} != index dim {dim}")
         tree = self._tree
-        ranges: list[tuple[int, int, int, bool]] = []
-        stack: list[tuple[int, tuple[int, ...]]] = [(1, tuple(range(len(members))))]
-        while stack:
-            node, active = stack.pop()
-            live: list[int] = []
-            for m in active:
-                member = members[m]
-                if member.error is not None:
-                    continue
-                if member.cancel_check is not None:
+        leaf_depth = tree.num_levels - 1
+        nodes = np.ones(1, dtype=np.int64)
+        # active[i, m]: member m is unresolved at nodes[i].  Every row
+        # has an active member until a cancel check drops one.
+        active = np.array([[member.error is None for member in members]], dtype=bool)
+        codes_base = 3 * np.arange(len(members))
+        found: list[tuple[np.ndarray, ...]] = []
+        for depth in range(tree.num_levels):
+            live = np.flatnonzero(active.any(axis=0)).tolist()
+            dropped = False
+            for m in live:
+                check = members[m].cancel_check
+                if check is not None:
                     try:
-                        member.cancel_check()
+                        check()
                     except BaseException as exc:
-                        member.error = exc
-                        continue
-                live.append(m)
+                        members[m].error = exc
+                        active[:, m] = False
+                        dropped = True
+            if dropped:
+                live = [m for m in live if members[m].error is None]
+                keep = active.any(axis=1)
+                nodes, active = nodes[keep], active[keep]
             if not live:
-                continue
-            start, end, box = tree.visit_info(node, use_tight_boxes)
-            if start == end:
-                continue
-            deeper: list[int] = []
+                break
+            start, end, lo, hi = tree.level_info(nodes, depth, use_tight_boxes)
+            filled = start < end
+            if not filled.all():
+                nodes, active = nodes[filled], active[filled]
+                start, end, lo, hi = start[filled], end[filled], lo[filled], hi[filled]
+            # Read only where ``active``: a member classifies the whole level.
+            relation = np.zeros(active.shape, dtype=np.int8)
+            for m in live:
+                relation[:, m] = members[m].polyhedron.classify_boxes(lo, hi)
+            leaf = depth == leaf_depth
+            counts = np.bincount(
+                (codes_base + relation)[active], minlength=3 * len(members)
+            ).reshape(-1, 3)
             for m in live:
                 stats = members[m].stats
-                stats.nodes_visited += 1
-                relation = members[m].polyhedron.classify_box(box)
-                if relation is BoxRelation.OUTSIDE:
-                    stats.cells_outside += 1
-                elif relation is BoxRelation.INSIDE:
-                    stats.cells_inside += 1
-                    ranges.append((m, start, end, False))
-                elif tree.is_leaf(node):
-                    stats.cells_partial += 1
-                    ranges.append((m, start, end, True))
-                else:
-                    deeper.append(m)
-            if deeper:
-                below = tuple(deeper)
-                stack.append((2 * node, below))
-                stack.append((2 * node + 1, below))
-        return ranges
+                stats.nodes_visited += int(counts[m].sum())
+                stats.cells_outside += int(counts[m, OUTSIDE])
+                stats.cells_inside += int(counts[m, INSIDE])
+                if leaf:
+                    stats.cells_partial += int(counts[m, PARTIAL])
+            partial = active & (relation == PARTIAL)
+            claimed = active & (relation == INSIDE)
+            if leaf:
+                claimed |= partial
+            rows, claimers = np.nonzero(claimed)
+            if len(rows):
+                found.append(
+                    (
+                        claimers,
+                        start[rows],
+                        end[rows],
+                        relation[rows, claimers] == PARTIAL,
+                        np.full(len(rows), depth),
+                    )
+                )
+            if leaf:
+                break
+            descend = partial.any(axis=1)
+            nodes = np.stack([2 * nodes[descend], 2 * nodes[descend] + 1], axis=1).ravel()
+            active = np.repeat(partial[descend], 2, axis=0)
+        if not found:
+            return []
+        member, start, end, needs_filter, depth = (
+            np.concatenate(column) for column in zip(*found)
+        )
+        order = np.lexsort((member, depth, start, -end))
+        return list(
+            zip(
+                member[order].tolist(),
+                start[order].tolist(),
+                end[order].tolist(),
+                needs_filter[order].tolist(),
+            )
+        )
 
     def candidate_ranges(
         self, members: Sequence[FetchMember], use_tight_boxes: bool = True

@@ -89,9 +89,8 @@ SCAN_RETRY = RetryPolicy(attempts=2, backoff_s=0.002)
 #: Rows a member accumulates before its residual runs.  Large enough
 #: that the per-call numpy overhead vanishes (32 default pages per
 #: call), small enough that the gathered columns stay cache-resident
-#: (~300 KB) and that the residual's matrix product stays a size BLAS
-#: runs on the calling thread for the usual handful of halfspaces (its
-#: worker threads spin for milliseconds after every larger product).
+#: (~300 KB).  It matches the block of the residual's own matrix
+#: product, :data:`~repro.geometry.halfspace.CONTAINS_BLOCK_ROWS`.
 _CHUNK_ROWS = 4096
 
 #: ``(page_id, member, selection, needs_filter)``.

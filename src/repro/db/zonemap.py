@@ -15,12 +15,10 @@ one vectorized pass *before any byte is read*:
   qualifies by construction;
 * ``PARTIAL`` pages go through the ordinary read + filter path.
 
-Classification reuses the corner trick of
-:meth:`~repro.geometry.halfspace.Halfspace.box_extremes`, vectorized
-over all pages at once: with page minima ``mins`` and maxima ``maxs`` of
-shape ``(P, d)`` and query normals ``(m, d)`` split into positive and
-negative parts, two ``(P, d) @ (d, m)`` products yield the min and max
-of every linear form over every page box.
+Classification is one call of the box kernel,
+:meth:`~repro.geometry.halfspace.Polyhedron.classify_boxes`, over every
+page box at once -- the same kernel the kd walk classifies its node
+boxes with.
 
 Zone maps are synopses, not indexes: they are built as pages are written
 (:meth:`ZoneMap.observe_page`), dropped wholesale when the table is
@@ -38,13 +36,9 @@ import numpy as np
 
 from repro.db.pages import Page
 from repro.geometry.boxes import Box, BoxRelation
-from repro.geometry.halfspace import Polyhedron
+from repro.geometry.halfspace import INSIDE, OUTSIDE, PARTIAL, RELATIONS, Polyhedron
 
 __all__ = ["ZoneMap", "ZonePruner"]
-
-#: Integer encoding of :class:`BoxRelation` used inside pruner arrays.
-_OUTSIDE, _PARTIAL, _INSIDE = 0, 1, 2
-_RELATIONS = (BoxRelation.OUTSIDE, BoxRelation.PARTIAL, BoxRelation.INSIDE)
 
 
 class ZoneMap:
@@ -129,23 +123,9 @@ class ZoneMap:
         if not self._mins:
             return ZonePruner(np.empty(0, dtype=np.int8))
         all_mins, all_maxs = self._matrices()
-        mins = all_mins[:, picks]
-        maxs = all_maxs[:, picks]
-        normals = polyhedron.normals  # (m, d)
-        offsets = polyhedron.offsets  # (m,)
-        pos = np.maximum(normals, 0.0)
-        neg = np.minimum(normals, 0.0)
-        # Min and max of each linear form over each page box (corner trick,
-        # vectorized over pages x halfspaces).
-        lo_values = mins @ pos.T + maxs @ neg.T  # (P, m)
-        hi_values = maxs @ pos.T + mins @ neg.T
-        outside = (lo_values > offsets).any(axis=1)
-        inside = (hi_values <= offsets).all(axis=1)
-        relations = np.where(
-            outside, _OUTSIDE, np.where(inside, _INSIDE, _PARTIAL)
-        ).astype(np.int8)
+        relations = polyhedron.classify_boxes(all_mins[:, picks], all_maxs[:, picks])
         # An empty page holds no qualifying rows regardless of geometry.
-        relations[np.asarray(self._empty)] = _OUTSIDE
+        relations[np.asarray(self._empty)] = OUTSIDE
         return ZonePruner(relations)
 
     # -- persistence ---------------------------------------------------------
@@ -196,7 +176,7 @@ class ZonePruner:
         """The page's Figure 4 verdict against the query polyhedron."""
         if not 0 <= page_id < len(self._relations):
             return BoxRelation.PARTIAL
-        return _RELATIONS[self._relations[page_id]]
+        return RELATIONS[self._relations[page_id]]
 
     def surviving(self, page_ids: Iterable[int]) -> list[int]:
         """The subset of ``page_ids`` that are not OUTSIDE, in order."""
@@ -209,7 +189,7 @@ class ZonePruner:
     def counts(self) -> dict[str, int]:
         """How many pages fall in each class (observability for tests)."""
         return {
-            "outside": int((self._relations == _OUTSIDE).sum()),
-            "partial": int((self._relations == _PARTIAL).sum()),
-            "inside": int((self._relations == _INSIDE).sum()),
+            "outside": int((self._relations == OUTSIDE).sum()),
+            "partial": int((self._relations == PARTIAL).sum()),
+            "inside": int((self._relations == INSIDE).sum()),
         }

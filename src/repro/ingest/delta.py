@@ -15,10 +15,12 @@ the shard id in the band with ``SHARD_STRIDE``.
 Snapshots keep no spatial index over their points.  Merge-on-read
 treats the delta as more chunks for the residual filter: reject the
 query against the snapshot's cached bounding box, else run
-``contains_points`` over the cached ``(n, d)`` coordinates a block at a
-time.  At the sizes a merge threshold allows (thousands to tens of
-thousands of rows) that vectorised pass is faster than any structure
-that has to be rebuilt after every write.
+``contains_points`` over the cached ``(n, d)`` coordinates, which
+blocks its own matrix product
+(:data:`~repro.geometry.halfspace.CONTAINS_BLOCK_ROWS`).  At the sizes
+a merge threshold allows (thousands to tens of thousands of rows) that
+vectorised pass is faster than any structure that has to be rebuilt
+after every write.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ __all__ = [
 DELTA_BASE = 1 << 48
 #: Width of one shard's delta-id band inside the delta range.
 SHARD_STRIDE = 1 << 32
-#: Rows per ``contains_points`` call of a match.  One product over a
-#: whole delta of ~17k rows is large enough for BLAS to split across
-#: threads, and on a shared two-core machine waking the second thread
-#: costs ~5 ms per query; the fetch kernel sizes its chunks
-#: (``repro.db.fetch._CHUNK_ROWS``) for the same reason.
-_MATCH_BLOCK_ROWS = 4096
 
 
 def is_delta_id(row_ids: np.ndarray) -> np.ndarray:
@@ -123,13 +119,9 @@ class DeltaSnapshot:
     ) -> np.ndarray:
         """Which live delta rows satisfy the polyhedron."""
         pts, box = self._geometry_of(dims)
-        mask = np.zeros(len(pts), dtype=bool)
         if box is None or polyhedron.classify_box(box) is BoxRelation.OUTSIDE:
-            return mask
-        for start in range(0, len(pts), _MATCH_BLOCK_ROWS):
-            stop = start + _MATCH_BLOCK_ROWS
-            mask[start:stop] = polyhedron.contains_points(pts[start:stop])
-        return mask
+            return np.zeros(len(pts), dtype=bool)
+        return polyhedron.contains_points(pts)
 
     def match(
         self,

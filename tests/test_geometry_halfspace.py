@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Box, BoxRelation, Halfspace, Polyhedron
+from repro.geometry.halfspace import CONTAINS_BLOCK_ROWS, RELATIONS
 
 
 class TestHalfspace:
@@ -126,6 +127,68 @@ class TestClassifyBox:
                 assert inside.all()
             elif relation is BoxRelation.OUTSIDE:
                 assert not inside.any()
+
+
+def _classify_by_extremes(poly: Polyhedron, box: Box) -> BoxRelation:
+    """The per-face loop: one ``box_extremes`` call per halfspace."""
+    all_inside = True
+    for halfspace in poly.halfspaces:
+        lo_value, hi_value = halfspace.box_extremes(box)
+        if lo_value > halfspace.offset:
+            return BoxRelation.OUTSIDE
+        if hi_value > halfspace.offset:
+            all_inside = False
+    return BoxRelation.INSIDE if all_inside else BoxRelation.PARTIAL
+
+
+class TestClassifyBoxes:
+    """The box kernel against the per-face ``box_extremes`` loop."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_box_extremes_loop(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(30):
+            faces = int(rng.integers(1, 9))
+            normals = rng.normal(size=(faces, dim))
+            normals[rng.random(normals.shape) < 0.2] = 0.0
+            normals[np.all(normals == 0.0, axis=1), 0] = 1.0
+            poly = Polyhedron.from_inequalities(normals, rng.normal(size=faces))
+            lo = rng.uniform(-2.0, 2.0, size=(64, dim))
+            hi = lo + rng.uniform(0.0, 1.5, size=(64, dim))
+            # Degenerate boxes: zero width on some axes, or points.
+            hi[:8] = lo[:8]
+            flat = rng.random((64, dim)) < 0.2
+            hi[flat] = lo[flat]
+            codes = poly.classify_boxes(lo, hi)
+            assert codes.dtype == np.int8 and codes.shape == (64,)
+            want = [_classify_by_extremes(poly, Box(a, b)) for a, b in zip(lo, hi)]
+            assert [RELATIONS[c] for c in codes] == want
+            assert [poly.classify_box(Box(a, b)) for a, b in zip(lo, hi)] == want
+
+    def test_faces_through_box_corners(self):
+        # Axis-aligned faces sitting exactly on box edges: closed faces
+        # make a box on the boundary INSIDE, one past it OUTSIDE.
+        poly = Polyhedron.from_box(Box(np.zeros(2), np.ones(2)))
+        lo = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        hi = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.5, 0.5]])
+        want = [_classify_by_extremes(poly, Box(a, b)) for a, b in zip(lo, hi)]
+        assert want == [
+            BoxRelation.INSIDE, BoxRelation.INSIDE, BoxRelation.PARTIAL, BoxRelation.INSIDE
+        ]
+        assert [RELATIONS[c] for c in poly.classify_boxes(lo, hi)] == want
+
+    def test_no_boxes(self):
+        poly = Polyhedron.from_box(Box(np.zeros(3), np.ones(3)))
+        assert poly.classify_boxes(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
+
+
+def test_contains_points_blocks_match_one_product():
+    rng = np.random.default_rng(9)
+    poly = Polyhedron.from_inequalities(rng.normal(size=(5, 3)), rng.uniform(0, 1, 5))
+    points = rng.normal(size=(2 * CONTAINS_BLOCK_ROWS + 17, 3))
+    want = np.all(points @ poly.normals.T <= poly.offsets, axis=1)
+    assert np.array_equal(poly.contains_points(points), want)
+    assert poly.contains_points(points[:0]).shape == (0,)
 
 
 class TestClassifyBall:
