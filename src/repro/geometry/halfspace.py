@@ -199,8 +199,6 @@ class Polyhedron:
         """
         points = np.asarray(points, dtype=np.float64)
         normals_t = self._normals.T
-        if len(points) <= CONTAINS_BLOCK_ROWS:
-            return np.all(points @ normals_t <= self._offsets, axis=1)
         mask = np.empty(len(points), dtype=bool)
         for start in range(0, len(points), CONTAINS_BLOCK_ROWS):
             stop = start + CONTAINS_BLOCK_ROWS
