@@ -525,9 +525,10 @@ class KdTreeIndex(SpatialIndex):
         of an inner node descend to both children.
 
         Returns ``(member, start, end, needs_filter)`` ranges sorted by
-        end row descending, then start, depth and member: the right-first
-        depth-first order of the per-node walk, every member resolving at
-        a node named together.  That order is the read order the fetch
+        end row descending, then start, depth and member.  That is
+        right-first depth-first order -- a right subtree before its left
+        sibling, a node before its descendants -- with every member
+        resolving at a node named together.  That order is the read order the fetch
         kernel keeps (see :mod:`repro.db.fetch`); callers must not
         re-sort it.
 
