@@ -101,8 +101,8 @@ def batch_kd_query(
     every row it returns, INSIDE-subtree rows included.
 
     Member isolation matches :func:`repro.db.scan.batch_full_scan`: a
-    member whose ``cancel_check`` raises (once per tree level in the
-    walk, before every page read in the fetch) is dropped mid-batch with
+    member whose ``cancel_check`` raises (once per step of the walk,
+    before every page read in the fetch) is dropped mid-batch with
     its partial rows discarded, siblings unaffected.  A
     :class:`~repro.db.errors.StorageFault` from the shared read path
     propagates.  Returns ``(results, counters)`` shaped exactly like

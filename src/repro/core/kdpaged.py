@@ -59,6 +59,7 @@ from repro.geometry.boxes import Box
 __all__ = [
     "DEFAULT_NODES_PER_PAGE",
     "HeapTree",
+    "MIN_BLOCK_PAGES",
     "PagedTreeLayout",
     "PagedKdTree",
     "post_order_ids",
@@ -95,6 +96,12 @@ def post_order_index(node: int, num_levels: int) -> int:
     span = 1 << (num_levels - depth)
     return (node - (1 << depth) + 1) * span - 1 - node.bit_count()
 
+
+#: Fewest node pages a run of :meth:`PagedKdTree.frontier_blocks` may
+#: cover.  One step of the level walk costs about as much as
+#: materializing five or six node pages, and a run re-walks every level
+#: below its cut, so narrower runs save fewer decodes than they add steps.
+MIN_BLOCK_PAGES = 16
 
 #: Set bits of every 16-bit value.  numpy before 2.0 has no
 #: ``bitwise_count``; a table lookup per 16 bits of heap index is its
@@ -398,18 +405,63 @@ class PagedKdTree(HeapTree):
         cols, slot = self._slot(node)
         return int(cols["split_axis"][slot]), float(cols["split_value"][slot])
 
+    def _post_slots(self, nodes: np.ndarray, depth: int) -> np.ndarray:
+        """0-based post-order slots of heap ``nodes``, all at ``depth``.
+
+        Depth is shared, so this is one array expression of
+        :func:`post_order_index`'s closed form.
+        """
+        span = 1 << (self.num_levels - depth)
+        return (nodes - (1 << depth) + 1) * span - 1 - _popcount(nodes, depth + 1)
+
+    def frontier_blocks(self, nodes: np.ndarray, depth: int) -> list[slice]:
+        """Cut ascending heap ``nodes`` at ``depth`` into runs to walk one by one.
+
+        A level walk reads a frontier's node pages again at every level
+        below it.  When the pages under the frontier outnumber what the
+        node cache holds, sweeping them level by level evicts each page
+        before the next level needs it.  The frontier is then cut into
+        runs of consecutive subtrees whose pages fit in the cache
+        together, for the walk to take each run to its leaves before the
+        next.  Runs narrower than ``MIN_BLOCK_PAGES`` would cost more
+        walk steps than the decodes they save, so a cache too small for
+        such a run gets one run, as does a tree the cache holds whole.
+        """
+        npp = self.layout.nodes_per_page
+        # A decoded node page: five 8-byte columns and four ``dim``-wide
+        # 8-byte box columns per node (see :func:`tree_node_pages`).
+        fits = self.node_cache_bytes // (npp * 8 * (5 + 4 * self.dim))
+        whole = [slice(0, len(nodes))]
+        if self.layout.num_pages <= fits or fits <= MIN_BLOCK_PAGES:
+            return whole
+        size = (1 << (self.num_levels - depth)) - 1
+        post = self._post_slots(nodes, depth)
+        first_page = (post - size + 1) // npp
+        if post[-1] // npp - first_page[0] < fits:
+            return whole
+        # Subtrees whose first pages fall in one window of ``window``
+        # pages span at most ``window + spread - 1`` pages, ``spread``
+        # being the most pages one subtree's slots can touch.  Cutting
+        # waits for a window of two subtrees or more: a run of one big
+        # subtree re-walks every level below for one subtree's nodes.
+        spread = (size + npp - 2) // npp + 1
+        window = fits - spread + 1
+        if window < max(2 * spread, MIN_BLOCK_PAGES):
+            return whole
+        key = first_page // window
+        bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(nodes)]
+        return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
     def _level_pages(
         self, nodes: np.ndarray, depth: int
     ) -> list[tuple[dict, np.ndarray]]:
         """``(page columns, slots)`` runs covering ascending heap ``nodes`` at ``depth``.
 
-        Depth is shared, so the post-order slots are one array
-        expression of :func:`post_order_index`'s closed form.  Within a
-        level post-order runs left to right, so each node page's nodes
-        form one contiguous run: one node-cache probe per page.
+        Within a level post-order runs left to right, so each node
+        page's nodes form one contiguous run: one node-cache probe per
+        page.
         """
-        span = 1 << (self.num_levels - depth)
-        post = (nodes - (1 << depth) + 1) * span - 1 - _popcount(nodes, depth + 1)
+        post = self._post_slots(nodes, depth)
         npp = self.layout.nodes_per_page
         pages = post // npp
         slots = post - pages * npp

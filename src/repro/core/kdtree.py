@@ -493,8 +493,9 @@ class KdTreeIndex(SpatialIndex):
         A batch of one of :func:`repro.core.batch.batch_kd_query`, which
         documents the traversal, the zone-map pruning of PARTIAL leaves,
         merge-on-read and the IN-list ``memberships``.  ``cancel_check``
-        runs once per tree level the walk reaches and before every page
-        read; whatever it raises is re-raised here.
+        runs once per step of the walk (a tree level, see
+        :meth:`traverse`) and before every page read; whatever it raises
+        is re-raised here.
         """
         return solo(
             batch_kd_query(
@@ -522,20 +523,24 @@ class KdTreeIndex(SpatialIndex):
         pairs still open: OUTSIDE members drop out of the subtree, INSIDE
         members claim its clustered row range (a bulk return), a PARTIAL
         leaf's range still needs the residual filter, and PARTIAL members
-        of an inner node descend to both children.
+        of an inner node descend to both children.  On a tree larger
+        than its node cache the next frontier may be cut into runs
+        (:meth:`~repro.core.kdpaged.PagedKdTree.frontier_blocks`), each
+        walked to its leaves before the next, so node pages are not
+        evicted between the levels that read them.
 
         Returns ``(member, start, end, needs_filter)`` ranges sorted by
         end row descending, then start, depth and member.  That is
         right-first depth-first order -- a right subtree before its left
         sibling, a node before its descendants -- with every member
-        resolving at a node named together.  That order is the read order the fetch
-        kernel keeps (see :mod:`repro.db.fetch`); callers must not
-        re-sort it.
+        resolving at a node named together.  That order is the read
+        order the fetch kernel keeps (see :mod:`repro.db.fetch`);
+        callers must not re-sort it.
 
         Counts into each member's ``stats``.  A member's ``cancel_check``
-        runs once per level while the member is still in the frontier;
-        whatever it raises lands in the member's ``error`` and drops it
-        from the walk, its siblings unaffected.
+        runs once per step -- one level of one run -- while the member
+        is still in that run; whatever it raises lands in the member's
+        ``error`` and drops it from the walk, its siblings unaffected.
         """
         dim = len(self._dims)
         for member in members:
@@ -543,13 +548,20 @@ class KdTreeIndex(SpatialIndex):
                 raise ValueError(f"polyhedron dim {member.polyhedron.dim} != index dim {dim}")
         tree = self._tree
         leaf_depth = tree.num_levels - 1
-        nodes = np.ones(1, dtype=np.int64)
-        # active[i, m]: member m is unresolved at nodes[i].  Every row
-        # has an active member until a cancel check drops one.
-        active = np.array([[member.error is None for member in members]], dtype=bool)
         codes_base = 3 * np.arange(len(members))
         found: list[tuple[np.ndarray, ...]] = []
-        for depth in range(tree.num_levels):
+        # Steps of (depth, ascending nodes, active): active[i, m] says
+        # member m is unresolved at nodes[i].  Every row has an active
+        # member until a cancel check drops one.
+        steps = [
+            (
+                0,
+                np.ones(1, dtype=np.int64),
+                np.array([[member.error is None for member in members]], dtype=bool),
+            )
+        ]
+        while steps:
+            depth, nodes, active = steps.pop()
             live = np.flatnonzero(active.any(axis=0)).tolist()
             dropped = False
             for m in live:
@@ -566,7 +578,7 @@ class KdTreeIndex(SpatialIndex):
                 keep = active.any(axis=1)
                 nodes, active = nodes[keep], active[keep]
             if not live:
-                break
+                continue
             start, end, lo, hi = tree.level_info(nodes, depth, use_tight_boxes)
             filled = start < end
             if not filled.all():
@@ -602,11 +614,13 @@ class KdTreeIndex(SpatialIndex):
                         np.full(len(rows), depth),
                     )
                 )
-            if leaf:
-                break
             descend = partial.any(axis=1)
+            if leaf or not descend.any():
+                continue
             nodes = np.stack([2 * nodes[descend], 2 * nodes[descend] + 1], axis=1).ravel()
             active = np.repeat(partial[descend], 2, axis=0)
+            for block in reversed(tree.frontier_blocks(nodes, depth + 1)):
+                steps.append((depth + 1, nodes[block], active[block]))
         if not found:
             return []
         member, start, end, needs_filter, depth = (

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdpaged import PagedKdTree, PagedTreeLayout, post_order_ids, tree_node_pages
-from repro.core.kdtree import KdTree, KdTreeIndex, default_num_levels
+from repro.core.kdpaged import (
+    MIN_BLOCK_PAGES,
+    PagedKdTree,
+    PagedTreeLayout,
+    post_order_ids,
+    tree_node_pages,
+)
+from repro.core.kdtree import Clustering, KdTree, KdTreeIndex, default_num_levels, install
 from repro.db import Database
+from repro.db.fetch import FetchMember
+from repro.db.pages import PageCodec
 from repro.db.storage import index_namespace
 from repro.geometry import Box, Polyhedron
 from repro.core import polyhedron_full_scan
@@ -345,3 +353,91 @@ class TestKdTreeIndex:
         _, stats = index.query_box(box)
         assert 0 < stats.rows_returned < len(points) * 0.1
         assert stats.pages_touched < index.table.num_pages / 2
+
+
+class TestLevelWalkUnderSmallCache:
+    """A tree many times its node cache: the level walk goes run by run.
+
+    256 node pages of 16 nodes under caches of 40 pages and of all of
+    them.  Runs must change nothing the walk returns, and must keep each
+    node page decoded about once per walk instead of once per level.
+    """
+
+    DIMS = ["x", "y", "z"]
+    NODES_PER_PAGE = 16
+    PAGE_BYTES = NODES_PER_PAGE * 8 * (5 + 4 * 3)
+
+    @pytest.fixture(scope="class")
+    def deep(self, points):
+        tree = KdTree(points, num_levels=12)
+        db = Database.in_memory(buffer_pages=None)
+        layout = PagedTreeLayout.for_tree(tree, self.NODES_PER_PAGE)
+        clustering = Clustering(
+            kd_leaf=tree.leaf_ids(),
+            node_pages=tuple(
+                PageCodec.encode(page) for page in tree_node_pages(tree, self.NODES_PER_PAGE)
+            ),
+            layout=layout,
+        )
+        columns = {d: points[:, i].copy() for i, d in enumerate(self.DIMS)}
+        index, _ = install(db, "deep", columns, self.DIMS, clustering)
+        assert layout.num_pages == 256
+
+        def arm(pages: int) -> KdTreeIndex:
+            paged = PagedKdTree(
+                db, index.table.physical_name, layout, node_cache_bytes=pages * self.PAGE_BYTES
+            )
+            return KdTreeIndex(db, index.table, paged, self.DIMS)
+
+        return db, arm(40), arm(layout.num_pages)
+
+    def test_runs_cover_the_frontier_and_fit_the_cache(self, deep):
+        _, small, _ = deep
+        tree = small.tree
+        fits = 40
+        assert fits > MIN_BLOCK_PAGES
+        cut = False
+        for depth in range(tree.num_levels):
+            nodes = np.arange(1 << depth, 2 << depth)
+            runs = tree.frontier_blocks(nodes, depth)
+            assert np.array_equal(np.concatenate([nodes[run] for run in runs]), nodes)
+            if len(runs) > 1:
+                cut = True
+                size = (1 << (tree.num_levels - depth)) - 1
+                for run in runs:
+                    post = np.array([tree.post_order_id(n) - 1 for n in nodes[run]])
+                    first = (post[0] - size + 1) // self.NODES_PER_PAGE
+                    assert post[-1] // self.NODES_PER_PAGE - first < fits
+        assert cut
+
+    def test_walk_matches_the_resident_tree_and_decodes_each_page_about_once(self, deep):
+        db, small, resident = deep
+        rng = np.random.default_rng(41)
+
+        def walk(index, polyhedra):
+            index.tree.drop_node_cache()
+            db.buffer_pool.invalidate(index.tree.namespace)
+            before = db.io_stats.index_pages_decoded
+            members = [FetchMember(polyhedron=p, dims=self.DIMS) for p in polyhedra]
+            ranges = index.traverse(members)
+            counts = [
+                (m.stats.nodes_visited, m.stats.cells_inside, m.stats.cells_partial)
+                for m in members
+            ]
+            return ranges, counts, db.io_stats.index_pages_decoded - before
+
+        decoded = {"small": 0, "resident": 0}
+        for _ in range(12):
+            polyhedra = []
+            for _ in range(int(rng.integers(1, 4))):
+                center = rng.normal(0.0, 1.5, 3)
+                half = rng.uniform(0.3, 2.0, 3)
+                polyhedra.append(Polyhedron.from_box(Box(center - half, center + half)))
+            got_ranges, got_counts, got_decoded = walk(small, polyhedra)
+            want_ranges, want_counts, want_decoded = walk(resident, polyhedra)
+            assert got_ranges == want_ranges
+            assert got_counts == want_counts
+            decoded["small"] += got_decoded
+            decoded["resident"] += want_decoded
+        # The resident arm decodes each page it touches once.
+        assert decoded["small"] <= 1.2 * decoded["resident"]
