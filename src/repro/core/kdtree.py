@@ -565,14 +565,16 @@ class KdTreeIndex(SpatialIndex):
             live = np.flatnonzero(active.any(axis=0)).tolist()
             dropped = False
             for m in live:
-                check = members[m].cancel_check
-                if check is not None:
+                member = members[m]
+                if member.error is None and member.cancel_check is not None:
                     try:
-                        check()
+                        member.cancel_check()
                     except BaseException as exc:
-                        members[m].error = exc
-                        active[:, m] = False
-                        dropped = True
+                        member.error = exc
+                # An error may also come from this member's step in another run.
+                if member.error is not None:
+                    active[:, m] = False
+                    dropped = True
             if dropped:
                 live = [m for m in live if members[m].error is None]
                 keep = active.any(axis=1)

@@ -441,3 +441,28 @@ class TestLevelWalkUnderSmallCache:
             decoded["resident"] += want_decoded
         # The resident arm decodes each page it touches once.
         assert decoded["small"] <= 1.2 * decoded["resident"]
+
+    def test_member_is_not_polled_after_its_check_raised(self, deep):
+        _, small, _ = deep
+
+        class RaiseOnce:
+            def __init__(self, poll: int):
+                self.poll, self.calls = poll, 0
+
+            def __call__(self):
+                self.calls += 1
+                if self.calls == self.poll:
+                    raise TimeoutError("deadline")
+
+        whole = Polyhedron.from_box(Box(np.full(3, -0.5), np.full(3, 3.5)))
+        for poll in (1, 3, 8, 12):
+            check = RaiseOnce(poll)
+            members = [
+                FetchMember(polyhedron=whole, dims=self.DIMS, cancel_check=check),
+                FetchMember(polyhedron=whole, dims=self.DIMS),
+            ]
+            ranges = small.traverse(members)
+            assert isinstance(members[0].error, TimeoutError)
+            assert check.calls == poll
+            alone = FetchMember(polyhedron=whole, dims=self.DIMS)
+            assert [r[1:] for r in ranges if r[0] == 1] == [r[1:] for r in small.traverse([alone])]
