@@ -529,21 +529,22 @@ class PagedKdTree(HeapTree):
         """
         points = np.asarray(points, dtype=np.float64)
         rows = np.arange(len(points))
-        nodes = np.ones(len(points), dtype=np.int64)
         if not len(points):
-            return nodes
+            return rows
+        # The frontier of distinct nodes (ascending) and each point's
+        # index into it; a child's slot in the next frontier is
+        # 2 * index + side, so presence counts stay within 2 * frontier.
+        frontier = np.ones(1, dtype=np.int64)
+        member = np.zeros(len(points), dtype=np.int64)
         for depth in range(self.num_levels - 1):
-            # Nodes at ``depth`` are ``2**depth + [0, 2**depth)``: a
-            # presence count finds the frontier without sorting.
-            offset = nodes - (1 << depth)
-            present = np.bincount(offset, minlength=1 << depth) > 0
-            frontier = np.flatnonzero(present) + (1 << depth)
-            member = (np.cumsum(present) - 1)[offset]
             runs = self._level_pages(frontier, depth)
             axes = self._gather(runs, "split_axis")[member]
-            left = points[rows, axes] <= self._gather(runs, "split_value")[member]
-            nodes = 2 * nodes + ~left
-        return nodes
+            right = ~(points[rows, axes] <= self._gather(runs, "split_value")[member])
+            child = 2 * member + right
+            present = np.bincount(child, minlength=2 * len(frontier)) > 0
+            frontier = np.stack([2 * frontier, 2 * frontier + 1], axis=1).ravel()[present]
+            member = (np.cumsum(present) - 1)[child]
+        return frontier[member]
 
     def leaf_of_point(self, point: np.ndarray) -> int:
         """Heap index of the (single) leaf whose partition cell holds ``point``."""
