@@ -55,16 +55,21 @@ def _box(lo, hi) -> Polyhedron:
     return Polyhedron(faces)
 
 
-def _build(delta: str, fault_rate: float):
-    """A fresh table (clustered on ``x``), its injector switched on last."""
+def _build(delta: str, fault_rate: float, dims_dtype: str = "float64"):
+    """A fresh table (clustered on ``x``), its injector switched on last.
+
+    ``dims_dtype`` is the storage dtype of the residual's columns ``x``
+    and ``y``; the rows hold whole numbers, so every dtype stores them
+    exactly.
+    """
     injector = FaultInjector(seed=3)
     db = Database(
         FaultyStorage(MemoryStorage(), injector), buffer_pages=4, retry=NO_BACKOFF
     )
     rng = np.random.default_rng(0)
     data = {
-        "x": np.sort(rng.integers(0, 100, NUM_ROWS)).astype(np.float64),
-        "y": rng.integers(0, 100, NUM_ROWS).astype(np.float64),
+        "x": np.sort(rng.integers(0, 100, NUM_ROWS)).astype(dims_dtype),
+        "y": rng.integers(0, 100, NUM_ROWS).astype(dims_dtype),
         "k": rng.integers(0, 8, NUM_ROWS),
         "v": np.arange(NUM_ROWS, dtype=np.int64),
     }
@@ -72,8 +77,8 @@ def _build(delta: str, fault_rate: float):
     if delta != "none":
         table.insert_rows(
             {
-                "x": rng.integers(0, 100, 40).astype(np.float64),
-                "y": rng.integers(0, 100, 40).astype(np.float64),
+                "x": rng.integers(0, 100, 40).astype(dims_dtype),
+                "y": rng.integers(0, 100, 40).astype(dims_dtype),
                 "k": rng.integers(0, 8, 40),
                 "v": np.arange(10_000, 10_040, dtype=np.int64),
             }
@@ -123,7 +128,7 @@ def _reference(table, members, segments, tombstones, snapshot):
     n = len(members)
     stats = [QueryStats() for _ in range(n)]
     errors = [None] * n
-    found = [[] for _ in range(n)]  # (row id, v) pairs
+    found = [[] for _ in range(n)]  # (row id, *every column) tuples
     counters = {"pages_decoded": 0, "shared_decode_hits": 0}
 
     def residual(member, columns, geometry):
@@ -181,17 +186,26 @@ def _reference(table, members, segments, tombstones, snapshot):
             stats[m].record_page(table.name, page_id)
             stats[m].rows_examined += len(local)
             stats[m].rows_returned += int(mask.sum())
-            found[m] += zip(row_ids[mask].tolist(), columns["v"][mask].tolist())
+            found[m] += _tuples(row_ids[mask], columns, table.column_names, mask)
     if snapshot is not None and snapshot.num_rows:
         for m in range(n):
             if errors[m] is None:
                 mask = residual(members[m], snapshot.columns, True)
                 stats[m].rows_examined += snapshot.num_rows
                 stats[m].rows_returned += int(mask.sum())
-                found[m] += zip(
-                    snapshot.row_ids[mask].tolist(), snapshot.columns["v"][mask].tolist()
+                found[m] += _tuples(
+                    snapshot.row_ids[mask], snapshot.columns, table.column_names, mask
                 )
     return stats, errors, found, counters
+
+
+def _tuples(row_ids, columns, names, mask=None):
+    """One ``(row id, *columns in table order)`` tuple per (masked) row."""
+    values = [
+        (columns[name] if mask is None else columns[name][mask]).tolist()
+        for name in names
+    ]
+    return list(zip(row_ids.tolist(), *values))
 
 
 @st.composite
@@ -238,17 +252,18 @@ def _case(draw):
     return specs, segments
 
 
-def _outcome(error, found, stats):
+def _outcome(error, found, stats, dtypes=None):
     """What must agree for one member.
 
     A cancelled member returns no rows, so how many it had matched when
     it was dropped is not part of the contract (the kernel has not
     filtered its last chunk yet); everything it read and skipped is.
+    Every returned column is compared, values and dtype.
     """
     if error is not None:
         counters = [getattr(stats, c) for c in COUNTERS if c != "rows_returned"]
-        return type(error), None, counters
-    return None, sorted(found), [getattr(stats, c) for c in COUNTERS]
+        return type(error), None, counters, None
+    return None, sorted(found), [getattr(stats, c) for c in COUNTERS], dtypes
 
 
 @settings(max_examples=120, deadline=None)
@@ -257,12 +272,13 @@ def _outcome(error, found, stats):
     delta=st.sampled_from(["none", "inserts", "tombstones"]),
     chunk_rows=st.sampled_from([1, 24, 4096]),
     fault_rate=st.sampled_from([0.0, 0.05]),
+    dims_dtype=st.sampled_from(["float64", "float64", "float32", "int64", "int32"]),
 )
-def test_kernel_matches_per_page_reference(case, delta, chunk_rows, fault_rate):
+def test_kernel_matches_per_page_reference(case, delta, chunk_rows, fault_rate, dims_dtype):
     specs, segments = case
 
     def run(execute):
-        _, table = _build(delta, fault_rate)
+        _, table = _build(delta, fault_rate, dims_dtype)
         snapshot = table.delta_snapshot()
         tombstones = snapshot.tombstones if snapshot is not None else None
         if tombstones is not None and not len(tombstones):
@@ -276,8 +292,10 @@ def test_kernel_matches_per_page_reference(case, delta, chunk_rows, fault_rate):
         stats, errors, found, counters = _reference(
             table, members, segments, tombstones, snapshot
         )
+        dtypes = {name: table.dtype_of(name).str for name in table.column_names}
+        dtypes["_row_id"] = np.dtype(np.int64).str
         return [
-            _outcome(errors[m], found[m], stats[m]) for m in range(len(members))
+            _outcome(errors[m], found[m], stats[m], dtypes) for m in range(len(members))
         ], counters
 
     def actual(table, members, tombstones, snapshot):
@@ -289,8 +307,9 @@ def test_kernel_matches_per_page_reference(case, delta, chunk_rows, fault_rate):
         return [
             _outcome(
                 error,
-                None if error else zip(rows["_row_id"].tolist(), rows["v"].tolist()),
+                None if error else _tuples(rows["_row_id"], rows, table.column_names),
                 stats,
+                None if error else {name: arr.dtype.str for name, arr in rows.items()},
             )
             for rows, stats, error in results
         ], counters
