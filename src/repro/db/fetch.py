@@ -45,9 +45,15 @@ run's first page, and the run's segments are then served from the pages
 that call returned.  Pages outside any run, and any page of a run whose
 read failed with a :class:`~repro.db.errors.StorageFault`, are read one
 at a time under ``retry``.  The residual runs **once per chunk**, not
-once per page: selections accumulate per member and are flushed every
-``_CHUNK_ROWS`` rows with one ``column_stack`` + ``contains_points``, one
-``np.isin`` per IN-list column, one tombstone mask and one boolean take
+once per page, and a chunk is filtered before it is gathered:
+selections accumulate per member and are flushed every ``_CHUNK_ROWS``
+rows.  A flush first copies only what its filters read -- the residual's
+``dims`` straight into one ``(d, n)`` float64 block for one
+``contains_points`` call, the IN-list columns for one ``np.isin`` each
+-- then applies the tombstone mask to the survivors' row ids, which are
+formed for the survivors only.  The survivors' float64 ``dims`` come out
+of the block in one take; every other wanted column is gathered and
+taken once, for the survivors.  Assembly fills one preallocated array
 per column.  Selections no residual applies to are kept as views of the
 cached pages and copied exactly once, at assembly.
 
@@ -146,32 +152,80 @@ def query_members(
     ]
 
 
-class _Gathered(dict):
-    """A chunk's selected rows per column, materialized on first use.
+class _Chunk:
+    """One member's pending ``(page, selection)`` pairs, gathered on demand.
 
     Row ranges concatenate as views of their pages.  Row-offset arrays
     are cheaper taken all at once: the pages' whole columns are
     concatenated and indexed with one flat offset array, instead of one
-    small fancy-index per page and column.
+    small fancy-index per page and column.  A column a filter reads is
+    kept for the gather of the survivors; no other column is touched
+    before the filters have run.
     """
 
-    def __init__(self, items: list):
-        super().__init__()
-        self._items = items
-        self._flat = None
-        if any(type(sel) is not slice for _, sel in items):
-            sizes = [page.num_rows for page, _ in items]
-            self._flat = _offsets(items, np.cumsum([0] + sizes[:-1]))
+    __slots__ = ("items", "rows", "_local", "_lengths", "_flat", "_read")
 
-    def __missing__(self, name: str) -> np.ndarray:
+    def __init__(self, items: list, rows: int):
+        self.items = items
+        self.rows = rows
+        self._flat = None
+        self._read: dict[str, np.ndarray] = {}
+        if any(type(sel) is not slice for _, sel in items):
+            self._local, self._lengths = _local_offsets(items)
+            sizes = [page.num_rows for page, _ in items]
+            self._flat = self._local + np.repeat(np.cumsum([0] + sizes[:-1]), self._lengths)
+
+    def _gather(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Every row of column ``name``, into ``out`` (which may cast) when given."""
         if self._flat is None:
-            parts = [page.columns[name][sel] for page, sel in self._items]
-            arr = np.concatenate(parts)
-        else:
-            arr = np.concatenate([page.columns[name] for page, _ in self._items])
-            arr = arr.take(self._flat)
-        self[name] = arr
+            return np.concatenate([page.columns[name][sel] for page, sel in self.items], out=out)
+        whole = np.concatenate([page.columns[name] for page, _ in self.items])
+        if out is None or out.dtype == whole.dtype:
+            # "clip" writes straight into ``out``; "raise" would buffer.
+            return whole.take(self._flat, out=out, mode="clip")
+        out[...] = whole.take(self._flat, mode="clip")
+        return out
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """Every row of column ``name``, kept for :meth:`take`: a filter reads it."""
+        arr = self._read.get(name)
+        if arr is None:
+            arr = self._read[name] = self._gather(name)
         return arr
+
+    def block(self, dims: Sequence[str]) -> np.ndarray:
+        """The residual's columns as one ``(len(dims), rows)`` float64 block."""
+        block = np.empty((len(dims), self.rows))
+        for row, name in zip(block, dims):
+            self._gather(name, out=row)
+        return block
+
+    def take(self, name: str, keep: np.ndarray | None) -> np.ndarray:
+        """Column ``name`` at chunk positions ``keep`` (``None``: every row)."""
+        arr = self._read.get(name)
+        if arr is None:
+            arr = self._gather(name)
+        return arr if keep is None else arr.take(keep)
+
+    def row_ids(self, keep: np.ndarray | None) -> np.ndarray:
+        """Global row ids at chunk positions ``keep`` (``None``: every row).
+
+        A range chunk forms ids for the survivors only.  An offset chunk
+        (the bitmap's few rows per page) forms them all and takes the
+        survivors: cheaper than locating each survivor's page.
+        """
+        if self._flat is not None:
+            starts = [page.start_row for page, _ in self.items]
+            row_ids = self._local + np.repeat(starts, self._lengths)
+            return row_ids if keep is None else row_ids.take(keep)
+        sizes = np.array([sel.stop - sel.start for _, sel in self.items])
+        ends = np.cumsum(sizes)
+        # Row id minus chunk position: one constant per range.
+        shifts = np.array([page.start_row + sel.start for page, sel in self.items])
+        shifts -= ends - sizes
+        if keep is None:
+            return np.arange(self.rows) + np.repeat(shifts, sizes)
+        return keep + shifts[np.searchsorted(ends, keep, side="right")]
 
 
 class _Accumulator:
@@ -306,18 +360,19 @@ def delta_piece(
     return piece
 
 
-def _offsets(items: list, bases) -> np.ndarray:
-    """``bases[i]`` + each local row offset item ``i`` selects, concatenated."""
+def _local_offsets(items: list) -> tuple[np.ndarray, list[int]]:
+    """The local row offsets of ``(page, selection)`` pairs, concatenated, and their counts."""
     local = [
         np.arange(sel.start, sel.stop) if type(sel) is slice else sel
         for _, sel in items
     ]
-    return np.concatenate(local) + np.repeat(bases, [len(part) for part in local])
+    return np.concatenate(local), [len(part) for part in local]
 
 
 def _row_ids(items: list) -> np.ndarray:
     """Global row ids of ``(page, selection)`` pairs."""
-    return _offsets(items, [page.start_row for page, _ in items])
+    local, lengths = _local_offsets(items)
+    return local + np.repeat([page.start_row for page, _ in items], lengths)
 
 
 def _flush(
@@ -327,56 +382,78 @@ def _flush(
     wanted: list[str],
     table_columns: list[str],
 ) -> None:
-    """Run the residual over one member's pending chunk."""
+    """Filter one member's pending chunk, then gather its survivors."""
     items = acc.pending[geometry]
     if not items:
         return
+    chunk = _Chunk(items, acc.pending_rows[geometry])
     acc.pending[geometry] = []
     acc.pending_rows[geometry] = 0
     member = acc.member
-    gathered = _Gathered(items)
-    row_ids = _row_ids(items)
-    mask = None
+    mask = block = None
     if geometry:
         if member.polyhedron is not None:
-            points = np.column_stack([gathered[d] for d in member.dims])
-            mask = member.polyhedron.contains_points(points)
+            block = chunk.block(member.dims)
+            mask = member.polyhedron.contains_points(block.T)
         else:
             # A generic predicate may read any column, by any dict method.
             mask = np.asarray(
-                member.predicate({name: gathered[name] for name in table_columns}),
+                member.predicate({name: chunk[name] for name in table_columns}),
                 dtype=bool,
             )
     if member.memberships:
-        listed = _membership_mask(gathered, member.memberships)
+        listed = _membership_mask(chunk, member.memberships)
         mask = listed if mask is None else mask & listed
+    keep = None if mask is None else np.flatnonzero(mask)
+    if keep is not None and not len(keep):
+        return
+    row_ids = chunk.row_ids(keep)
     if tombstones is not None:
         alive = _alive_mask(row_ids, tombstones)
-        mask = alive if mask is None else mask & alive
-    matched = int(np.count_nonzero(mask))
+        row_ids = row_ids[alive]
+        keep = np.flatnonzero(alive) if keep is None else keep[alive]
+    matched = len(row_ids)
     if matched == 0:
         return
     member.stats.rows_returned += matched
-    if matched == len(row_ids):
-        piece = {name: gathered[name] for name in wanted}
-    else:
-        piece = {name: gathered[name][mask] for name in wanted}
-        row_ids = row_ids[mask]
+    if matched == chunk.rows:
+        keep = None
+    piece = {}
+    if block is not None:
+        # The float64 columns of the residual come out of the block, all
+        # in one take; other dtypes are gathered from their pages, so a
+        # returned column keeps its stored dtype and every bit.
+        kept = block if keep is None else block.take(keep, axis=1)
+        page = items[0][0]
+        for row, name in zip(kept, member.dims):
+            if name in wanted and page.columns[name].dtype == np.float64:
+                piece[name] = row
+    for name in wanted:
+        if name not in piece:
+            piece[name] = chunk.take(name, keep)
     piece["_row_id"] = row_ids
     acc.pieces.append(piece)
 
 
+def _filled(parts: list, total: int, dtype) -> np.ndarray:
+    """``parts`` copied into one new array of ``total`` rows."""
+    out = np.empty(total, dtype=dtype)
+    if parts:
+        np.concatenate(parts, out=out)
+    return out
+
+
 def _assemble(table: Table, wanted: list[str], acc: _Accumulator) -> dict[str, np.ndarray]:
+    """One preallocated array per column, filled from the bulk views and the pieces."""
+    row_ids = [_row_ids(acc.bulk)] if acc.bulk else []
+    row_ids += [piece["_row_id"] for piece in acc.pieces]
+    total = sum(len(part) for part in row_ids)
     result: dict[str, np.ndarray] = {}
     for name in wanted:
         parts = [page.columns[name][sel] for page, sel in acc.bulk]
         parts += [piece[name] for piece in acc.pieces]
-        result[name] = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=table.dtype_of(name))
-        )
-    parts = [_row_ids(acc.bulk)] if acc.bulk else []
-    parts += [piece["_row_id"] for piece in acc.pieces]
-    result["_row_id"] = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        result[name] = _filled(parts, total, table.dtype_of(name))
+    result["_row_id"] = _filled(row_ids, total, np.int64)
     return result
 
 

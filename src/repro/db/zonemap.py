@@ -57,7 +57,7 @@ class ZoneMap:
         self._mins: list[np.ndarray] = []
         self._maxs: list[np.ndarray] = []
         self._empty: list[bool] = []
-        self._stacked: tuple[np.ndarray, np.ndarray] | None = None
+        self._stacked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_pages(self) -> int:
@@ -91,9 +91,19 @@ class ZoneMap:
             self._empty.append(False)
         self._stacked = None
 
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mins, maxs, empty)``: ``(columns, pages)`` bounds and the empty-page mask.
+
+        Stacked once per map state, column-major so that the rows a
+        pruner picks are contiguous ``(d, pages)`` operands of the box
+        kernel's face-major products.
+        """
         if self._stacked is None:
-            self._stacked = (np.stack(self._mins), np.stack(self._maxs))
+            self._stacked = (
+                np.stack(self._mins, axis=1),
+                np.stack(self._maxs, axis=1),
+                np.array(self._empty, dtype=bool),
+            )
         return self._stacked
 
     def box(self, page_id: int) -> Box | None:
@@ -122,10 +132,10 @@ class ZoneMap:
             return None
         if not self._mins:
             return ZonePruner(np.empty(0, dtype=np.int8))
-        all_mins, all_maxs = self._matrices()
-        relations = polyhedron.classify_boxes(all_mins[:, picks], all_maxs[:, picks])
+        all_mins, all_maxs, empty = self._matrices()
+        relations = polyhedron.classify_boxes(all_mins[picks].T, all_maxs[picks].T)
         # An empty page holds no qualifying rows regardless of geometry.
-        relations[np.asarray(self._empty)] = OUTSIDE
+        relations[empty] = OUTSIDE
         return ZonePruner(relations)
 
     # -- persistence ---------------------------------------------------------

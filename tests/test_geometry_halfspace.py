@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.geometry import Box, BoxRelation, Halfspace, Polyhedron
-from repro.geometry.halfspace import CONTAINS_BLOCK_ROWS, RELATIONS
+from repro.geometry.halfspace import (
+    CONTAINS_BLOCK_ROWS,
+    INSIDE,
+    OUTSIDE,
+    PARTIAL,
+    RELATIONS,
+)
 
 
 class TestHalfspace:
@@ -189,6 +195,113 @@ def test_contains_points_blocks_match_one_product():
     want = np.all(points @ poly.normals.T <= poly.offsets, axis=1)
     assert np.array_equal(poly.contains_points(points), want)
     assert poly.contains_points(points[:0]).shape == (0,)
+
+
+# -- both kernels against the oracle's one-face-at-a-time formula ----------------
+#
+# The benchmark oracle evaluates a polyhedron face by face: the weighted
+# sum of the columns a face names, compared with its offset, faces with
+# an infinite offset skipped.  Coordinates and weights below are
+# multiples of 1/4 with small numerators, so every product and sum is
+# exact in float64 and a point or corner placed on a face is exactly on
+# it, whatever order the kernel adds in.
+
+REFERENCE_ROWS = [0, 1, 50, CONTAINS_BLOCK_ROWS - 1, CONTAINS_BLOCK_ROWS + 1, 10_000]
+REFERENCE_DIM = 5
+
+
+def _face_sum(columns, normal):
+    """One face's weighted sum over the columns it names (zero if none)."""
+    return sum(columns[a] * normal[a] for a in np.flatnonzero(normal))
+
+
+def _oracle_contains(normals, offsets, points):
+    mask = np.ones(len(points), dtype=bool)
+    for normal, offset in zip(normals, offsets):
+        if np.isfinite(offset):
+            mask &= _face_sum(points.T, normal) <= offset
+    return mask
+
+
+def _oracle_classify(normals, offsets, lo, hi):
+    outside = np.zeros(len(lo), dtype=bool)
+    inside = np.ones(len(lo), dtype=bool)
+    for normal, offset in zip(normals, offsets):
+        if not np.isfinite(offset):
+            continue
+        # The lowest and highest corner, chosen per axis by the weight's sign.
+        lowest = _face_sum(np.where(normal > 0, lo, hi).T, normal)
+        highest = _face_sum(np.where(normal > 0, hi, lo).T, normal)
+        outside |= lowest > offset
+        inside &= highest <= offset
+    return np.where(outside, OUTSIDE, np.where(inside, INSIDE, PARTIAL)).astype(np.int8)
+
+
+def _quarters(rng, low, high, size):
+    return rng.integers(4 * low, 4 * high + 1, size=size) / 4.0
+
+
+def _faces(rng, m, anchors):
+    """``m`` quarter-step faces: some through an anchor point, some ``+inf``."""
+    normals = _quarters(rng, -1, 1, (m, REFERENCE_DIM))
+    normals[rng.random(normals.shape) < 0.3] = 0.0
+    normals[np.all(normals == 0.0, axis=1), int(rng.integers(REFERENCE_DIM))] = 1.0
+    offsets = _quarters(rng, -8, 8, m)
+    kind = rng.integers(0, 3, m)  # 0: free, 1: through an anchor, 2: everything
+    if len(anchors):
+        on = anchors[rng.integers(0, len(anchors), m)]
+        offsets = np.where(kind == 1, np.einsum("ij,ij->i", normals, on), offsets)
+    offsets[kind == 2] = np.inf
+    return normals, offsets
+
+
+class TestKernelsAgainstFaceByFaceOracle:
+    @pytest.mark.parametrize("n", REFERENCE_ROWS)
+    def test_contains_points(self, n):
+        rng = np.random.default_rng(n)
+        points = _quarters(rng, -10, 10, (n, REFERENCE_DIM))
+        on_a_face = 0
+        for m in range(1, 13):
+            normals, offsets = _faces(rng, m, points)
+            poly = Polyhedron.from_inequalities(normals, offsets)
+            got = poly.contains_points(points)
+            assert got.dtype == bool and got.shape == (n,)
+            assert np.array_equal(got, _oracle_contains(normals, offsets, points))
+            # The same points handed over as the transpose of a (d, n) block.
+            block = np.ascontiguousarray(points.T)
+            assert np.array_equal(poly.contains_points(block.T), got)
+            on_a_face += int(np.count_nonzero(normals @ block == offsets[:, None]))
+        assert on_a_face or not n
+
+    @pytest.mark.parametrize("n", REFERENCE_ROWS)
+    def test_classify_boxes(self, n):
+        rng = np.random.default_rng(100 + n)
+        lo = _quarters(rng, -10, 10, (n, REFERENCE_DIM))
+        hi = lo + _quarters(rng, 0, 3, (n, REFERENCE_DIM))
+        hi[: n // 8] = lo[: n // 8]  # some boxes are points
+        # Corners chosen axis by axis, so faces pass through box corners.
+        corners = np.where(rng.random((n, REFERENCE_DIM)) < 0.5, lo, hi)
+        on_a_face = 0
+        for m in range(1, 13):
+            normals, offsets = _faces(rng, m, corners)
+            poly = Polyhedron.from_inequalities(normals, offsets)
+            got = poly.classify_boxes(lo, hi)
+            assert got.dtype == np.int8 and got.shape == (n,)
+            assert np.array_equal(got, _oracle_classify(normals, offsets, lo, hi))
+            # The zone maps hand over transposes of (d, pages) matrices.
+            lo_t, hi_t = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+            assert np.array_equal(poly.classify_boxes(lo_t.T, hi_t.T), got)
+            on_a_face += int(np.count_nonzero(normals @ corners.T == offsets[:, None]))
+        assert on_a_face or not n
+
+    def test_everything_face_holds_every_point_and_box(self):
+        # The needle's polyhedron: one face with an infinite offset.
+        poly = Polyhedron([Halfspace(np.eye(REFERENCE_DIM)[0], np.inf)])
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(CONTAINS_BLOCK_ROWS + 3, REFERENCE_DIM)) * 1e6
+        assert poly.contains_points(points).all()
+        codes = poly.classify_boxes(points, points + np.abs(points))
+        assert (codes == INSIDE).all()
 
 
 class TestClassifyBall:
