@@ -240,11 +240,8 @@ class Polyhedron:
         rare cases are safely reported PARTIAL and resolved by the
         per-point residual filter, so correctness is never affected.
         """
-        # Contiguous (d, n) operands: a product against a transposed
-        # view costs more than the copy (none when the caller passed the
-        # transpose of a (d, n) array, as the zone maps do).
-        lo_t = np.ascontiguousarray(np.asarray(lo, dtype=np.float64).T)
-        hi_t = np.ascontiguousarray(np.asarray(hi, dtype=np.float64).T)
+        lo_t = np.asarray(lo, dtype=np.float64).T
+        hi_t = np.asarray(hi, dtype=np.float64).T
         lowest = self._pos @ lo_t
         lowest += self._neg @ hi_t
         highest = self._pos @ hi_t
