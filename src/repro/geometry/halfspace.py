@@ -199,10 +199,10 @@ class Polyhedron:
 
         The product runs ``CONTAINS_BLOCK_ROWS`` rows at a time, faces on
         the leading axis: ``normals @ block.T`` is ``(m, n)``, and the AND
-        over faces combines whole rows of it into the output mask.  The
-        row-major product's AND along a short last axis cost ten times
-        as much.  An ``(n, d)`` view of a ``(d, n)`` array (``block.T``)
-        is read without a copy.
+        over faces combines whole rows of it into the output mask (an AND
+        along the short last axis of an ``(n, m)`` array costs about ten
+        times as much).  An ``(n, d)`` view of a ``(d, n)`` array is read
+        without a copy.
         """
         points = np.asarray(points, dtype=np.float64)
         mask = np.empty(len(points), dtype=bool)
