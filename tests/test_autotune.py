@@ -6,8 +6,7 @@ evaluator and greedy selector, budget monotonicity of the selection
 (a property the prefix construction guarantees), differential identity
 of routed replica answers against a single-table reference -- solo,
 batched, under faults, and under ingest churn -- the ingest fan-out
-regression (rows reach every replica before any merge), planner
-calibration persistence across a catalog reattach, and the
+regression (rows reach every replica before any merge), and the
 degraded-answer cache veto.
 """
 
@@ -19,7 +18,6 @@ import pytest
 from repro import Database, KdTreeIndex, QueryPlanner, sdss_color_sample
 from repro.bitmap import BitmapIndex
 from repro.db.errors import StorageFault
-from repro.db.persistence import attach_database, save_catalog
 from repro.db.table import DEFAULT_ROWS_PER_PAGE
 from repro.datasets import QueryWorkload
 from repro.geometry.halfspace import Halfspace, Polyhedron
@@ -382,43 +380,6 @@ class TestIngestFanOut:
             routed = router.execute(polyhedron)
             serial = reference.execute(polyhedron)
             assert _oids(routed.rows) == _oids(serial.rows)
-
-
-class TestCalibrationPersistence:
-    def test_calibration_survives_catalog_reattach(self, tmp_path):
-        sample, columns = _columns(1500, seed=21)
-        db = Database.on_disk(tmp_path, buffer_pages=None)
-        index = KdTreeIndex.build(db, "mags", columns, BANDS)
-        BitmapIndex.build(db, "mags", BANDS)
-        planner = QueryPlanner(index, seed=21)
-        for polyhedron in _mixed_queries(sample, 10, seed=21):
-            planner.execute(polyhedron)
-        warmed = planner.cost_report()
-        assert warmed["observations"] > 0
-        save_catalog(db)
-
-        reopened = attach_database(tmp_path, buffer_pages=None)
-        new_index = reopened.index("mags.kdtree")
-        warm_planner = QueryPlanner(new_index, seed=21)
-        report = warm_planner.cost_report()
-        assert report["observations"] == warmed["observations"]
-        assert report["calibration"] == pytest.approx(warmed["calibration"])
-        assert report["selectivity_bias"] == pytest.approx(
-            warmed["selectivity_bias"]
-        )
-
-    def test_live_databases_do_not_warm_new_planners(self):
-        sample, columns = _columns(1200, seed=22)
-        db = Database.in_memory(buffer_pages=None)
-        index = KdTreeIndex.build(db, "mags", columns, BANDS)
-        planner = QueryPlanner(index, seed=22)
-        for polyhedron in _mixed_queries(sample, 6, seed=22):
-            planner.execute(polyhedron)
-        assert planner.cost_report()["observations"] > 0
-        # The snapshot is persisted for a future reattach, but a second
-        # planner over the same live database starts neutral.
-        fresh = QueryPlanner(index, seed=22)
-        assert fresh.cost_report()["observations"] == 0
 
 
 class TestServiceIntegration:

@@ -149,3 +149,19 @@ def test_trace_records_each_executed_query_once(served, batch_size):
     assert recorder.recorded == executed
     if batch_size > 1:
         assert summary["batches"] >= 1
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_metrics_count_each_executed_query_once(served, batch_size):
+    queries = served.queries(4)
+    with served.service(batch_size=batch_size, batch_delay_s=0.05) as service:
+        tickets = [service.submit(polyhedron) for polyhedron in queries]
+        outcomes = [ticket.result(timeout=60) for ticket in tickets]
+        outcomes += [service.execute(polyhedron, timeout=60) for polyhedron in queries]
+        summary = service.metrics.summary()
+    executed = sum(1 for outcome in outcomes if not outcome.cache_hit)
+    assert executed >= len(queries)
+    assert summary["completed"] == len(outcomes)
+    assert summary["completed"] - summary["cache_hits"] == executed
+    if batch_size > 1:
+        assert summary["batches"] >= 1

@@ -34,6 +34,7 @@ from repro.db import (
     RetryPolicy,
     expression_to_query,
 )
+from repro.db.persistence import attach_database, save_catalog
 from repro.geometry.halfspace import Halfspace, Polyhedron
 
 BANDS = ["u", "g", "r", "i", "z"]
@@ -403,3 +404,53 @@ class TestExpressionMemberships:
             planner = QueryPlanner(index, seed=9, engine=engine)
             planned = planner.execute(poly, memberships=memberships)
             assert oid_set(planned.rows) == expected
+
+
+def _columns(rows: int, seed: int = 0):
+    sample = sdss_color_sample(rows, seed=seed)
+    columns = dict(sample.columns())
+    columns["oid"] = np.arange(rows, dtype=np.int64)
+    return sample, columns
+
+
+def _mixed_queries(sample, count: int, seed: int = 0):
+    workload = QueryWorkload(sample.magnitudes, seed=seed)
+    base = workload.mixed(count, selectivities=[0.001, 0.01, 0.1, 0.4])
+    return [q.polyhedron(BANDS) for q in base]
+
+
+class TestCalibrationPersistence:
+    def test_calibration_survives_catalog_reattach(self, tmp_path):
+        sample, columns = _columns(1500, seed=21)
+        db = Database.on_disk(tmp_path, buffer_pages=None)
+        index = KdTreeIndex.build(db, "mags", columns, BANDS)
+        BitmapIndex.build(db, "mags", BANDS)
+        planner = QueryPlanner(index, seed=21)
+        for polyhedron in _mixed_queries(sample, 10, seed=21):
+            planner.execute(polyhedron)
+        warmed = planner.cost_report()
+        assert warmed["observations"] > 0
+        save_catalog(db)
+
+        reopened = attach_database(tmp_path, buffer_pages=None)
+        new_index = reopened.index("mags.kdtree")
+        warm_planner = QueryPlanner(new_index, seed=21)
+        report = warm_planner.cost_report()
+        assert report["observations"] == warmed["observations"]
+        assert report["calibration"] == pytest.approx(warmed["calibration"])
+        assert report["selectivity_bias"] == pytest.approx(
+            warmed["selectivity_bias"]
+        )
+
+    def test_live_databases_do_not_warm_new_planners(self):
+        sample, columns = _columns(1200, seed=22)
+        db = Database.in_memory(buffer_pages=None)
+        index = KdTreeIndex.build(db, "mags", columns, BANDS)
+        planner = QueryPlanner(index, seed=22)
+        for polyhedron in _mixed_queries(sample, 6, seed=22):
+            planner.execute(polyhedron)
+        assert planner.cost_report()["observations"] > 0
+        # The snapshot is persisted for a future reattach, but a second
+        # planner over the same live database starts neutral.
+        fresh = QueryPlanner(index, seed=22)
+        assert fresh.cost_report()["observations"] == 0
