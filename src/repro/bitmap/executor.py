@@ -67,7 +67,7 @@ def _members(
     """One fetch member per query, residual in the index's query space."""
     # Residual filtering, zone pruning, and dim validation all happen in
     # the *query* coordinate space, which may be wider than the indexed
-    # column subset on a tuned replica.
+    # column subset.
     return query_members(polyhedra, index.query_dims, cancel_checks, memberships_list)
 
 

@@ -91,10 +91,9 @@ class BitmapIndex:
         self._bitmaps = bitmaps
         self._bin_counts = bin_counts
         # Coordinate axes queries are phrased in.  Defaults to the
-        # indexed dims (the historical all-axes index); a tuned replica
-        # may index only a subset, in which case ``table_dims`` names
-        # the full query space and ``_axes`` maps each indexed column
-        # back to its polyhedron axis.
+        # indexed dims (the all-axes index); an index over a subset of
+        # the axes names the full query space in ``table_dims``, and
+        # ``_axes`` maps each indexed column back to its polyhedron axis.
         self._table_dims = list(table_dims) if table_dims is not None else list(dims)
         self._axes = {
             col: self._table_dims.index(col)
@@ -123,7 +122,7 @@ class BitmapIndex:
         back through the buffer pool.  ``table`` overrides the catalog
         lookup for builds over a generation not yet swapped in (merges).
         ``table_dims`` names the full coordinate axis order when
-        ``dims`` indexes only a subset of it (tuned replicas).
+        ``dims`` indexes only a subset of it.
         Registers as ``<name>.bitmap`` unless ``register`` is false.
         """
         if num_bins < 2:

@@ -208,116 +208,17 @@ def _verify_against_reference(args, db, columns, queries, result_rows) -> int:
     )
 
 
-def _capture_trace(args: argparse.Namespace, columns, queries):
-    """Run the workload once on the default config, recording every query.
-
-    The self-captured trace is the tuner's input when no ``--trace-in``
-    file is given: a throwaway single-table planner over the same rows
-    executes the workload solo and its recorder ring becomes the trace.
-    """
-    from repro import Database, KdTreeIndex, QueryPlanner
-    from repro.bitmap import BitmapIndex
-    from repro.tune import WorkloadTraceRecorder
-
-    db = Database.in_memory(buffer_pages=args.buffer_pages)
-    index = KdTreeIndex.build(db, "magnitudes_trace", columns, _BANDS)
-    BitmapIndex.build(db, "magnitudes_trace", _BANDS)
-    planner = QueryPlanner(index, seed=args.seed)
-    recorder = WorkloadTraceRecorder()
-    planner.attach_trace_recorder(recorder)
-    for polyhedron in queries:
-        planner.execute(polyhedron)
-    return list(recorder.observations())
-
-
-def _tuned_configs(args: argparse.Namespace, columns, queries, num_replicas):
-    """Load/capture a trace and greedy-tune ``num_replicas`` configs."""
-    from repro.db.table import DEFAULT_ROWS_PER_PAGE
-    from repro.tune import (
-        CostReplayEvaluator,
-        GreedyConfigSelector,
-        TableProfile,
-        read_trace,
-    )
-
-    if args.trace_in:
-        observations = read_trace(args.trace_in)
-        print(f"loaded {len(observations)} trace observations from {args.trace_in}")
-    else:
-        print("capturing a tuning trace on the default configuration...")
-        observations = _capture_trace(args, columns, queries)
-    profile = TableProfile(
-        columns, _BANDS, args.rows, DEFAULT_ROWS_PER_PAGE, seed=args.seed
-    )
-    evaluator = CostReplayEvaluator(profile, trace=observations)
-    selector = GreedyConfigSelector(evaluator)
-    budget = int(args.budget_mb * (1 << 20)) if args.budget_mb else None
-    plan = selector.select_divergent(
-        observations, num_replicas, budget_bytes=budget
-    )
-    print(
-        f"tuned {num_replicas} divergent config(s): predicted "
-        f"{plan.baseline_pages:.0f} -> {plan.predicted_pages:.0f} pages "
-        f"decoded over the trace"
-    )
-    return plan
-
-
-def _build_replica_engine(args: argparse.Namespace, columns, queries):
-    """Build a divergent replica set and its router (``--replicas N``)."""
-    from repro.tune import ReplicaRouter, ReplicaSet, default_config
-
-    if args.tuned:
-        plan = _tuned_configs(args, columns, queries, args.replicas)
-        configs = list(plan.configs)
-    else:
-        configs = [default_config() for _ in range(args.replicas)]
-    print(f"materializing {len(configs)} replica(s)...")
-    for position, config in enumerate(configs):
-        print(f"  r{position}: {config.describe()}")
-    replica_set = ReplicaSet.build(
-        "magnitudes",
-        columns,
-        _BANDS,
-        configs,
-        seed=args.seed,
-        transport=args.transport,
-        key_column="oid",
-    )
-    return ReplicaRouter(replica_set)
-
-
-def _print_routing(router) -> None:
-    """Per-replica routing shares and degradation count."""
-    report = router.routing_report()
-    total = sum(report["routes"].values())
-    if not total:
-        return
-    shares = ", ".join(
-        f"r{rid}={count / total:.0%}"
-        for rid, count in sorted(report["routes"].items())
-    )
-    print(f"replica routing: {shares}; degraded answers: {report['degraded']}")
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.service import QueryService, replay_workload, rows_equal, run_serial
 
     if args.connect:
         return _replay_connect(args)
-    if args.tuned and not args.replicas:
-        args.replicas = 1
 
     sample, columns = _build_columns(args)
     db = _serving_database(args)
 
     queries, unique = _replay_queries(args, sample)
-
-    if args.replicas:
-        engine = _build_replica_engine(args, columns, queries)
-        service_db = None
-    else:
-        engine, service_db = _build_engine(args, db, columns)
+    engine, service_db = _build_engine(args, db, columns)
 
     print(
         f"replaying {len(queries)} queries ({unique} unique) at "
@@ -328,11 +229,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"micro-batching up to {args.batch} queries per worker pull "
             f"(formation delay {args.batch_delay_ms:.1f} ms)"
         )
-    recorder = None
-    if args.trace_out:
-        from repro.tune import WorkloadTraceRecorder
-
-        recorder = WorkloadTraceRecorder()
     service = QueryService(
         service_db,
         engine,
@@ -341,13 +237,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         default_deadline=args.deadline_ms / 1e3 if args.deadline_ms else None,
         batch_size=args.batch,
         batch_delay_s=args.batch_delay_ms / 1e3,
-        trace_recorder=recorder,
     )
     with service:
         report = replay_workload(service, queries, concurrency=args.concurrency)
-    if recorder is not None:
-        count = recorder.export_jsonl(args.trace_out)
-        print(f"wrote {count} trace observations to {args.trace_out}")
 
     print(
         f"\ncompleted {report.completed}/{len(queries)} in "
@@ -355,9 +247,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"{report.resubmissions} backpressure retries "
         f"[transport={engine.transport}]"
     )
-    if args.replicas:
-        _print_routing(engine)
-    elif args.shards:
+    if args.shards:
         _print_worker_util(engine, report.wall_time_s)
     _print_index_cache(engine)
     summary = service.metrics.summary()
@@ -370,18 +260,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
     print(service.metrics.format_report(db.procedures if service_db else None))
     calib = engine.cost_report()
-    if args.replicas:
-        # A replica router reports one snapshot per planner-backed replica.
-        for tag, replica_calib in sorted(calib.items()):
-            print(
-                f"replica {tag} cost calibration "
-                f"({int(replica_calib['observations'])} obs): "
-                f"{_factors(replica_calib)}"
-            )
-    elif calib:
+    if calib:
+        factors = ", ".join(
+            f"{name}={factor:.2f}" for name, factor in sorted(calib["calibration"].items())
+        )
         print(
             f"planner cost calibration ({int(calib['observations'])} obs): "
-            f"{_factors(calib)}; selectivity bias {calib['selectivity_bias']:+.4f}"
+            f"{factors}; selectivity bias {calib['selectivity_bias']:+.4f}"
         )
     if report.errors:
         print(f"errors: {[(i, type(e).__name__) for i, e in report.errors[:5]]}")
@@ -389,7 +274,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.verify:
         print("\nverifying against serial unsharded execution...")
-        if args.shards or args.replicas:
+        if args.shards:
             result_rows = [
                 outcome.rows if outcome is not None else None
                 for outcome in report.outcomes
@@ -409,13 +294,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         exit_code = 1 if mismatches else 0
     engine.close()
     return exit_code
-
-
-def _factors(calib: dict) -> str:
-    """One planner's calibration factors, ``name=factor`` by engine."""
-    return ", ".join(
-        f"{name}={factor:.2f}" for name, factor in sorted(calib["calibration"].items())
-    )
 
 
 def _replay_connect(args: argparse.Namespace) -> int:
@@ -472,61 +350,6 @@ def _replay_connect(args: argparse.Namespace) -> int:
     if report.completed < len(queries):
         exit_code = exit_code or 1
     return exit_code
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Tune configurations against a workload trace (no queries executed).
-
-    With ``--trace-in`` the trace comes from a ``replay --trace-out``
-    file; otherwise a throwaway default-config planner executes a mixed
-    workload once to self-capture one.  The chosen config(s) and the
-    predicted pages-decoded savings print as JSON (``--out`` also writes
-    them to a file a later ``replay --tuned`` run could consume).
-    """
-    import json
-
-    from repro.datasets import QueryWorkload
-    from repro.geometry.halfspace import Halfspace, Polyhedron
-
-    sample, columns = _build_columns(args)
-    queries = None
-    if not args.trace_in:
-        # Half broad mixed boxes, half single-band precision needles --
-        # a workload with distinguishable classes, so divergent tuning
-        # has something to specialize replicas for.
-        workload = QueryWorkload(sample.magnitudes, seed=args.seed)
-        base = workload.mixed(
-            args.queries // 2, selectivities=[0.01, 0.05, 0.2]
-        )
-        queries = [q.polyhedron(_BANDS) for q in base]
-        rng = np.random.default_rng(args.seed)
-        r_values = np.asarray(columns["r"], dtype=np.float64)
-        while len(queries) < args.queries:
-            q0 = rng.uniform(0.05, 0.9)
-            low = float(np.quantile(r_values, q0))
-            high = float(np.quantile(r_values, q0 + 0.005))
-            axis = np.zeros(len(_BANDS))
-            axis[_BANDS.index("r")] = 1.0
-            queries.append(
-                Polyhedron(
-                    [Halfspace(axis, high), Halfspace(-axis, -low)]
-                )
-            )
-    plan = _tuned_configs(args, columns, queries, args.replicas)
-    payload = plan.to_dict()
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    print(rendered)
-    if plan.baseline_pages > 0:
-        savings = 1.0 - plan.predicted_pages / plan.baseline_pages
-        print(
-            f"predicted savings over the default config: {savings:.1%} "
-            f"fewer pages decoded"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-        print(f"wrote tuning plan to {args.out}")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -669,56 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         help="HOST:PORT of a running `repro serve` to replay against "
         "(skips building a local service)",
     )
-    replay.add_argument(
-        "--replicas", type=int, default=0,
-        help="serve from N divergently-configured replicas behind a "
-        "cost-scored router (0 = single engine; overrides --shards)",
-    )
-    replay.add_argument(
-        "--tuned", action="store_true",
-        help="derive each replica's config from a workload trace via the "
-        "greedy auto-tuner (default: N identical default configs)",
-    )
-    replay.add_argument(
-        "--trace-out", default="",
-        help="export the executed workload as a JSONL trace for `repro tune`",
-    )
-    replay.add_argument(
-        "--trace-in", default="",
-        help="JSONL trace feeding --tuned (default: self-capture one)",
-    )
-    replay.add_argument(
-        "--budget-mb", type=float, default=None,
-        help="per-replica memory/storage budget for --tuned, in MiB",
-    )
     replay.set_defaults(func=_cmd_replay)
-
-    tune = sub.add_parser(
-        "tune",
-        help="choose index/cache configs from a workload trace "
-        "(cost replay only; no queries executed)",
-    )
-    tune.add_argument("--rows", type=int, default=20_000)
-    tune.add_argument("--queries", type=int, default=240)
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--buffer-pages", type=int, default=4096)
-    tune.add_argument(
-        "--trace-in", default="",
-        help="JSONL workload trace from `repro replay --trace-out` "
-        "(default: self-capture a mixed workload)",
-    )
-    tune.add_argument(
-        "--replicas", type=int, default=1,
-        help="number of divergent configs to choose (1 = single config)",
-    )
-    tune.add_argument(
-        "--budget-mb", type=float, default=None,
-        help="memory/storage budget per config, in MiB (default: unlimited)",
-    )
-    tune.add_argument(
-        "--out", default="", help="also write the tuning plan JSON here"
-    )
-    tune.set_defaults(func=_cmd_tune)
 
     srv = sub.add_parser(
         "serve", help="serve the query service over TCP until SIGTERM"

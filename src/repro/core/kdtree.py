@@ -34,7 +34,7 @@ node's actual points -- these give much better pruning on highly clustered
 data and are what the paper visualizes in Figure 15).
 
 **One clustered loader.**  Every kd-clustered table -- a fresh build, a
-merge generation, a shard, a replica -- is loaded by the same two steps.
+merge generation, a shard -- is loaded by the same two steps.
 :func:`cluster` is pure: it builds the :class:`KdTree` and returns the
 ``kd_leaf`` column, the encoded node pages and their
 :class:`~repro.core.kdpaged.PagedTreeLayout`.  :func:`install` writes the
@@ -82,16 +82,6 @@ __all__ = [
 ]
 
 
-def _preferred_axis(axis_policy: str) -> int | None:
-    """The axis index of a ``prefer:<axis>`` policy, else ``None``."""
-    if not axis_policy.startswith("prefer:"):
-        return None
-    try:
-        return int(axis_policy.split(":", 1)[1])
-    except ValueError:
-        return None
-
-
 def default_num_levels(num_rows: int) -> int:
     """The paper's √N sizing: leaf count ≈ items per leaf ≈ sqrt(N).
 
@@ -121,17 +111,9 @@ class KdTree(HeapTree):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, d) array")
-        preferred = _preferred_axis(axis_policy)
-        if axis_policy not in ("widest", "cycle") and preferred is None:
-            raise ValueError(
-                "axis_policy must be 'widest', 'cycle', or 'prefer:<axis>'"
-            )
+        if axis_policy not in ("widest", "cycle"):
+            raise ValueError("axis_policy must be 'widest' or 'cycle'")
         self.num_points, self.dim = points.shape
-        if preferred is not None and not (0 <= preferred < self.dim):
-            raise ValueError(
-                f"preferred axis {preferred} out of range for {self.dim} dims"
-            )
-        self._preferred = preferred
         self.num_levels = (
             default_num_levels(self.num_points) if num_levels is None else num_levels
         )
@@ -203,16 +185,6 @@ class KdTree(HeapTree):
         return perm, split_axis, split_value, seg_start, seg_end
 
     def _choose_axis(self, points: np.ndarray, segment: np.ndarray, level: int) -> int:
-        if self._preferred is not None and len(segment):
-            # ``prefer:<axis>`` splits the chosen axis at every level (an
-            # axis-major layout: the clustered table ends up sorted by
-            # that coordinate), falling back to widest only once a
-            # segment is degenerate on it.  Partition boxes stay correct
-            # whatever the split axes, so queries on the other axes
-            # simply see less pruning -- never wrong answers.
-            sub = points[segment]
-            if sub[:, self._preferred].max() > sub[:, self._preferred].min():
-                return self._preferred
         if self.axis_policy == "cycle" or len(segment) == 0:
             return (level - 1) % self.dim
         sub = points[segment]
@@ -357,7 +329,7 @@ def install(
     Creates table ``name`` from ``columns`` plus ``clustering.kd_leaf``,
     clustered on ``kd_leaf``, then writes the node pages under the
     table's index namespace -- straight to storage, so a freshly loaded
-    index starts cold -- and, when ``bitmap`` names ``(bitmap_dims,
+    index starts cold -- and, when ``bitmap`` names ``(indexed_dims,
     num_bins, query_dims)``, builds a bitmap index over the table.
     Without ``physical_name`` the table and both indexes are registered;
     a merge passes its new generation's name instead, registers nothing
@@ -406,12 +378,12 @@ def install(
         database.register_index(f"{name}.kdtree", index)
     bitmap_index = None
     if bitmap is not None:
-        bitmap_dims, num_bins, query_dims = bitmap
+        indexed_dims, num_bins, query_dims = bitmap
         try:
             bitmap_index = BitmapIndex.build(
                 database,
                 name,
-                list(bitmap_dims),
+                list(indexed_dims),
                 num_bins=num_bins,
                 register=register,
                 table=table,

@@ -39,9 +39,7 @@ metrics.
 
 from __future__ import annotations
 
-import logging
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +51,6 @@ from repro.core.kdtree import KdTreeIndex
 from repro.db.errors import StaleLayoutError, StorageFault
 from repro.db.stats import IOStats, QueryStats
 from repro.geometry.halfspace import Polyhedron
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["PlannedQuery", "QueryEngine", "QueryPlanner"]
 
@@ -124,31 +120,20 @@ class PlannedQuery:
     shard_faults: int = 0
     partial: bool = False
     failed_shards: tuple = ()
-    #: Set by routing layers for answers that must not enter the result
-    #: cache (e.g. served by a non-preferred replica during degradation,
-    #: whose execution profile another replica's fingerprint must never
-    #: inherit).
-    no_cache: bool = False
 
 
 class QueryEngine:
-    """What the service, TCP server, CLI and replica router drive.
+    """What the service, TCP server and CLI drive.
 
-    Subclasses: :class:`QueryPlanner` (one table),
+    Subclasses: :class:`QueryPlanner` (one table) and
     :class:`~repro.shard.coordinator.ShardCoordinator` (both shard
-    transports) and :class:`~repro.tune.replicas.ReplicaRouter`.  Each
-    supplies ``table_name`` / ``dims`` / ``layout_version``,
-    ``io_stats()`` and ``_run_batch``, which :meth:`execute` (a batch of
-    one) and :meth:`execute_batch` share.  Each executed query is
-    recorded once, by the engine, into the attached ``trace_recorder``.
+    transports).  Each supplies ``table_name`` / ``dims`` /
+    ``layout_version``, ``io_stats()`` and ``_run_batch``, which
+    :meth:`execute` (a batch of one) and :meth:`execute_batch` share.
     """
 
     #: Where execution happens (reports, replays, the TCP greeting).
     transport = "inprocess"
-    #: Optional workload-trace hook (:mod:`repro.tune.trace`).
-    trace_recorder = None
-    #: Replica tag stamped on recorded observations (router use).
-    trace_tag = ""
 
     #: Name of the table results come from (cache fingerprinting).
     table_name: str
@@ -189,12 +174,6 @@ class QueryEngine:
     def _run_batch(self, polyhedra, checks, member_filters) -> BatchResult:
         raise NotImplementedError
 
-    def predict_cost(self, polyhedron: Polyhedron, memberships=None) -> float | None:
-        """Predicted pages decoded, no execution; ``None`` when pricing
-        would need a round trip to shards (the router then prices the
-        query by its config model)."""
-        return None
-
     def counters(self) -> dict[str, int]:
         """Cumulative engine counters (the service report's ``engine``)."""
         return {}
@@ -207,15 +186,6 @@ class QueryEngine:
         """Cost-model calibration state; empty when there is none."""
         return {}
 
-    def cache_scope(self, polyhedron: Polyhedron, memberships=None) -> str:
-        """Extra result-cache fingerprint scope for this query."""
-        return ""
-
-    def attach_trace_recorder(self, recorder, tag: str = "") -> None:
-        """Fold every executed query into ``recorder``, tagged ``tag``."""
-        self.trace_recorder = recorder
-        self.trace_tag = tag
-
     def close(self) -> None:
         """Release whatever the engine runs on (idempotent)."""
 
@@ -224,28 +194,6 @@ class QueryEngine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _record_trace(self, polyhedron, memberships, planned, wall_s) -> None:
-        """Fold an executed query into the attached trace ring, if any.
-
-        Never raises: trace capture is observability, not the query
-        path, so a recorder bug must not fail user queries.
-        """
-        recorder = self.trace_recorder
-        if recorder is None:
-            return
-        try:
-            recorder.record(
-                self.table_name,
-                self.dims,
-                polyhedron,
-                memberships,
-                planned,
-                wall_s,
-                replica=self.trace_tag,
-            )
-        except Exception:  # pragma: no cover - defensive
-            logger.exception("trace recording failed")
 
 
 class QueryPlanner(QueryEngine):
@@ -573,27 +521,6 @@ class QueryPlanner(QueryEngine):
                 "observations": self._observations,
             }
 
-    def predict_cost(self, polyhedron: Polyhedron, memberships=None) -> float:
-        """Calibrated predicted pages decoded for this query, no execution.
-
-        The replica router's scoring primitive: the cheapest engine's
-        calibrated cost (the bitmap term is the exact in-memory candidate
-        page count).  A probe fault degrades to the scan bound -- every
-        page -- so a sick replica prices itself out of routing.
-        """
-        try:
-            raw, _ = self._raw_costs(polyhedron, memberships)
-        except StorageFault:
-            return float(max(1, self.index.table.num_pages))
-        finite = [
-            cost
-            for cost in self._calibrated(raw).values()
-            if np.isfinite(cost)
-        ]
-        if not finite:
-            return float(max(1, self.index.table.num_pages))
-        return min(finite)
-
     def _finalize(
         self, planned: PlannedQuery, raw: dict[str, float], calibrated: dict[str, float]
     ) -> PlannedQuery:
@@ -720,7 +647,6 @@ class QueryPlanner(QueryEngine):
             group = groups[engine]
             if not group:
                 continue
-            started = time.perf_counter()
             try:
                 outcomes, counters = engine.run(
                     self,
@@ -741,9 +667,6 @@ class QueryPlanner(QueryEngine):
                 continue
             result.pages_decoded += counters["pages_decoded"]
             result.shared_decode_hits += counters["shared_decode_hits"]
-            # The shared pass served the whole group at once; attribute an
-            # equal share of its wall time to each member's trace entry.
-            member_wall = (time.perf_counter() - started) / len(group)
             for m, (rows, stats, error) in zip(group, outcomes):
                 if error is not None:
                     result.members[m].error = error
@@ -763,5 +686,4 @@ class QueryPlanner(QueryEngine):
                     plan.calibrated,
                 )
                 result.members[m].planned = planned
-                self._record_trace(polyhedra[m], member_filters[m], planned, member_wall)
         return result

@@ -55,10 +55,6 @@ class DatabaseOptions:
     buffer_pages: int | None = 1024
     retry: RetryPolicy | None = None
     zone_maps: bool = True
-    #: Restrict zone maps to these columns (``None`` = every numeric
-    #: column).  A tuning knob: dropping synopses for never-queried
-    #: columns trades pruning coverage for catalog bytes.
-    zone_map_columns: tuple[str, ...] | None = None
     decoded_cache_bytes: int | None = DEFAULT_DECODED_BYTES
     readahead_pages: int = DEFAULT_READAHEAD_PAGES
     #: Byte budget of each paged kd-tree's decoded node cache
@@ -79,7 +75,6 @@ class DatabaseOptions:
             buffer_pages=self.buffer_pages,
             retry=self.retry,
             zone_maps=self.zone_maps,
-            zone_map_columns=self.zone_map_columns,
             decoded_cache_bytes=self.decoded_cache_bytes,
             readahead_pages=self.readahead_pages,
             index_cache_bytes=self.index_cache_bytes,
@@ -105,7 +100,6 @@ class Database:
         buffer_pages: int | None = 1024,
         retry: RetryPolicy | None = None,
         zone_maps: bool = True,
-        zone_map_columns: tuple[str, ...] | None = None,
         decoded_cache_bytes: int | None = DEFAULT_DECODED_BYTES,
         readahead_pages: int = DEFAULT_READAHEAD_PAGES,
         index_cache_bytes: int = DEFAULT_INDEX_CACHE_BYTES,
@@ -119,7 +113,6 @@ class Database:
             buffer_pages=buffer_pages,
             retry=retry,
             zone_maps=zone_maps,
-            zone_map_columns=zone_map_columns,
             decoded_cache_bytes=decoded_cache_bytes,
             readahead_pages=readahead_pages,
             index_cache_bytes=index_cache_bytes,
@@ -133,7 +126,6 @@ class Database:
         )
         self.procedures = ProcedureRegistry(self)
         self.zone_maps_enabled = zone_maps
-        self.zone_map_columns = zone_map_columns
         self._zone_maps: dict[str, ZoneMap] = {}
         #: Per-table planner calibration snapshots (persisted in the
         #: catalog so a reattached database keeps its learned per-engine

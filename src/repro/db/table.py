@@ -142,9 +142,6 @@ class Table:
         # complete the moment the table is.  The map is keyed by the
         # physical namespace, so each generation regenerates its own.
         zone_columns = [spec.name for spec in specs if spec.dtype.kind in "iuf"]
-        allowed = database.zone_map_columns
-        if allowed is not None:
-            zone_columns = [c for c in zone_columns if c in allowed]
         zone_map = (
             ZoneMap(table.physical_name, zone_columns)
             if zone_columns and database.zone_maps_enabled

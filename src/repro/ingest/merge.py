@@ -152,8 +152,8 @@ def merge_table(
                 axis_policy=index.tree.axis_policy,
             )
             # The bitmap is rebuilt over the new generation so it swaps
-            # in atomically with the table and kd-tree.  A tuned bitmap
-            # may cover a dims subset while queries stay in the full
+            # in atomically with the table and kd-tree.  A bitmap may
+            # cover a dims subset while queries stay in the full
             # coordinate space; the rebuild keeps that axis mapping.  If
             # its rebuild faults the bitmap is dropped entirely -- a
             # stale entry would start raising once the old physical

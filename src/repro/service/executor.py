@@ -6,8 +6,7 @@ threads pulls admitted queries, routes each through the *engine* -- a
 :class:`~repro.core.planner.QueryEngine`: a single-table
 :class:`~repro.core.planner.QueryPlanner`, a
 :class:`~repro.shard.ScatterGatherExecutor` over a partitioned table on
-either transport, or a :class:`~repro.tune.replicas.ReplicaRouter` --
-consults the result cache, and enforces per-query deadlines with
+either transport -- consults the result cache, and enforces per-query deadlines with
 cooperative cancellation checks inside the scan/kd-tree iteration loops
 (for a sharded engine the check propagates into every in-flight shard
 worker).  Every query leaves one
@@ -152,8 +151,8 @@ class QueryService:
         rides solely on the engine's ``layout_version``.
     planner:
         The :class:`~repro.core.planner.QueryEngine` every admitted query
-        runs through (a planner, a sharded executor on either transport,
-        or a replica router).
+        runs through (a planner or a sharded executor on either
+        transport).
     workers:
         Worker thread count (the paper's server ran fully parallel I/O).
     queue_depth:
@@ -178,17 +177,6 @@ class QueryService:
         Bounded formation delay: how long a worker holding a short batch
         waits for more arrivals before running it.  ``0`` (the default)
         batches only the backlog that is already queued.
-    replicas:
-        A divergent :class:`~repro.tune.replicas.ReplicaSet` (or a
-        prebuilt :class:`~repro.tune.replicas.ReplicaRouter`) to serve
-        from instead of ``planner``: each query routes to whichever
-        replica's configuration prices it cheapest.  Mutually exclusive
-        with a non-``None`` ``planner``.
-    trace_recorder:
-        A :class:`~repro.tune.trace.WorkloadTraceRecorder` fed by every
-        executed (non-cache-hit) query -- the raw material of the
-        auto-tuner.  It is attached to the engine, which records each
-        query it executes once (with per-replica tags under a router).
     """
 
     def __init__(
@@ -203,8 +191,6 @@ class QueryService:
         default_deadline: float | None = None,
         batch_size: int = 1,
         batch_delay_s: float = 0.0,
-        replicas: Any = None,
-        trace_recorder: Any = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -212,20 +198,10 @@ class QueryService:
             raise ValueError("batch_size must be >= 1")
         if batch_delay_s < 0:
             raise ValueError("batch_delay_s must be >= 0")
-        if replicas is not None:
-            if planner is not None:
-                raise ValueError("pass either planner or replicas, not both")
-            from repro.tune.replicas import ReplicaRouter, ReplicaSet
-
-            if isinstance(replicas, ReplicaSet):
-                replicas = ReplicaRouter(replicas)
-            planner = replicas
         if planner is None:
-            raise ValueError("a planner (or replicas) is required")
+            raise ValueError("a planner is required")
         self.database = database
         self.planner = planner
-        if trace_recorder is not None:
-            planner.attach_trace_recorder(trace_recorder)
         self.sessions = SessionManager()
         self.admission = AdmissionQueue(queue_depth)
         self.cache = (
@@ -368,8 +344,8 @@ class QueryService:
     def report(self) -> dict:
         """Everything the service knows about its own behavior.
 
-        The ``io`` section is the engine's (aggregated across shards or
-        replicas), and the ``engine`` section carries its counters (the
+        The ``io`` section is the engine's (aggregated across shards),
+        and the ``engine`` section carries its counters (the
         scatter-gather and routing counts; empty for a planner).
         """
         return {
@@ -572,16 +548,12 @@ class QueryService:
             item.ticket._fail(exc)
 
     def _fingerprint(self, item: _WorkItem) -> str:
-        # Under a replica router the engine scopes each fingerprint to
-        # the replica/config that would serve the query, so divergently
-        # configured copies never share result-cache entries.
         return query_fingerprint(
             self.planner.table_name,
             self.planner.dims,
             item.polyhedron,
             layout_version=self.planner.layout_version,
             memberships=item.memberships,
-            config_id=self.planner.cache_scope(item.polyhedron, item.memberships),
         )
 
     def _cache_get(self, item: _WorkItem) -> PlannedQuery | None:
@@ -592,10 +564,7 @@ class QueryService:
     def _cache_put(self, item: _WorkItem, planned: PlannedQuery) -> None:
         # A partial answer only reflects which shards happened to be
         # healthy at that instant -- never let it outlive the fault.
-        # ``no_cache`` is the routing layer's veto: an answer served by a
-        # degraded (non-preferred) replica carries the preferred
-        # replica's fingerprint scope and must not be replayed under it.
-        if self.cache is not None and not planned.partial and not planned.no_cache:
+        if self.cache is not None and not planned.partial:
             self.cache.put(
                 self._fingerprint(item), self.planner.table_name, planned
             )

@@ -32,7 +32,6 @@ def query_fingerprint(
     index_name: str = "planner",
     layout_version: str = "",
     memberships: dict[str, Any] | None = None,
-    config_id: str = "",
 ) -> str:
     """A stable key for one polyhedron query against one table.
 
@@ -46,12 +45,7 @@ def query_fingerprint(
     so stale entries keyed under the old layout can never be served.
     ``memberships`` (column -> IN-list values) folds each sorted value
     set in by column name, so the same box with different IN lists never
-    collides.  ``config_id`` identifies the replica/configuration that
-    will serve the query (see
-    :meth:`repro.tune.config.TuningConfig.config_id`): with divergent
-    replicas the same question routed to differently-configured copies
-    must never share a cache entry, or a partial/degraded answer from
-    one replica could be replayed as another's.
+    collides.
     """
     normals = np.asarray(polyhedron.normals, dtype=np.float64)
     offsets = np.asarray(polyhedron.offsets, dtype=np.float64)
@@ -68,8 +62,6 @@ def query_fingerprint(
     digest.update(index_name.encode())
     digest.update(b"|")
     digest.update(layout_version.encode())
-    digest.update(b"|")
-    digest.update(config_id.encode())
     digest.update(b"|")
     digest.update(np.ascontiguousarray(stacked[order]).tobytes())
     for col in sorted(memberships or ()):

@@ -2,9 +2,8 @@
 
 :class:`ShardCoordinator` is everything sharded execution does that does
 not depend on *where* a shard runs.  It is a
-:class:`~repro.core.planner.QueryEngine`, so the service, the TCP server
-and the replica router drive it exactly as they drive a single-table
-planner:
+:class:`~repro.core.planner.QueryEngine`, so the service and the TCP
+server drive it exactly as they drive a single-table planner:
 
 1. **route** -- the :class:`~repro.shard.router.ShardRouter` classifies
    every shard's box (stretched over pending delta inserts) against each
@@ -15,8 +14,7 @@ planner:
 3. **gather** -- per-shard member outcomes stream back through one queue;
    each is rebased into the global row-id namespace and folded into its
    member, and every member is finalised once into a sharded
-   :class:`~repro.core.planner.PlannedQuery` -- and recorded there, once,
-   into an attached trace recorder.
+   :class:`~repro.core.planner.PlannedQuery`.
 
 Solo :meth:`ShardCoordinator.execute` is a batch of one.  The per-member
 rule: the first deadline or unexpected error a member hits on any shard
@@ -47,7 +45,6 @@ from __future__ import annotations
 import math
 import queue
 import threading
-import time
 from typing import Callable
 
 import numpy as np
@@ -297,7 +294,6 @@ class ShardCoordinator(QueryEngine):
         set, they only thin rows inside it.
         """
         self._check_open()
-        started = time.perf_counter()
         n = len(polyhedra)
         result = BatchResult(members=[BatchMemberResult() for _ in range(n)], occupancy=n)
         gathered: dict[int, _Gathered] = {}
@@ -385,9 +381,6 @@ class ShardCoordinator(QueryEngine):
             else:
                 fail_member(m, outcome)
 
-        # Like the planner's shared pass, the fan-out served every member
-        # at once; each trace entry gets an equal share of its wall time.
-        member_wall = (time.perf_counter() - started) / max(1, n)
         note = dict.fromkeys(
             ("queries", "shards_dispatched", "shards_pruned", "shard_faults", "partial_results"),
             0,
@@ -403,9 +396,7 @@ class ShardCoordinator(QueryEngine):
                 result.members[m].error = g.fault
                 continue
             note["partial_results"] += 1 if g.failed else 0
-            planned = self._finalise(g)
-            result.members[m].planned = planned
-            self._record_trace(polyhedra[m], filters[m], planned, member_wall)
+            result.members[m].planned = self._finalise(g)
         self._note(**note)
         return result
 

@@ -134,10 +134,6 @@ class ShardSpec:
     options: DatabaseOptions = field(default_factory=DatabaseOptions)
     #: Bins per column of the shard's bitmap index; 0 disables it.
     bitmap_bins: int = DEFAULT_BITMAP_BINS
-    #: Columns the shard's bitmap index covers (``None`` = all dims).
-    #: A tuned replica ships a subset here; the index still answers
-    #: queries phrased over the full ``dims`` space.
-    bitmap_dims: tuple[str, ...] | None = None
 
     def column_dtypes(self) -> dict[str, np.dtype]:
         """Result-schema dtypes (what a gather/merge must produce)."""
@@ -165,15 +161,7 @@ def build_shard(
         spec.dims,
         spec.clustering,
         rows_per_page=spec.rows_per_page,
-        bitmap=(
-            (
-                spec.dims if spec.bitmap_dims is None else spec.bitmap_dims,
-                spec.bitmap_bins,
-                spec.dims,
-            )
-            if spec.bitmap_bins
-            else None
-        ),
+        bitmap=(spec.dims, spec.bitmap_bins, spec.dims) if spec.bitmap_bins else None,
     )
     return Shard(
         shard_id=spec.shard_id,
@@ -453,7 +441,6 @@ class KdPartitioner:
         options: DatabaseOptions | None = None,
         shard_options: dict[int, DatabaseOptions] | None = None,
         bitmap_bins: int = DEFAULT_BITMAP_BINS,
-        bitmap_dims: tuple[str, ...] | None = None,
     ) -> list[ShardSpec]:
         """Compute the partitioning plan without building any database.
 
@@ -520,7 +507,6 @@ class KdPartitioner:
                     ),
                     options=(shard_options or {}).get(j, options),
                     bitmap_bins=bitmap_bins,
-                    bitmap_dims=bitmap_dims,
                 )
             )
             offset += len(rows)

@@ -100,7 +100,7 @@ def _assert_load_matches(database, index, reference) -> None:
 class TestBuild:
     @pytest.mark.parametrize(
         "num_levels, axis_policy",
-        [(None, "widest"), (7, "cycle"), (6, "prefer:1")],
+        [(None, "widest"), (7, "cycle")],
     )
     def test_in_memory_build_stores_reference_pages(self, num_levels, axis_policy):
         data = _data(3000, seed=3)

@@ -1,18 +1,17 @@
 """One contract for every engine the query service can front.
 
 Each case runs once per engine -- a single-table
-:class:`~repro.core.planner.QueryPlanner`, a
+:class:`~repro.core.planner.QueryPlanner` and a
 :class:`~repro.shard.ScatterGatherExecutor` on the thread and on the
-process transport, and a :class:`~repro.tune.replicas.ReplicaRouter` --
-always behind a :class:`~repro.service.QueryService`, and checks what the
-service relies on the engine for:
+process transport -- always behind a :class:`~repro.service.QueryService`,
+and checks what the service relies on the engine for:
 
 - a repeated query is a result-cache hit;
 - an insert through the engine's own write path moves
   ``layout_version``, and the next run of the same query misses the cache;
 - ``report()["io"]`` is filled in;
-- an attached ``trace_recorder`` receives exactly one observation per
-  executed query -- none for cache hits -- both solo and micro-batched.
+- the service metrics count each executed query once -- cache hits
+  apart -- both solo and micro-batched.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ from repro import (
 )
 from repro.bitmap import BitmapIndex
 from repro.shard import ShardSet, build_shard
-from repro.tune import ReplicaRouter, ReplicaSet, WorkloadTraceRecorder, default_config
 
 BANDS = ["u", "g", "r", "i", "z"]
 NUM_ROWS = 2000
-ENGINES = ("planner", "thread", "process", "router")
+ENGINES = ("planner", "thread", "process")
 
 
 def _columns(n: int, seed: int, first_oid: int = 0) -> dict[str, np.ndarray]:
@@ -59,7 +57,7 @@ class _Served:
             BitmapIndex.build(self.database, "contract", BANDS)
             self.engine = QueryPlanner(index, seed=0)
             self.insert = index.table.insert_rows
-        elif kind in ("thread", "process"):
+        else:
             specs = KdPartitioner(2).plan("contract", dict(self.columns), BANDS)
             if kind == "process":
                 self.engine = ScatterGatherExecutor(specs=specs, transport="process", seed=0)
@@ -68,18 +66,6 @@ class _Served:
                 self.engine = ScatterGatherExecutor(shard_set, seed=0)
             self.insert = self.engine.insert_rows
             self.close = self.engine.close
-        else:
-            replica_set = ReplicaSet.build(
-                "contract",
-                dict(self.columns),
-                BANDS,
-                [default_config(), default_config().replace(bitmap_bins=16)],
-                seed=0,
-                key_column="oid",
-            )
-            self.engine = ReplicaRouter(replica_set)
-            self.insert = replica_set.insert_rows
-            self.close = replica_set.close
 
     def queries(self, count: int) -> list[Polyhedron]:
         points = np.column_stack([self.columns[b] for b in BANDS])
@@ -131,24 +117,6 @@ def test_report_carries_io(served):
             service.execute(polyhedron, timeout=60)
         report = service.report()
     assert report["io"]
-
-
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_trace_records_each_executed_query_once(served, batch_size):
-    recorder = WorkloadTraceRecorder()
-    queries = served.queries(4)
-    with served.service(
-        batch_size=batch_size, batch_delay_s=0.05, trace_recorder=recorder
-    ) as service:
-        tickets = [service.submit(polyhedron) for polyhedron in queries]
-        outcomes = [ticket.result(timeout=60) for ticket in tickets]
-        outcomes += [service.execute(polyhedron, timeout=60) for polyhedron in queries]
-        summary = service.metrics.summary()
-    executed = sum(1 for outcome in outcomes if not outcome.cache_hit)
-    assert executed >= len(queries)
-    assert recorder.recorded == executed
-    if batch_size > 1:
-        assert summary["batches"] >= 1
 
 
 @pytest.mark.parametrize("batch_size", [1, 4])

@@ -18,14 +18,11 @@ from repro import Database, KdTreeIndex, QueryPlanner, ScatterGatherExecutor
 from repro.core.engines import ENGINES, KD, SCAN, engine_choices, engine_named
 from repro.core.planner import QueryEngine
 from repro.net.pool import ShardWorkerPool
-from repro.tune import ReplicaRouter
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-@pytest.mark.parametrize(
-    "path", ["service/executor.py", "tune/replicas.py", "cli.py", "core/planner.py"]
-)
+@pytest.mark.parametrize("path", ["service/executor.py", "cli.py", "core/planner.py"])
 def test_front_ends_call_the_contract_instead_of_probing(path):
     text = (SRC / path).read_text(encoding="utf-8")
     assert "hasattr(" not in text
@@ -33,8 +30,7 @@ def test_front_ends_call_the_contract_instead_of_probing(path):
 
 
 def test_engine_names_are_spelled_only_in_the_registry():
-    # The tuner's what-if cost model keeps its own copy of the cost terms.
-    exempt = {SRC / "core" / "engines.py", SRC / "tune" / "evaluator.py"}
+    exempt = {SRC / "core" / "engines.py"}
     literal = re.compile(r"""["'](kdtree|bitmap|hybrid)["']""")
     offenders = [
         str(path.relative_to(SRC))
@@ -60,9 +56,7 @@ def test_calibration_keys_are_the_registry_names():
     assert list(planner.cost_report()["calibration"]) == [e.name for e in ENGINES]
 
 
-@pytest.mark.parametrize(
-    "cls", [QueryPlanner, ScatterGatherExecutor, ShardWorkerPool, ReplicaRouter]
-)
+@pytest.mark.parametrize("cls", [QueryPlanner, ScatterGatherExecutor, ShardWorkerPool])
 def test_every_front_end_is_a_query_engine(cls):
     assert issubclass(cls, QueryEngine)
 
