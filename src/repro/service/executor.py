@@ -182,7 +182,7 @@ class QueryService:
     def __init__(
         self,
         database: Database | None,
-        planner: QueryEngine | None = None,
+        planner: QueryEngine,
         *,
         workers: int = 4,
         queue_depth: int = 64,
@@ -198,8 +198,6 @@ class QueryService:
             raise ValueError("batch_size must be >= 1")
         if batch_delay_s < 0:
             raise ValueError("batch_delay_s must be >= 0")
-        if planner is None:
-            raise ValueError("a planner is required")
         self.database = database
         self.planner = planner
         self.sessions = SessionManager()
