@@ -292,6 +292,12 @@ class ShardCoordinator(QueryEngine):
         IN-lists ride to every dispatched shard; routing stays
         polyhedron-only -- membership filters never widen the dispatched
         set, they only thin rows inside it.
+
+        Deadlines are polled on a fixed rule: every live member's check
+        runs once before dispatch, and once per gather step (each reply,
+        trailer or ``poll_s`` timeout) until the gather ends.  So a
+        member whose answers have all arrived can still miss its
+        deadline before the gather returns.
         """
         self._check_open()
         n = len(polyhedra)
@@ -340,10 +346,9 @@ class ShardCoordinator(QueryEngine):
                 self._note(cancels_sent=1)
 
         while pending and live:
-            # Poll members still owed an answer, so a coordinator-side
-            # deadline cancels its member everywhere without waiting for
-            # the next shard frame.
-            for m in [m for m in live if gathered[m].waiting and checks[m]]:
+            # A coordinator-side deadline cancels its member everywhere
+            # without waiting for the next shard frame.
+            for m in [m for m in live if checks[m]]:
                 try:
                     checks[m]()
                 except Exception as exc:

@@ -10,6 +10,8 @@ sweeps live in test_differential.py under the ``faultsweep`` marker.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.db.storage import MemoryStorage
 from repro.service.errors import DeadlineExceeded
 from repro.service.result_cache import query_fingerprint
 from repro.shard import ShardRouter
+from repro.shard.coordinator import run_member_group
 
 DIMS = ["x", "y", "z"]
 NUM_ROWS = 4000
@@ -282,6 +285,54 @@ class TestCancellation:
 
         with pytest.raises(DeadlineExceeded):
             executor.knn(np.zeros(3), 5, cancel_check=expired)
+
+    def test_gather_polls_an_answered_member_until_it_ends(self):
+        """Every gather step polls every live member, answered or not.
+
+        The stub transport queues each member's answer and the shard's
+        trailer before ``_send_group`` returns, and never runs a member's
+        check, so the coordinator's polls are the only calls.  The doomed
+        member is answered by the first shard at the first gather step;
+        the gather then takes three more steps (that shard's trailer, the
+        other shard's answer and trailer), and the check's 4th call still
+        fails the member.
+        """
+
+        class QueuedTransport(ScatterGatherExecutor):
+            def _send_group(self, shard_id, group, out):
+                ids = [m for m, *_ in group]
+                trailer = run_member_group(
+                    self.shard_set[shard_id].table,
+                    self.planners[shard_id],
+                    [(polyhedron, None, memberships) for _, polyhedron, _, memberships in group],
+                    lambda i, outcome: out.put((shard_id, ids[i], outcome)),
+                )
+                out.put((shard_id, None, trailer))
+                return {m: threading.Event() for m in ids}
+
+        calls = {"n": 0}
+
+        def check():
+            calls["n"] += 1
+            if calls["n"] > 3:
+                raise DeadlineExceeded("budget spent")
+
+        shard_set = KdPartitioner(2, buffer_pages=None).partition("polls", _make_data(), DIMS)
+        queries = [
+            Polyhedron.from_box(Box.cube(np.array(center), 0.5))
+            for center in ([0.0, 0.0, 0.0], [3.0, 2.0, 1.0])
+        ]
+        with QueuedTransport(shard_set) as engine:
+            dispatched = [
+                [shard.shard_id for shard, _ in engine.router.route_polyhedron(q).dispatched]
+                for q in queries
+            ]
+            assert len(dispatched[0]) == len(dispatched[1]) == 1
+            assert dispatched[0] != dispatched[1]
+            result = engine.execute_batch(queries, [check, None])
+        assert calls["n"] == 4
+        assert isinstance(result.members[0].error, DeadlineExceeded)
+        assert result.members[1].error is None
 
 
 def _faulty_shard_setup(fault_shard: int = 0):
