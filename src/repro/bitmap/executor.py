@@ -61,16 +61,6 @@ def _restrict_to_ranges(
     return candidates[np.cumsum(depth[:-1]) > 0]
 
 
-def _members(
-    index: BitmapIndex, polyhedra, cancel_checks, memberships_list
-) -> list[FetchMember]:
-    """One fetch member per query, residual in the index's query space."""
-    # Residual filtering, zone pruning, and dim validation all happen in
-    # the *query* coordinate space, which may be wider than the indexed
-    # column subset.
-    return query_members(polyhedra, index.query_dims, cancel_checks, memberships_list)
-
-
 def _fetch_candidates(
     index: BitmapIndex,
     members: list[FetchMember],
@@ -153,7 +143,7 @@ def batch_bitmap_query(
     computed from ``index`` for exactly these queries (the planner
     prices the bitmap engine with them), sparing the second AND.
     """
-    members = _members(index, polyhedra, cancel_checks, memberships_list)
+    members = query_members(polyhedra, index.dims, cancel_checks, memberships_list)
     return _fetch_candidates(index, members, candidate_rows_list, use_zone_maps, retry)
 
 
@@ -231,7 +221,7 @@ def batch_hybrid_query(
     kd query while ``pages_touched`` reflects the intersected candidate
     set.
     """
-    members = _members(bitmap_index, polyhedra, cancel_checks, memberships_list)
+    members = query_members(polyhedra, bitmap_index.dims, cancel_checks, memberships_list)
     ranges_list = kd_index.candidate_ranges(members, use_tight_boxes)
     return _fetch_candidates(
         bitmap_index, members, candidate_rows_list, use_zone_maps, SCAN_RETRY, ranges_list

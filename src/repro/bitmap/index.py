@@ -82,7 +82,6 @@ class BitmapIndex:
         edges: dict[str, np.ndarray],
         bitmaps: dict[str, list[CompressedBitmap]],
         bin_counts: dict[str, np.ndarray],
-        table_dims: list[str] | None = None,
     ):
         self._db = database
         self._table = table
@@ -90,16 +89,6 @@ class BitmapIndex:
         self._edges = edges
         self._bitmaps = bitmaps
         self._bin_counts = bin_counts
-        # Coordinate axes queries are phrased in.  Defaults to the
-        # indexed dims (the all-axes index); an index over a subset of
-        # the axes names the full query space in ``table_dims``, and
-        # ``_axes`` maps each indexed column back to its polyhedron axis.
-        self._table_dims = list(table_dims) if table_dims is not None else list(dims)
-        self._axes = {
-            col: self._table_dims.index(col)
-            for col in self._dims
-            if col in self._table_dims
-        }
 
     # -- build ---------------------------------------------------------------
 
@@ -113,7 +102,6 @@ class BitmapIndex:
         register: bool = True,
         retry=None,
         table=None,
-        table_dims: list[str] | None = None,
     ) -> "BitmapIndex":
         """Bin the table's columns and build one bitmap per bin.
 
@@ -121,8 +109,6 @@ class BitmapIndex:
         (e.g. a merge that just wrote them); otherwise they are read
         back through the buffer pool.  ``table`` overrides the catalog
         lookup for builds over a generation not yet swapped in (merges).
-        ``table_dims`` names the full coordinate axis order when
-        ``dims`` indexes only a subset of it.
         Registers as ``<name>.bitmap`` unless ``register`` is false.
         """
         if num_bins < 2:
@@ -169,10 +155,7 @@ class BitmapIndex:
             edges[col] = col_edges
             bitmaps[col] = col_bitmaps
             bin_counts[col] = np.diff(boundaries).astype(np.int64)
-        index = BitmapIndex(
-            database, table, dims, edges, bitmaps, bin_counts,
-            table_dims=table_dims,
-        )
+        index = BitmapIndex(database, table, dims, edges, bitmaps, bin_counts)
         if register:
             database.register_index(f"{name}.bitmap", index)
         return index
@@ -195,16 +178,6 @@ class BitmapIndex:
         return list(self._dims)
 
     @property
-    def query_dims(self) -> list[str]:
-        """The coordinate axes queries are phrased in.
-
-        Equal to :attr:`dims` for a full-coverage index; a superset of
-        it when only some axes are indexed.  Executors validate query
-        dimensionality and run residual filters against *this* space.
-        """
-        return list(self._table_dims)
-
-    @property
     def num_bins(self) -> int:
         """Bins per indexed column."""
         return len(self._bin_counts[self._dims[0]]) if self._dims else 0
@@ -212,18 +185,6 @@ class BitmapIndex:
     def bin_edges(self, col: str) -> np.ndarray:
         """The ``num_bins + 1`` equi-depth edges of one column."""
         return self._edges[col]
-
-    def bin_bitmap(self, col: str, bin_id: int) -> CompressedBitmap:
-        """The compressed bitmap of one bin."""
-        return self._bitmaps[col][bin_id]
-
-    def compressed_words(self) -> int:
-        """Total stored words across every bin (the index's footprint)."""
-        return sum(
-            bitmap.num_words
-            for col_bitmaps in self._bitmaps.values()
-            for bitmap in col_bitmaps
-        )
 
     # -- bin selection -------------------------------------------------------
 
@@ -278,11 +239,8 @@ class BitmapIndex:
         num_rows = self._table.num_rows
         result: CompressedBitmap | None = None
         if polyhedron is not None:
-            lows, highs = axis_bounds(polyhedron, len(self._table_dims))
-            for col in self._dims:
-                axis = self._axes.get(col)
-                if axis is None:
-                    continue  # indexed column outside the query space
+            lows, highs = axis_bounds(polyhedron, len(self._dims))
+            for axis, col in enumerate(self._dims):
                 low, high = lows[axis], highs[axis]
                 if not (np.isfinite(low) or np.isfinite(high)):
                     continue
@@ -333,11 +291,8 @@ class BitmapIndex:
         num_rows = max(1, self._table.num_rows)
         fraction: float | None = None
         if polyhedron is not None:
-            lows, highs = axis_bounds(polyhedron, len(self._table_dims))
-            for col in self._dims:
-                axis = self._axes.get(col)
-                if axis is None:
-                    continue
+            lows, highs = axis_bounds(polyhedron, len(self._dims))
+            for axis, col in enumerate(self._dims):
                 low, high = lows[axis], highs[axis]
                 if not (np.isfinite(low) or np.isfinite(high)):
                     continue
@@ -365,7 +320,6 @@ class BitmapIndex:
             "table": self._table.physical_name,
             "name": self._table.name,
             "dims": list(self._dims),
-            "table_dims": list(self._table_dims),
             "num_bins": self.num_bins,
             "columns": [
                 {
@@ -380,7 +334,19 @@ class BitmapIndex:
 
     @classmethod
     def from_dict(cls, database, payload: dict) -> "BitmapIndex":
-        """Rebuild from :meth:`to_dict` output against a reopened catalog."""
+        """Rebuild from :meth:`to_dict` output against a reopened catalog.
+
+        Payloads written before every index covered exactly its query
+        axes may carry ``table_dims``; one equal to ``dims`` is the same
+        index, any other is refused rather than read in a new axis space.
+        """
+        legacy_axes = payload.get("table_dims")
+        if legacy_axes is not None and list(legacy_axes) != list(payload["dims"]):
+            raise ValueError(
+                f"bitmap index {payload['name']}.bitmap covers {payload['dims']} "
+                f"of query axes {legacy_axes}; only indexes over exactly "
+                f"their query axes can be reopened -- rebuild it"
+            )
         table = database.table(payload["name"])
         edges = {}
         bitmaps = {}
@@ -390,7 +356,4 @@ class BitmapIndex:
             edges[col] = np.asarray(entry["edges"], dtype=np.float64)
             bin_counts[col] = np.asarray(entry["counts"], dtype=np.int64)
             bitmaps[col] = [CompressedBitmap.from_dict(b) for b in entry["bitmaps"]]
-        return cls(
-            database, table, payload["dims"], edges, bitmaps, bin_counts,
-            table_dims=payload.get("table_dims"),
-        )
+        return cls(database, table, payload["dims"], edges, bitmaps, bin_counts)

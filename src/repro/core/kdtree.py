@@ -322,15 +322,15 @@ def install(
     *,
     rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
     physical_name: str | None = None,
-    bitmap: tuple[Sequence[str], int, Sequence[str]] | None = None,
+    bitmap_bins: int | None = None,
 ):
     """Write a clustered table and its node pages: the storage half of a load.
 
     Creates table ``name`` from ``columns`` plus ``clustering.kd_leaf``,
     clustered on ``kd_leaf``, then writes the node pages under the
     table's index namespace -- straight to storage, so a freshly loaded
-    index starts cold -- and, when ``bitmap`` names ``(indexed_dims,
-    num_bins, query_dims)``, builds a bitmap index over the table.
+    index starts cold -- and, when ``bitmap_bins`` is nonzero, builds a
+    bitmap index with that many bins per column over ``dims``.
     Without ``physical_name`` the table and both indexes are registered;
     a merge passes its new generation's name instead, registers nothing
     and swaps the returned indexes in with the table.
@@ -377,17 +377,15 @@ def install(
     if register:
         database.register_index(f"{name}.kdtree", index)
     bitmap_index = None
-    if bitmap is not None:
-        indexed_dims, num_bins, query_dims = bitmap
+    if bitmap_bins:
         try:
             bitmap_index = BitmapIndex.build(
                 database,
                 name,
-                list(indexed_dims),
-                num_bins=num_bins,
+                list(dims),
+                num_bins=bitmap_bins,
                 register=register,
                 table=table,
-                table_dims=list(query_dims),
             )
         except StorageFault:
             pass

@@ -152,22 +152,17 @@ def merge_table(
                 axis_policy=index.tree.axis_policy,
             )
             # The bitmap is rebuilt over the new generation so it swaps
-            # in atomically with the table and kd-tree.  A bitmap may
-            # cover a dims subset while queries stay in the full
-            # coordinate space; the rebuild keeps that axis mapping.  If
-            # its rebuild faults the bitmap is dropped entirely -- a
-            # stale entry would start raising once the old physical
-            # namespace retires, whereas no entry just degrades the
-            # planner to kd/scan.
+            # in atomically with the table and kd-tree.  If its rebuild
+            # faults the bitmap is dropped entirely -- a stale entry
+            # would start raising once the old physical namespace
+            # retires, whereas no entry just degrades the planner to
+            # kd/scan.
             old_bitmap = database.index_if_exists(f"{name}.bitmap")
             new_index, bitmap = install(
                 database, name, merged, index.dims, clustering,
                 rows_per_page=per_page,
                 physical_name=physical,
-                bitmap=(
-                    None if old_bitmap is None else
-                    (old_bitmap.dims, old_bitmap.num_bins, old_bitmap.query_dims)
-                ),
+                bitmap_bins=None if old_bitmap is None else old_bitmap.num_bins,
             )
             new_table = new_index.table
             indexes[f"{name}.kdtree"] = new_index

@@ -161,7 +161,7 @@ def build_shard(
         spec.dims,
         spec.clustering,
         rows_per_page=spec.rows_per_page,
-        bitmap=(spec.dims, spec.bitmap_bins, spec.dims) if spec.bitmap_bins else None,
+        bitmap_bins=spec.bitmap_bins,
     )
     return Shard(
         shard_id=spec.shard_id,

@@ -10,6 +10,8 @@ round-tripped.  Cross-engine row-identity tests live in
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,31 @@ class TestBitmapPersistence:
         save_catalog(db)
         reopened = attach_database(tmp_path, buffer_pages=None)
         assert reopened.index_if_exists("t.bitmap") is None
+
+    @pytest.mark.parametrize(
+        "query_axes", [DIMS, [*DIMS, "i"]], ids=["equal-to-dims", "wider-than-dims"]
+    )
+    def test_persisted_query_axes_reattach_only_when_equal_to_dims(
+        self, tmp_path, query_axes
+    ):
+        # Older catalogs stored the axes queries were phrased in as
+        # ``table_dims``; only the value every index had in practice is
+        # read back, anything else is refused by name.
+        db = Database.on_disk(tmp_path, buffer_pages=None)
+        KdTreeIndex.build(db, "t", _table_data(500, seed=9), DIMS)
+        BitmapIndex.build(db, "t", DIMS)
+        path = save_catalog(db)
+        catalog = json.loads(path.read_text())
+        (payload,) = catalog["bitmap_indexes"]
+        assert "table_dims" not in payload
+        payload["table_dims"] = query_axes
+        path.write_text(json.dumps(catalog))
+        if query_axes == DIMS:
+            reopened = attach_database(tmp_path, buffer_pages=None)
+            assert reopened.index_if_exists("t.bitmap").dims == DIMS
+        else:
+            with pytest.raises(ValueError, match=r"t\.bitmap"):
+                attach_database(tmp_path, buffer_pages=None)
 
 
 class TestBitmapUnderMerge:
