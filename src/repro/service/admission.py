@@ -55,15 +55,6 @@ class AdmissionQueue:
             self._not_empty.notify()
             return True
 
-    def pop(self, timeout: float | None = None) -> Any | None:
-        """Take the oldest admitted item; ``None`` on timeout."""
-        with self._not_empty:
-            if not self._items:
-                self._not_empty.wait(timeout)
-            if not self._items:
-                return None
-            return self._items.popleft()
-
     def pop_batch(
         self,
         max_items: int,
@@ -72,10 +63,10 @@ class AdmissionQueue:
     ) -> list[Any]:
         """Take up to ``max_items`` queued items as one micro-batch.
 
-        Blocks like :meth:`pop` for the *first* item (up to ``timeout``),
-        then drains whatever backlog is already queued.  When the batch
-        is still short and ``delay_s > 0``, waits up to that long for
-        more arrivals -- the bounded formation delay that trades a little
+        Blocks for the *first* item (up to ``timeout``), then drains
+        whatever backlog is already queued.  When the batch is still
+        short and ``delay_s > 0``, waits up to that long for more
+        arrivals -- the bounded formation delay that trades a little
         latency for shared work.  Returns ``[]`` on timeout.
         """
         if max_items < 1:

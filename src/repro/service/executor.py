@@ -166,11 +166,11 @@ class QueryService:
         Seconds applied to queries submitted without an explicit one
         (``None`` = no deadline).
     batch_size:
-        Maximum micro-batch occupancy.  ``1`` (the default) serves each
-        query alone; larger values let a worker pull several admitted
-        queries at once and run them through the engine's
-        ``execute_batch``, decoding shared pages once for the whole
-        batch.  Result-cache hits are peeled off before
+        Maximum micro-batch occupancy.  Every pull runs through the
+        engine's ``execute_batch``; ``1`` (the default) serves each query
+        alone, as a batch of one, and larger values let a worker pull
+        several admitted queries at once, decoding shared pages once for
+        the whole batch.  Result-cache hits are peeled off before
         batch formation, and each member keeps its own deadline,
         cancellation, and failure handling.
     batch_delay_s:
@@ -367,55 +367,28 @@ class QueryService:
     # -- worker side ----------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        batched = self.batch_size > 1
         while not self._stop.is_set():
-            if batched:
-                items = self.admission.pop_batch(
-                    self.batch_size, delay_s=self.batch_delay_s, timeout=0.05
-                )
-                if not items:
-                    continue
-                try:
-                    self._run_batch(items)
-                except BaseException as exc:  # last-ditch: never kill a worker
-                    for item in items:
-                        if not item.ticket.done():
-                            item.ticket._fail(exc)
-            else:
-                item = self.admission.pop(timeout=0.05)
-                if item is None:
-                    continue
-                try:
-                    self._run_one(item)
-                except BaseException as exc:  # last-ditch: never kill a worker
-                    item.ticket._fail(exc)
-
-    def _run_one(self, item: _WorkItem) -> None:
-        started = time.monotonic()
-        try:
-            if item.deadline is not None:
-                item.deadline.check()
-            planned = self._cache_get(item)
-            cache_hit = planned is not None
-            if not cache_hit:
-                planned = self.planner.execute(
-                    item.polyhedron,
-                    cancel_check=item.deadline.check if item.deadline is not None else None,
-                    memberships=item.memberships,
-                )
-                self._cache_put(item, planned)
-            self._complete_item(item, planned, cache_hit, started)
-        except Exception as exc:
-            self._fail_item(item, exc, started)
+            items = self.admission.pop_batch(
+                self.batch_size, delay_s=self.batch_delay_s, timeout=0.05
+            )
+            if not items:
+                continue
+            try:
+                self._run_batch(items)
+            except BaseException as exc:  # last-ditch: never kill a worker
+                for item in items:
+                    if not item.ticket.done():
+                        item.ticket._fail(exc)
 
     def _run_batch(self, items: list[_WorkItem]) -> None:
         """Serve one micro-batch through the engine's shared executor.
 
-        Cache hits and already-expired deadlines are peeled off first;
-        the rest run as one ``execute_batch`` call whose per-member
-        outcomes feed the exact same completion/failure paths as solo
-        execution -- one member's deadline or fault never disturbs its
-        siblings.
+        A solo query is a batch of one.  Cache hits and already-expired
+        deadlines are peeled off first; the rest run as one
+        ``execute_batch`` call whose per-member outcomes feed the same
+        completion and failure paths -- one member's deadline or fault
+        never disturbs its siblings.  Batches are counted in the metrics
+        only when ``batch_size`` allows more than one member.
         """
         started = time.monotonic()
         pending: list[_WorkItem] = []
@@ -449,9 +422,10 @@ class QueryService:
             for item in pending:
                 self._fail_item(item, exc, started)
             return
-        self.metrics.note_batch(
-            len(pending), batch.pages_decoded, batch.shared_decode_hits
-        )
+        if self.batch_size > 1:
+            self.metrics.note_batch(
+                len(pending), batch.pages_decoded, batch.shared_decode_hits
+            )
         for item, member in zip(pending, batch.members):
             if member.error is not None:
                 if isinstance(member.error, Exception):

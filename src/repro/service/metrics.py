@@ -18,15 +18,9 @@ from repro.core.engines import ENGINES
 from repro.db.procedures import ProcedureRegistry
 from repro.db.stats import QueryStats
 
-__all__ = ["QueryMetrics", "MetricsRegistry", "SELECTIVITY_ERROR_BUCKETS", "shard_paths_of"]
+__all__ = ["QueryMetrics", "MetricsRegistry", "shard_paths_of"]
 
 _SHARD_PATH = "shard_path_"
-
-#: Upper bounds of the ``selectivity_error`` histogram buckets (absolute
-#: |estimated - actual| selectivity); errors above the last bound land
-#: in a final ``inf`` bucket.
-SELECTIVITY_ERROR_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5)
-
 
 def shard_paths_of(stats: QueryStats) -> dict[str, int]:
     """A sharded answer's shard count per access path (from its extras)."""
@@ -207,33 +201,6 @@ class MetricsRegistry:
             "batch_pages_decoded": float(batch_pages_decoded),
             "shared_decode_hits": float(shared_decode_hits),
         }
-
-    def selectivity_error_histogram(self) -> dict[str, int]:
-        """How far off the planner's selectivity estimates ran.
-
-        Buckets are cumulative-exclusive: each key ``le_<bound>`` counts
-        completed queries whose ``|estimated - actual|`` error falls in
-        ``(previous bound, bound]``; ``inf`` collects the rest.  Queries
-        with no measured actual selectivity (cache hits, failures) are
-        excluded.
-        """
-        with self._lock:
-            records = list(self._records)
-        errors = [
-            r.selectivity_error
-            for r in records
-            if r.ok and r.selectivity_error == r.selectivity_error
-        ]
-        histogram = {f"le_{bound}": 0 for bound in SELECTIVITY_ERROR_BUCKETS}
-        histogram["inf"] = 0
-        for error in errors:
-            for bound in SELECTIVITY_ERROR_BUCKETS:
-                if error <= bound:
-                    histogram[f"le_{bound}"] += 1
-                    break
-            else:
-                histogram["inf"] += 1
-        return histogram
 
     def procedure_report(self, procedures: ProcedureRegistry) -> dict[str, dict[str, float]]:
         """Per-procedure calls and cumulative wall time (from the registry)."""

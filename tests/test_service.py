@@ -70,10 +70,10 @@ class TestAdmissionQueue:
         assert counters["admitted"] == 2
         assert counters["rejected"] == 1
         assert counters["high_water"] == 2
-        assert queue.pop() == "a"  # FIFO
+        assert queue.pop_batch(1) == ["a"]  # FIFO
         assert queue.offer("c")  # room again after a pop
-        assert queue.pop() == "b" and queue.pop() == "c"
-        assert queue.pop(timeout=0.01) is None
+        assert queue.pop_batch(1) == ["b"] and queue.pop_batch(1) == ["c"]
+        assert queue.pop_batch(1, timeout=0.01) == []
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
