@@ -439,53 +439,58 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--buffer-pages", type=int, default=4096)
     demo.set_defaults(func=_cmd_demo)
 
-    replay = sub.add_parser(
-        "replay", help="serve a Figure 2 workload through the query service"
-    )
-    replay.add_argument("--rows", type=int, default=20_000)
-    replay.add_argument("--queries", type=int, default=240)
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--buffer-pages", type=int, default=4096)
-    replay.add_argument(
+    # Flags that build the serving stack, declared once for both
+    # ``replay`` and ``serve``.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--rows", type=int, default=20_000)
+    serving.add_argument("--seed", type=int, default=0)
+    serving.add_argument("--buffer-pages", type=int, default=4096)
+    serving.add_argument(
         "--index-cache-mb", type=float, default=None,
         help="decoded node-cache budget per paged kd-tree, in MiB "
         "(default: the database's 4 MiB)",
     )
-    replay.add_argument(
+    serving.add_argument(
         "--shards", type=int, default=0,
         help="kd-subtree shard count (power of two; 0 = single unsharded index)",
     )
-    replay.add_argument(
+    serving.add_argument(
+        "--transport", choices=["thread", "process"], default="thread",
+        help="shard execution transport (process = one worker process per shard)",
+    )
+    serving.add_argument(
         "--engine", choices=engine_choices(),
         default="auto",
         help="force one access path for every query (auto = cost-based choice)",
     )
+    serving.add_argument("--workers", type=int, default=8, help="service worker threads")
+    serving.add_argument("--queue-depth", type=int, default=32)
+    serving.add_argument(
+        "--deadline-ms", type=float, default=0.0,
+        help="per-query deadline in milliseconds (0 = none)",
+    )
+    serving.add_argument(
+        "--batch", type=int, default=1,
+        help="max queries micro-batched per worker pull (1 = solo execution)",
+    )
+    serving.add_argument(
+        "--batch-delay-ms", type=float, default=0.0,
+        help="bounded batch-formation delay in milliseconds",
+    )
+
+    replay = sub.add_parser(
+        "replay", parents=[serving],
+        help="serve a Figure 2 workload through the query service",
+    )
+    replay.add_argument("--queries", type=int, default=240)
     replay.add_argument("--concurrency", type=int, default=8, help="client threads")
-    replay.add_argument("--workers", type=int, default=8, help="service worker threads")
-    replay.add_argument("--queue-depth", type=int, default=32)
     replay.add_argument(
         "--duplicate-fraction", type=float, default=0.5,
         help="fraction of replayed queries that repeat an earlier one",
     )
     replay.add_argument(
-        "--deadline-ms", type=float, default=0.0,
-        help="per-query deadline in milliseconds (0 = none)",
-    )
-    replay.add_argument(
-        "--batch", type=int, default=1,
-        help="max queries micro-batched per worker pull (1 = solo execution)",
-    )
-    replay.add_argument(
-        "--batch-delay-ms", type=float, default=0.0,
-        help="bounded batch-formation delay in milliseconds",
-    )
-    replay.add_argument(
         "--verify", action="store_true",
         help="re-run serially and compare results row for row",
-    )
-    replay.add_argument(
-        "--transport", choices=["thread", "process"], default="thread",
-        help="shard execution transport (process = one worker process per shard)",
     )
     replay.add_argument(
         "--connect", default="",
@@ -495,37 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     replay.set_defaults(func=_cmd_replay)
 
     srv = sub.add_parser(
-        "serve", help="serve the query service over TCP until SIGTERM"
+        "serve", parents=[serving],
+        help="serve the query service over TCP until SIGTERM",
     )
-    srv.add_argument("--rows", type=int, default=20_000)
-    srv.add_argument("--seed", type=int, default=0)
-    srv.add_argument("--buffer-pages", type=int, default=4096)
-    srv.add_argument(
-        "--index-cache-mb", type=float, default=None,
-        help="decoded node-cache budget per paged kd-tree, in MiB "
-        "(default: the database's 4 MiB)",
-    )
-    srv.add_argument(
-        "--shards", type=int, default=0,
-        help="kd-subtree shard count (power of two; 0 = single unsharded index)",
-    )
-    srv.add_argument(
-        "--transport", choices=["thread", "process"], default="thread",
-        help="shard execution transport (process = one worker process per shard)",
-    )
-    srv.add_argument(
-        "--engine", choices=engine_choices(),
-        default="auto",
-        help="force one access path for every query (auto = cost-based choice)",
-    )
-    srv.add_argument("--workers", type=int, default=8, help="service worker threads")
-    srv.add_argument("--queue-depth", type=int, default=32)
-    srv.add_argument(
-        "--deadline-ms", type=float, default=0.0,
-        help="default per-query deadline in milliseconds (0 = none)",
-    )
-    srv.add_argument("--batch", type=int, default=1)
-    srv.add_argument("--batch-delay-ms", type=float, default=0.0)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=0, help="0 picks a free port")
     srv.add_argument(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.engines import ENGINES
 
@@ -32,6 +33,32 @@ class TestCli:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_replay_and_serve_parse_the_serving_flags_alike(self, monkeypatch):
+        shared = [
+            "rows", "seed", "buffer_pages", "index_cache_mb", "shards", "transport",
+            "engine", "workers", "queue_depth", "deadline_ms", "batch", "batch_delay_ms",
+        ]
+        argv = [
+            "--rows", "1234", "--seed", "7", "--buffer-pages", "64",
+            "--index-cache-mb", "1.5", "--shards", "2", "--transport", "process",
+            "--engine", "bitmap", "--workers", "3", "--queue-depth", "5",
+            "--deadline-ms", "250", "--batch", "4", "--batch-delay-ms", "2.5",
+        ]
+        parsed = {"replay": [], "serve": []}
+        for command, calls in parsed.items():
+            def capture(args, calls=calls):
+                calls.append(args)
+                return 0
+
+            monkeypatch.setattr(cli, f"_cmd_{command}", capture)
+            assert main([command, *argv]) == 0
+            assert main([command]) == 0
+        (replay_set, replay_default), (serve_set, serve_default) = parsed.values()
+        for name in shared:
+            assert getattr(replay_set, name) == getattr(serve_set, name), name
+            assert getattr(replay_default, name) == getattr(serve_default, name), name
+            assert getattr(replay_set, name) != getattr(replay_default, name), name
 
 
 REPLAY = ["replay", "--rows", "2000", "--queries", "12", "--verify"]
