@@ -45,13 +45,11 @@ from repro.db import (
     save_catalog,
 )
 from repro.geometry import Box, Halfspace, Polyhedron, Whitener
-from repro.archive import SimilarSpectrum, SpectrumArchive
+from repro.archive import SpectrumArchive
 from repro.core import (
-    KdTree,
     QueryPlanner,
     RTreeIndex,
     KdTreeIndex,
-    KnnResult,
     LayeredGridIndex,
     TableSampleBaseline,
     VoronoiIndex,
@@ -69,17 +67,12 @@ from repro.tessellation import (
     DelaunayEdgeStore,
     DelaunayGraph,
     DelaunayPyramid,
-    VoronoiCells,
     density_from_volumes,
     voronoi_volume_estimates,
 )
 from repro.datasets import (
-    FilterBank,
     GaussianMixtureField,
-    PhotozDataset,
     QueryWorkload,
-    SdssSample,
-    SkySample,
     SpectrumTemplates,
     sky_survey_sample,
     make_photoz_dataset,
@@ -97,47 +90,35 @@ from repro.ml import (
     cluster_class_agreement,
     clusters_from_parents,
     merge_small_clusters,
-    smooth_densities,
     regression_report,
     retrieval_precision,
 )
 from repro.service import (
     AdmissionRejected,
-    Deadline,
     DeadlineExceeded,
     QueryFault,
     QueryService,
-    ReplayReport,
     replay_workload,
 )
 from repro.shard import (
     KdPartitioner,
     ScatterGatherExecutor,
-    Shard,
-    ShardRouter,
-    ShardSet,
-    ShardSpec,
-    ShardedKnnResult,
     build_shard,
-    scatter_gather_knn,
 )
 from repro.net import (
     QueryClient,
     QueryServer,
-    ShardWorkerPool,
     WorkerDied,
     replay_over_network,
 )
 from repro.ingest import (
     DELTA_BASE,
     DeltaTier,
-    IngestManager,
     IngestWal,
     MergeDaemon,
-    MergeReport,
     merge_table,
 )
-from repro.bitmap import BitmapIndex, CompressedBitmap
+from repro.bitmap import BitmapIndex
 from repro.vectype import NativeBinaryCodec, UdtPickleCodec, VectorColumn
 from repro.viz import (
     AdaptivePointCloudProducer,
@@ -146,7 +127,6 @@ from repro.viz import (
     SubsamplePipe,
     Camera,
     DelaunayEdgeProducer,
-    ExportConsumer,
     GeometrySet,
     KdBoxProducer,
     PluginHost,
@@ -170,10 +150,8 @@ __all__ = [
     # ingest (the write path)
     "DELTA_BASE",
     "DeltaTier",
-    "IngestManager",
     "IngestWal",
     "MergeDaemon",
-    "MergeReport",
     "merge_table",
     # faults & recovery
     "StorageFault",
@@ -189,12 +167,10 @@ __all__ = [
     "Polyhedron",
     "Whitener",
     # indexes
-    "KdTree",
     "KdTreeIndex",
     "LayeredGridIndex",
     "TableSampleBaseline",
     "VoronoiIndex",
-    "KnnResult",
     "knn_boundary_points",
     "knn_best_first",
     "knn_brute_force",
@@ -207,53 +183,37 @@ __all__ = [
     "QueryPlanner",
     "RTreeIndex",
     "BitmapIndex",
-    "CompressedBitmap",
     "ConvexHullSelector",
     "KnnClassifier",
     "aggregate_scan",
     "count_rows",
     "SpectrumArchive",
-    "SimilarSpectrum",
     "KdTreeOutlierDetector",
     "VoronoiOutlierDetector",
     # tessellation
     "DelaunayGraph",
     "DelaunayEdgeStore",
     "DelaunayPyramid",
-    "VoronoiCells",
     "voronoi_volume_estimates",
     "density_from_volumes",
     # datasets
-    "SdssSample",
     "sdss_color_sample",
     "GaussianMixtureField",
-    "SkySample",
     "sky_survey_sample",
     "SpectrumTemplates",
-    "FilterBank",
-    "PhotozDataset",
     "make_photoz_dataset",
     "QueryWorkload",
     # query service
     "QueryService",
-    "Deadline",
     "DeadlineExceeded",
     "AdmissionRejected",
     "QueryFault",
-    "ReplayReport",
     "replay_workload",
     # sharded execution
     "KdPartitioner",
-    "Shard",
-    "ShardSet",
-    "ShardSpec",
-    "ShardRouter",
     "ScatterGatherExecutor",
-    "ShardedKnnResult",
     "build_shard",
-    "scatter_gather_knn",
     # networked execution
-    "ShardWorkerPool",
     "WorkerDied",
     "QueryServer",
     "QueryClient",
@@ -265,7 +225,6 @@ __all__ = [
     "basin_spanning_tree",
     "clusters_from_parents",
     "merge_small_clusters",
-    "smooth_densities",
     "cluster_class_agreement",
     "regression_report",
     "retrieval_precision",
@@ -285,5 +244,4 @@ __all__ = [
     "SubsamplePipe",
     "ClipBoxPipe",
     "ColorByDensityPipe",
-    "ExportConsumer",
 ]

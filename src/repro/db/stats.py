@@ -97,15 +97,6 @@ class IOStats:
         with self._lock:
             return IOStats(**{name: getattr(self, name) for name in self._COUNTERS})
 
-    def delta_since(self, earlier: "IOStats") -> "IOStats":
-        """Counter differences relative to an earlier snapshot."""
-        return IOStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in self._COUNTERS
-            }
-        )
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view of the counters (for reports and JSON)."""
         with self._lock:

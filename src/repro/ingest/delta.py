@@ -255,11 +255,6 @@ class DeltaTier:
         return self._epoch
 
     @property
-    def num_inserted(self) -> int:
-        """Total rows ever inserted (including later-deleted ones)."""
-        return self._num_inserted
-
-    @property
     def num_live(self) -> int:
         """Inserted rows still visible."""
         return self._num_inserted - len(self._delta_tombstones)

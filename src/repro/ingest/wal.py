@@ -75,10 +75,6 @@ class IngestRecord:
         """The deleted row ids (DELETE records only)."""
         return np.frombuffer(self.payload, dtype=np.int64).copy()
 
-    def decode_generation(self) -> int:
-        """The merge's target generation (MERGE_* records only)."""
-        return struct.unpack("<q", self.payload)[0]
-
 
 class IngestWal:
     """An append-only logical log shared by every table of a database."""

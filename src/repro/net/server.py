@@ -52,12 +52,7 @@ from repro.net.wire import (
     read_frame_async,
     stats_to_wire,
 )
-from repro.service.errors import (
-    AdmissionRejected,
-    DeadlineExceeded,
-    QueryFault,
-    ServiceClosed,
-)
+from repro.service.errors import AdmissionRejected, QueryFault, ServiceClosed
 from repro.service.executor import QueryService
 
 __all__ = ["QueryServer", "serve"]
@@ -86,8 +81,6 @@ def _service_error_to_wire(exc: BaseException) -> dict:
         }
     # DeadlineExceeded and StorageFault (and anything else) already have
     # wire forms in the shared converter.
-    if isinstance(exc, DeadlineExceeded):
-        return {"kind": "deadline", "type": "DeadlineExceeded", "message": str(exc)}
     return error_to_wire(exc)
 
 

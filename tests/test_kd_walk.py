@@ -146,7 +146,6 @@ def _overfull_tree(points: np.ndarray, num_levels: int) -> KdTree:
     tree.num_points, tree.dim = points.shape
     tree.num_levels = num_levels
     tree.axis_policy = "widest"
-    tree._preferred = None
     (
         tree.permutation,
         tree._split_axis,
