@@ -10,7 +10,7 @@ pages would otherwise be read, CRC-verified, and predicate-filtered once
   member set -- level by level, each level's nodes gathered once and
   classified against every member still active at them -- and serves
   every member's claimed row ranges with one call of the fetch kernel
-  (:func:`repro.db.fetch.fetch`), which decodes each needed page once.
+  (:func:`repro.db.fetch.fetch_ranges`), which decodes each needed page once.
   :meth:`~repro.core.kdtree.KdTreeIndex.query_polyhedron` is its batch
   of one.
 * :class:`BatchResult` / :class:`BatchMemberResult` are the engine-level
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.db.fetch import Outcome, fetch, query_members, range_segments
+from repro.db.fetch import Outcome, fetch_ranges, query_members
 from repro.geometry.halfspace import Polyhedron
 
 __all__ = ["BatchMemberResult", "BatchResult", "batch_kd_query"]
@@ -85,16 +85,8 @@ def batch_kd_query(
     names them (right-first depth-first), so each surviving page is
     decoded once and sliced for every member that claimed rows on it.
 
-    With ``use_zone_maps`` on (and a zone map in the catalog), each
-    member's PARTIAL-leaf ranges also prune at page granularity: a leaf
-    that straddles the query boundary usually holds pages entirely
-    outside it -- skipped -- and pages entirely inside it, whose
-    per-point filter is skipped.  INSIDE subtrees never see the pruner:
-    their contract is "every clustered row in range".
-
-    Merge-on-read: one delta snapshot serves the whole call; its
-    tombstones suppress deleted rows in every range, and its live
-    inserts matching a member's polyhedron join that member's result.
+    Zone pruning of PARTIAL-leaf ranges (``use_zone_maps``) and
+    merge-on-read are :func:`~repro.db.fetch.fetch_ranges`'s.
     ``memberships_list`` gives per-member IN-list filters (column ->
     values); the walk still classifies on the polyhedron alone (a
     superset) and the kernel ANDs each member's ``np.isin`` mask into
@@ -108,24 +100,6 @@ def batch_kd_query(
     propagates.  Returns ``(results, counters)`` shaped exactly like
     :func:`~repro.db.scan.batch_full_scan`'s.
     """
-    table = index.table
-    dims = index.dims
-    members = query_members(polyhedra, dims, cancel_checks, memberships_list)
+    members = query_members(polyhedra, index.dims, cancel_checks, memberships_list)
     ranges = index.traverse(members, use_tight_boxes)
-    zone_map = table.zone_map() if use_zone_maps else None
-    if zone_map is not None:
-        for member in members:
-            if member.error is None:
-                member.pruner = zone_map.pruner(member.polyhedron, dims)
-    snapshot = table.delta_snapshot()
-    return fetch(
-        table,
-        members,
-        [
-            segment
-            for m, start, end, needs_filter in ranges
-            for segment in range_segments(table, m, start, end, needs_filter)
-        ],
-        tombstones=snapshot.tombstones if snapshot is not None else None,
-        snapshot=snapshot,
-    )
+    return fetch_ranges(index.table, members, ranges, use_zone_maps)

@@ -32,16 +32,17 @@ pathology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.index_base import refuse_pending_inserts, stack_coordinates
 from repro.db.catalog import Database
-from repro.db.scan import range_scan
+from repro.db.fetch import fetch_ranges, query_members
 from repro.db.stats import QueryStats
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box
+from repro.geometry.halfspace import Polyhedron
 
 __all__ = ["LayeredGridIndex", "TableSampleBaseline", "layer_sizes"]
 
@@ -189,34 +190,14 @@ class LayeredGridIndex:
         ("extra points from the last layer are returned, too" -- the
         client is insensitive to a small surplus).
         """
-        stats = QueryStats()
-        collected_points: list[np.ndarray] = []
-        collected_rows: list[np.ndarray] = []
+        batches = []
         total = 0
-        layers_used = 0
-        for batch_points, batch_rows, batch_stats in self._layer_batches(box):
-            layers_used += 1
-            stats.merge(batch_stats)
-            if len(batch_rows):
-                collected_points.append(batch_points)
-                collected_rows.append(batch_rows)
-                total += len(batch_rows)
+        for batch in self._layer_batches(box):
+            batches.append(batch)
+            total += len(batch[1])
             if total >= n:
                 break
-        points = (
-            np.vstack(collected_points)
-            if collected_points
-            else np.empty((0, len(self._dims)))
-        )
-        rows = (
-            np.concatenate(collected_rows)
-            if collected_rows
-            else np.empty(0, dtype=np.int64)
-        )
-        stats.rows_returned = len(rows)
-        return SampleResult(
-            points=points, row_ids=rows, layers_used=layers_used, stats=stats
-        )
+        return _sample_result(batches)
 
     def query_box(self, box: Box) -> SampleResult:
         """*All* points inside ``box`` (exact, not sampled).
@@ -227,20 +208,7 @@ class LayeredGridIndex:
         Page cost is bounded by the cells overlapping the box across all
         layers, which for selective boxes is far below a full scan.
         """
-        stats = QueryStats()
-        pts_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        for batch_points, batch_rows, batch_stats in self._layer_batches(box):
-            stats.merge(batch_stats)
-            if len(batch_rows):
-                pts_parts.append(batch_points)
-                row_parts.append(batch_rows)
-        points = np.vstack(pts_parts) if pts_parts else np.empty((0, len(self._dims)))
-        rows = np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-        stats.rows_returned = len(rows)
-        return SampleResult(
-            points=points, row_ids=rows, layers_used=self.num_layers, stats=stats
-        )
+        return _sample_result(self._fetch_layers(box, range(1, self.num_layers + 1)))
 
     def sample_box_stream(
         self, box: Box, n: int
@@ -263,34 +231,32 @@ class LayeredGridIndex:
     def _layer_batches(
         self, box: Box
     ) -> Iterator[tuple[np.ndarray, np.ndarray, QueryStats]]:
-        """Per-layer in-box points, touching only intersecting cells."""
+        """Per-layer in-box points, fetched one layer at a time."""
+        for l_index in range(1, self.num_layers + 1):
+            yield from self._fetch_layers(box, [l_index])
+
+    def _fetch_layers(
+        self, box: Box, layers: Sequence[int]
+    ) -> list[tuple[np.ndarray, np.ndarray, QueryStats]]:
+        """In-box ``(points, row_ids, stats)`` of each of ``layers``.
+
+        One range fetch over the intersecting cells of every layer named,
+        one member per layer, so a page two layers share is read once.
+        """
         refuse_pending_inserts(self._table, "layered grid")
         query = box.intersection(self._bounds)
-        for l_index in range(1, self.num_layers + 1):
-            stats = QueryStats()
-            if query is None:
-                yield np.empty((0, len(self._dims))), np.empty(0, np.int64), stats
-                continue
-            resolution = 2**l_index
-            cells = self._intersecting_cells(query, l_index, resolution)
-            pts_parts: list[np.ndarray] = []
-            row_parts: list[np.ndarray] = []
-            for cell in cells:
-                start, end = self._cell_ranges[l_index - 1][cell]
-                rows, cell_stats = range_scan(
-                    self._table, start, end, columns=self._dims
-                )
-                stats.merge(cell_stats)
-                pts = np.column_stack([rows[d] for d in self._dims])
-                inside = box.contains_points(pts)
-                if np.any(inside):
-                    pts_parts.append(pts[inside])
-                    row_parts.append(rows["_row_id"][inside])
-            pts = np.vstack(pts_parts) if pts_parts else np.empty((0, len(self._dims)))
-            rows_out = (
-                np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-            )
-            yield pts, rows_out, stats
+        members = query_members([Polyhedron.from_box(box)] * len(layers), self._dims)
+        ranges = [
+            (m, *self._cell_ranges[l_index - 1][cell], True)
+            for m, l_index in enumerate(layers)
+            if query is not None
+            for cell in self._intersecting_cells(query, l_index, 2**l_index)
+        ]
+        outcomes, _ = fetch_ranges(self._table, members, ranges, columns=self._dims)
+        return [
+            (np.column_stack([rows[d] for d in self._dims]), rows["_row_id"], stats)
+            for rows, stats, _ in outcomes
+        ]
 
     def _intersecting_cells(
         self, query: Box, l_index: int, resolution: int
@@ -317,6 +283,17 @@ class LayeredGridIndex:
             if np.all(coords >= lo_coords) and np.all(coords <= hi_coords):
                 cells.append(cell)
         return cells
+
+
+def _sample_result(batches: list[tuple[np.ndarray, np.ndarray, QueryStats]]) -> SampleResult:
+    """Per-layer ``(points, row_ids, stats)`` batches as one result."""
+    stats = QueryStats()
+    for _, _, batch_stats in batches:
+        stats.merge(batch_stats)
+    row_ids = np.concatenate([row_ids for _, row_ids, _ in batches])
+    stats.rows_returned = len(row_ids)
+    points = np.vstack([points for points, _, _ in batches])
+    return SampleResult(points=points, row_ids=row_ids, layers_used=len(batches), stats=stats)
 
 
 def _grid_coords(points: np.ndarray, bounds: Box, resolution: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from repro.core.index_base import (
 )
 from repro.core.knn import KnnResult, NeighborList
 from repro.db.catalog import Database
+from repro.db.fetch import fetch_ranges, query_members, solo
 from repro.db.scan import range_scan
 from repro.db.stats import QueryStats
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
@@ -246,13 +247,10 @@ class RTreeIndex(SpatialIndex):
         self, polyhedron: Polyhedron
     ) -> tuple[dict[str, np.ndarray], QueryStats]:
         """MBR-pruned polyhedron query (same contract as the kd-tree's)."""
-        if polyhedron.dim != len(self._dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
-            )
+        (member,) = query_members([polyhedron], self._dims)
         refuse_pending_inserts(self._table, "R-tree")
-        stats = QueryStats()
-        pieces: list[dict[str, np.ndarray]] = []
+        stats = member.stats
+        ranges = []
         stack = [self._root]
         while stack:
             node = self._nodes[stack.pop()]
@@ -262,35 +260,15 @@ class RTreeIndex(SpatialIndex):
             relation = polyhedron.classify_box(node.box())
             if relation is BoxRelation.OUTSIDE:
                 stats.cells_outside += 1
-                continue
-            if relation is BoxRelation.INSIDE:
+            elif relation is BoxRelation.INSIDE:
                 stats.cells_inside += 1
-                rows, piece = range_scan(self._table, node.row_start, node.row_end)
-                stats.merge(piece)
-                pieces.append(rows)
-                continue
-            if node.is_leaf:
+                ranges.append((0, node.row_start, node.row_end, False))
+            elif node.is_leaf:
                 stats.cells_partial += 1
-                rows, piece = range_scan(
-                    self._table,
-                    node.row_start,
-                    node.row_end,
-                    predicate=self._residual(polyhedron),
-                )
-                stats.merge(piece)
-                pieces.append(rows)
+                ranges.append((0, node.row_start, node.row_end, True))
             else:
                 stack.extend(node.children)
-        return _concat(self._table, pieces), stats
-
-    def _residual(self, polyhedron: Polyhedron):
-        dims = self._dims
-
-        def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-            pts = np.column_stack([columns[d] for d in dims])
-            return polyhedron.contains_points(pts)
-
-        return predicate
+        return solo(fetch_ranges(self._table, [member], ranges))
 
     def knn(self, point: np.ndarray, k: int) -> KnnResult:
         """Best-first k-NN over the MBR hierarchy."""
@@ -327,11 +305,3 @@ class RTreeIndex(SpatialIndex):
         stats.rows_returned = len(row_ids)
         return KnnResult(row_ids=row_ids, distances=distances, stats=stats)
 
-
-def _concat(table: Table, pieces: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    names = table.column_names + ["_row_id"]
-    if not pieces:
-        out = {n: np.empty(0, dtype=table.dtype_of(n)) for n in table.column_names}
-        out["_row_id"] = np.empty(0, dtype=np.int64)
-        return out
-    return {n: np.concatenate([p[n] for p in pieces]) for n in names}

@@ -41,6 +41,7 @@ from repro.core.index_base import (
 )
 from repro.core.knn import KnnResult, NeighborList
 from repro.db.catalog import Database
+from repro.db.fetch import fetch_ranges, query_members, solo
 from repro.db.scan import range_scan
 from repro.db.stats import QueryStats
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
@@ -227,13 +228,10 @@ class VoronoiIndex(SpatialIndex):
         self, polyhedron: Polyhedron
     ) -> tuple[dict[str, np.ndarray], QueryStats]:
         """Cell-classified polyhedron query (see module docstring)."""
-        if polyhedron.dim != len(self._dims):
-            raise ValueError(
-                f"polyhedron dim {polyhedron.dim} != index dim {len(self._dims)}"
-            )
+        (member,) = query_members([polyhedron], self._dims)
         refuse_pending_inserts(self._table, "Voronoi")
-        stats = QueryStats()
-        pieces: list[dict[str, np.ndarray]] = []
+        stats = member.stats
+        ranges = []
         for cell in range(self.num_cells):
             start, end = self._cell_ranges[cell]
             if start == end:
@@ -245,27 +243,10 @@ class VoronoiIndex(SpatialIndex):
                 continue
             if relation is BoxRelation.INSIDE:
                 stats.cells_inside += 1
-                rows, piece_stats = range_scan(self._table, int(start), int(end))
             else:
                 stats.cells_partial += 1
-                rows, piece_stats = range_scan(
-                    self._table,
-                    int(start),
-                    int(end),
-                    predicate=self._residual(polyhedron),
-                )
-            stats.merge(piece_stats)
-            pieces.append(rows)
-        return _concat(self._table, pieces), stats
-
-    def _residual(self, polyhedron: Polyhedron):
-        dims = self._dims
-
-        def predicate(columns: dict[str, np.ndarray]) -> np.ndarray:
-            pts = np.column_stack([columns[d] for d in dims])
-            return polyhedron.contains_points(pts)
-
-        return predicate
+            ranges.append((0, int(start), int(end), relation is BoxRelation.PARTIAL))
+        return solo(fetch_ranges(self._table, [member], ranges))
 
     # -- nearest neighbors ---------------------------------------------------------------
 
@@ -402,15 +383,6 @@ def _data_radii(
     radii = np.zeros(num_seeds)
     np.maximum.at(radii, nearest_seed, dist)
     return radii
-
-
-def _concat(table: Table, pieces: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    names = table.column_names + ["_row_id"]
-    if not pieces:
-        out = {n: np.empty(0, dtype=table.dtype_of(n)) for n in table.column_names}
-        out["_row_id"] = np.empty(0, dtype=np.int64)
-        return out
-    return {n: np.concatenate([p[n] for p in pieces]) for n in names}
 
 
 def _stratify_seeds(

@@ -3,10 +3,11 @@
 The paper's query shape (Figure 4/5) is *index names candidate row
 ranges, a ``BETWEEN`` fetches them, a residual filter decides*.  Every
 engine here produces its candidates differently -- the scan names every
-page, the kd-tree names INSIDE/PARTIAL clustered row ranges, the bitmap
-index names candidate row offsets -- and then hands them to
-:func:`fetch` as **segments** ``(page_id, member, selection,
-needs_filter)``:
+page, the bitmap index names candidate row offsets, and the range engines
+(the kd-tree and the Voronoi, R-tree and layered-grid side indexes) name
+INSIDE/PARTIAL clustered row ranges through :func:`fetch_ranges` -- and
+then hands them to :func:`fetch` as **segments** ``(page_id, member,
+selection, needs_filter)``:
 
 * ``member`` indexes the :class:`FetchMember` (one per query of the
   batch; solo is a batch of one) that claimed the rows;
@@ -82,6 +83,7 @@ __all__ = [
     "FetchMember",
     "delta_piece",
     "fetch",
+    "fetch_ranges",
     "offset_segments",
     "query_members",
     "range_segments",
@@ -599,3 +601,40 @@ def fetch(
             acc.pieces.append(piece)
         results.append((_assemble(table, wanted, acc), member.stats, None))
     return results, counters
+
+
+def fetch_ranges(
+    table: Table,
+    members: Sequence[FetchMember],
+    ranges: Iterable[tuple[int, int, int, bool]],
+    use_zone_maps: bool = True,
+    columns: list[str] | None = None,
+) -> tuple[list[Outcome], dict]:
+    """Serve ``(member, start, end, needs_filter)`` clustered row ranges.
+
+    With ``use_zone_maps`` on (and a zone map in the catalog) each live
+    member's PARTIAL ranges (``needs_filter``) skip the pages entirely
+    outside its polyhedron and drop the filter on those entirely inside;
+    INSIDE ranges never see the pruner.  One delta snapshot serves the
+    call: its tombstones suppress deleted rows in every range, and its
+    live inserts matching a member join that member.  One :func:`fetch`
+    reads each page once, however many ranges name it.
+    """
+    zone_map = table.zone_map() if use_zone_maps else None
+    if zone_map is not None:
+        for member in members:
+            if member.error is None:
+                member.pruner = zone_map.pruner(member.polyhedron, member.dims)
+    snapshot = table.delta_snapshot()
+    return fetch(
+        table,
+        members,
+        [
+            segment
+            for m, start, end, needs_filter in ranges
+            for segment in range_segments(table, m, start, end, needs_filter)
+        ],
+        tombstones=snapshot.tombstones if snapshot is not None else None,
+        snapshot=snapshot,
+        columns=columns,
+    )

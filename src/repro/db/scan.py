@@ -142,32 +142,25 @@ def range_scan(
     start_row: int,
     stop_row: int,
     predicate: Expr | Predicate | None = None,
-    columns: list[str] | None = None,
-    cancel_check: Callable[[], None] | None = None,
-    retry: RetryPolicy | None = SCAN_RETRY,
-    pruner: ZonePruner | None = None,
-    readahead: int | None = None,
     tombstones=AUTO_TOMBSTONES,
 ) -> tuple[dict[str, np.ndarray], QueryStats]:
     """Scan only pages overlapping ``[start_row, stop_row)``.
 
     The engine-level realization of the paper's ``BETWEEN`` on post-order
-    numbered kd-leaves or space-filling-curve cell ids.  ``cancel_check``,
-    ``retry``, ``pruner`` and ``readahead`` behave as in
-    :func:`full_scan`.  ``tombstones`` suppresses deleted rows the same
-    way, but a range scan never appends delta inserts -- the caller owns
-    the query-level delta merge and appends them exactly once.
+    numbered kd-leaves or space-filling-curve cell ids, one range at a
+    time (a query naming many ranges passes them all to
+    :func:`~repro.db.fetch.fetch_ranges` instead).  ``tombstones``
+    suppresses deleted rows as in :func:`full_scan`, but a range scan
+    never appends delta inserts -- the caller owns the query-level delta
+    merge and appends them exactly once.
     """
     tombstones, _ = _resolve_delta(table, tombstones, include_delta=False)
     return solo(
         fetch(
             table,
-            [_scan_member(predicate, pruner, cancel_check)],
+            [_scan_member(predicate, None, None)],
             range_segments(table, 0, start_row, stop_row),
             tombstones=tombstones,
-            columns=columns,
-            retry=retry,
-            readahead=readahead,
         )
     )
 

@@ -547,6 +547,30 @@ class TestSideIndexStaleReads:
         assert _box_points(rebuilt, box) == scanned("t")
 
 
+
+class TestSideIndexRangeFetch:
+    """A side index's box query reads each page it touches once."""
+
+    @pytest.mark.parametrize("kind", sorted(_SIDE_INDEXES))
+    def test_box_query_looks_up_each_page_once(self, kind):
+        build, kwargs, _ = _SIDE_INDEXES[kind]
+        db = Database.in_memory()
+        index = build(db, "t", _batch(np.random.default_rng(22), 6000, 0), DIMS, **kwargs)
+        box = Box(np.full(3, 2.0), np.full(3, 8.0))
+        io = db.io_stats
+        before = io.cache_hits + io.cache_misses
+        if kind == "layered_grid":
+            result = index.query_box(box)
+            row_ids, stats = result.row_ids, result.stats
+        else:
+            rows, stats = index.query_box(box)
+            row_ids = rows["_row_id"]
+        assert io.cache_hits + io.cache_misses - before == stats.pages_touched
+        scanned, _ = polyhedron_full_scan(db.table("t"), DIMS, Polyhedron.from_box(box))
+        assert set(row_ids.tolist()) == set(scanned["_row_id"].tolist())
+        assert len(row_ids) == len(scanned["_row_id"])
+
+
 class TestMerge:
     def test_merge_folds_delta_into_new_generation(self):
         db, index, pts = _build_kd_db(n=400, seed=20)
