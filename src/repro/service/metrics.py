@@ -4,21 +4,28 @@ Every number the benchmarks already trust -- pages touched, rows
 examined/returned, cache hits -- flows from :class:`repro.db.stats`
 counters; this module adds the serving dimension on top: queue wait,
 execution time, planner choice, deadline misses, per-procedure wall
-time.  One :class:`QueryMetrics` record is appended per finished query
-(completed, failed, or deadline-missed); :meth:`MetricsRegistry.summary`
-aggregates them into the service-level view a replay prints.
+time.  One :class:`QueryMetrics` record is made per finished query
+(completed, failed, or deadline-missed).  The registry folds it into
+running counts, sums and maxima as it arrives, so
+:meth:`MetricsRegistry.summary` (the service-level view a replay prints)
+costs the same after a million queries as after one, and keeps only the
+:data:`RECENT_RECORDS` most recent records themselves.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.core.engines import ENGINES
 from repro.db.procedures import ProcedureRegistry
 from repro.db.stats import QueryStats
 
-__all__ = ["QueryMetrics", "MetricsRegistry", "shard_paths_of"]
+__all__ = ["RECENT_RECORDS", "QueryMetrics", "MetricsRegistry", "shard_paths_of"]
+
+#: Records :meth:`MetricsRegistry.per_query` keeps, most recent last.
+RECENT_RECORDS = 10_000
 
 _SHARD_PATH = "shard_path_"
 
@@ -84,33 +91,35 @@ class QueryMetrics:
         return abs(self.estimated_selectivity - self.actual_selectivity)
 
 
-@dataclass
-class _Totals:
-    submitted: int = 0
-    rejected: int = 0
-    batches: int = 0
-    batch_members: int = 0
-    batch_pages_decoded: int = 0
-    shared_decode_hits: int = 0
+#: ``summary()`` fields that are running counts, sums or maxima as kept.
+_REPORTED = (
+    "submitted", "rejected", "finished", "completed", "failed", "deadline_misses",
+    "cache_hits", "pages_read", "pages_skipped", "pages_prefetched", "rows_returned",
+    "max_queue_wait_s", "max_exec_time_s", "max_selectivity_error",
+    *(f"{engine.name}_queries" for engine in ENGINES),
+    "planner_fallbacks", "storage_faults", "shards_dispatched", "shards_pruned",
+    "shard_faults", "partial_results", "batches", "batch_members",
+    "batch_pages_decoded", "shared_decode_hits",
+)
 
 
 class MetricsRegistry:
-    """Thread-safe registry of per-query records plus service counters."""
+    """Thread-safe running service totals plus the most recent records."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: list[QueryMetrics] = []
-        self._totals = _Totals()
+        self._recent: deque[QueryMetrics] = deque(maxlen=RECENT_RECORDS)
+        self._totals: Counter = Counter()
 
     # -- recording (called by the service) ---------------------------------
 
     def note_submitted(self) -> None:
         with self._lock:
-            self._totals.submitted += 1
+            self._totals["submitted"] += 1
 
     def note_rejected(self) -> None:
         with self._lock:
-            self._totals.rejected += 1
+            self._totals["rejected"] += 1
 
     def note_batch(
         self, occupancy: int, pages_decoded: int, shared_decode_hits: int
@@ -123,83 +132,70 @@ class MetricsRegistry:
         member beyond the first -- work a solo run would have repeated.
         """
         with self._lock:
-            self._totals.batches += 1
-            self._totals.batch_members += occupancy
-            self._totals.batch_pages_decoded += pages_decoded
-            self._totals.shared_decode_hits += shared_decode_hits
+            self._totals.update(
+                batches=1,
+                batch_members=occupancy,
+                batch_pages_decoded=pages_decoded,
+                shared_decode_hits=shared_decode_hits,
+            )
 
-    def record(self, metrics: QueryMetrics) -> None:
-        """Append one finished query's record."""
+    def record(self, r: QueryMetrics) -> None:
+        """Fold one finished query's record into the totals and keep it."""
         with self._lock:
-            self._records.append(metrics)
+            self._recent.append(r)
+            t = self._totals
+            t["finished"] += 1
+            t["failed"] += bool(r.error) and not r.deadline_missed
+            t["deadline_misses"] += r.deadline_missed
+            t["cache_hits"] += r.cache_hit
+            t["queue_wait_s"] += r.queue_wait_s
+            t["max_queue_wait_s"] = max(t["max_queue_wait_s"], r.queue_wait_s)
+            t["storage_faults"] += r.storage_fault
+            t["shards_dispatched"] += r.shards_dispatched
+            t["shards_pruned"] += r.shards_pruned
+            t["shard_faults"] += r.shard_faults
+            t["partial_results"] += r.partial
+            if not r.ok:
+                return
+            t["completed"] += 1
+            t["completed_cache_hits"] += r.cache_hit
+            t["pages_read"] += r.pages_read
+            t["pages_skipped"] += r.pages_skipped
+            t["pages_prefetched"] += r.pages_prefetched
+            t["rows_returned"] += r.rows_returned
+            t["exec_time_s"] += r.exec_time_s
+            t["max_exec_time_s"] = max(t["max_exec_time_s"], r.exec_time_s)
+            for path, count in (r.shard_paths or {r.chosen_path: 1}).items():
+                t[f"{path}_queries"] += count
+            error = r.selectivity_error
+            if error == error:  # drop NaN
+                t["selectivity_errors"] += 1
+                t["selectivity_error"] += error
+                t["max_selectivity_error"] = max(t["max_selectivity_error"], error)
+            t["planner_fallbacks"] += r.fallback
 
     # -- reading -------------------------------------------------------------
 
     def per_query(self) -> list[QueryMetrics]:
-        """Copy of every record, in completion order."""
+        """Copy of the :data:`RECENT_RECORDS` most recent records, oldest first."""
         with self._lock:
-            return list(self._records)
+            return list(self._recent)
 
     def summary(self) -> dict[str, float]:
         """Service-level aggregates over all finished queries."""
         with self._lock:
-            records = list(self._records)
-            submitted = self._totals.submitted
-            rejected = self._totals.rejected
-            batches = self._totals.batches
-            batch_members = self._totals.batch_members
-            batch_pages_decoded = self._totals.batch_pages_decoded
-            shared_decode_hits = self._totals.shared_decode_hits
-        done = [r for r in records if r.ok]
-        waits = [r.queue_wait_s for r in records]
-        execs = [r.exec_time_s for r in done]
-        errors = [
-            r.selectivity_error
-            for r in done
-            if r.selectivity_error == r.selectivity_error  # drop NaN
-        ]
+            t = Counter(self._totals)
+
+        def mean(total: str, count: str) -> float:
+            return t[total] / t[count] if t[count] else 0.0
+
         return {
-            "submitted": float(submitted),
-            "rejected": float(rejected),
-            "finished": float(len(records)),
-            "completed": float(len(done)),
-            "failed": float(sum(1 for r in records if r.error and not r.deadline_missed)),
-            "deadline_misses": float(sum(1 for r in records if r.deadline_missed)),
-            "cache_hits": float(sum(1 for r in records if r.cache_hit)),
-            "cache_hit_rate": (
-                sum(1 for r in done if r.cache_hit) / len(done) if done else 0.0
-            ),
-            "pages_read": float(sum(r.pages_read for r in done)),
-            "pages_skipped": float(sum(r.pages_skipped for r in done)),
-            "pages_prefetched": float(sum(r.pages_prefetched for r in done)),
-            "rows_returned": float(sum(r.rows_returned for r in done)),
-            "mean_queue_wait_s": sum(waits) / len(waits) if waits else 0.0,
-            "max_queue_wait_s": max(waits) if waits else 0.0,
-            "mean_exec_time_s": sum(execs) / len(execs) if execs else 0.0,
-            "max_exec_time_s": max(execs) if execs else 0.0,
-            **{
-                f"{engine.name}_queries": float(
-                    sum((r.shard_paths or {r.chosen_path: 1}).get(engine.name, 0) for r in done)
-                )
-                for engine in ENGINES
-            },
-            "mean_selectivity_error": (
-                sum(errors) / len(errors) if errors else 0.0
-            ),
-            "max_selectivity_error": max(errors) if errors else 0.0,
-            "planner_fallbacks": float(sum(1 for r in done if r.fallback)),
-            "storage_faults": float(sum(1 for r in records if r.storage_fault)),
-            "shards_dispatched": float(sum(r.shards_dispatched for r in records)),
-            "shards_pruned": float(sum(r.shards_pruned for r in records)),
-            "shard_faults": float(sum(r.shard_faults for r in records)),
-            "partial_results": float(sum(1 for r in records if r.partial)),
-            "batches": float(batches),
-            "batch_members": float(batch_members),
-            "mean_batch_occupancy": (
-                batch_members / batches if batches else 0.0
-            ),
-            "batch_pages_decoded": float(batch_pages_decoded),
-            "shared_decode_hits": float(shared_decode_hits),
+            **{name: float(t[name]) for name in _REPORTED},
+            "cache_hit_rate": mean("completed_cache_hits", "completed"),
+            "mean_queue_wait_s": mean("queue_wait_s", "finished"),
+            "mean_exec_time_s": mean("exec_time_s", "completed"),
+            "mean_selectivity_error": mean("selectivity_error", "selectivity_errors"),
+            "mean_batch_occupancy": mean("batch_members", "batches"),
         }
 
     def procedure_report(self, procedures: ProcedureRegistry) -> dict[str, dict[str, float]]:

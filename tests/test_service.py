@@ -178,6 +178,89 @@ class TestMetricsRegistry:
         report = registry.format_report()
         assert "deadline misses" in report
 
+    def test_summary_folds_every_record_and_keeps_a_bounded_ring(self):
+        n = 100_000
+        rng = np.random.default_rng(19)
+        paths = ["kdtree", "scan", "bitmap", "hybrid", "cache"]
+        kinds = rng.integers(8, size=n).tolist()
+        waits, execs, estimated, actual = rng.random((4, n)).tolist()
+        counts = rng.integers(100, size=(3, n)).tolist()
+        records = [
+            QueryMetrics(
+                query_id=i,
+                session_id="s",
+                queue_wait_s=waits[i],
+                exec_time_s=execs[i],
+                pages_read=counts[0][i],
+                pages_skipped=counts[1][i],
+                rows_returned=counts[2][i],
+                cache_hit=kind == 1,
+                chosen_path=paths[i % len(paths)],
+                estimated_selectivity=estimated[i],
+                actual_selectivity=actual[i] if kind != 2 else float("nan"),
+                deadline_missed=kind == 3,
+                error="boom" if kind in (3, 4) else "",
+                fallback=kind == 5,
+                storage_fault=kind == 4,
+                shards_dispatched=i % 3,
+                shards_pruned=counts[0][i] % 3,
+                shard_faults=int(kind == 6),
+                partial=kind == 6,
+                shard_paths={"kdtree": 1, "scan": 2} if kind == 7 else {},
+            )
+            for i, kind in enumerate(kinds)
+        ]
+        registry = MetricsRegistry()
+        for record in records:
+            registry.record(record)
+        registry.note_batch(4, 10, 3)
+
+        done = [r for r in records if r.ok]
+        waits = [r.queue_wait_s for r in records]
+        execs = [r.exec_time_s for r in done]
+        errors = [r.selectivity_error for r in done if r.selectivity_error == r.selectivity_error]
+        expected = {
+            "submitted": 0.0,
+            "rejected": 0.0,
+            "finished": float(len(records)),
+            "completed": float(len(done)),
+            "failed": float(sum(1 for r in records if r.error and not r.deadline_missed)),
+            "deadline_misses": float(sum(1 for r in records if r.deadline_missed)),
+            "cache_hits": float(sum(1 for r in records if r.cache_hit)),
+            "cache_hit_rate": sum(1 for r in done if r.cache_hit) / len(done),
+            "pages_read": float(sum(r.pages_read for r in done)),
+            "pages_skipped": float(sum(r.pages_skipped for r in done)),
+            "pages_prefetched": float(sum(r.pages_prefetched for r in done)),
+            "rows_returned": float(sum(r.rows_returned for r in done)),
+            "mean_queue_wait_s": sum(waits) / len(waits),
+            "max_queue_wait_s": max(waits),
+            "mean_exec_time_s": sum(execs) / len(execs),
+            "max_exec_time_s": max(execs),
+            **{
+                f"{path}_queries": float(
+                    sum((r.shard_paths or {r.chosen_path: 1}).get(path, 0) for r in done)
+                )
+                for path in ("kdtree", "scan", "bitmap", "hybrid")
+            },
+            "mean_selectivity_error": sum(errors) / len(errors),
+            "max_selectivity_error": max(errors),
+            "planner_fallbacks": float(sum(1 for r in done if r.fallback)),
+            "storage_faults": float(sum(1 for r in records if r.storage_fault)),
+            "shards_dispatched": float(sum(r.shards_dispatched for r in records)),
+            "shards_pruned": float(sum(r.shards_pruned for r in records)),
+            "shard_faults": float(sum(r.shard_faults for r in records)),
+            "partial_results": float(sum(1 for r in records if r.partial)),
+            "batches": 1.0,
+            "batch_members": 4.0,
+            "mean_batch_occupancy": 4.0,
+            "batch_pages_decoded": 10.0,
+            "shared_decode_hits": 3.0,
+        }
+        assert registry.summary() == expected
+        recent = registry.per_query()
+        assert len(recent) == 10_000
+        assert [r.query_id for r in recent] == list(range(90_000, 100_000))
+
     def test_procedure_timings_surface(self):
         db = Database.in_memory()
 
