@@ -8,8 +8,8 @@ time.  One :class:`QueryMetrics` record is made per finished query
 (completed, failed, or deadline-missed).  The registry folds it into
 running counts, sums and maxima as it arrives, so
 :meth:`MetricsRegistry.summary` (the service-level view a replay prints)
-costs the same after a million queries as after one, and keeps only the
-:data:`RECENT_RECORDS` most recent records themselves.
+costs the same after a million queries as after one; only the
+:data:`RECENT_RECORDS` most recent records are kept whole.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class QueryMetrics:
         return abs(self.estimated_selectivity - self.actual_selectivity)
 
 
-#: ``summary()`` fields that are running counts, sums or maxima as kept.
+#: ``summary()`` fields read straight from the running totals.
 _REPORTED = (
     "submitted", "rejected", "finished", "completed", "failed", "deadline_misses",
     "cache_hits", "pages_read", "pages_skipped", "pages_prefetched", "rows_returned",

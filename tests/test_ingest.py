@@ -547,7 +547,6 @@ class TestSideIndexStaleReads:
         assert _box_points(rebuilt, box) == scanned("t")
 
 
-
 class TestSideIndexRangeFetch:
     """A side index's box query reads each page it touches once."""
 
