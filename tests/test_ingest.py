@@ -10,6 +10,7 @@ the catalog depends on.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -213,6 +214,26 @@ class TestIngestWal:
         assert np.array_equal(decoded["x"], columns["x"])
         assert np.array_equal(decoded["oid"], columns["oid"])
         assert list(records[1].decode_delete()) == [4, 9]
+
+    def test_frame_bytes_are_pinned(self):
+        # ``ingest_mix`` counts these bytes in write_amp and space_amp, so
+        # any codec edit that moves them must show up here first.
+        wal = IngestWal()
+        wal.append_insert(
+            "t", {"x": np.arange(3.0), "oid": np.arange(3, dtype=np.int64)}
+        )
+        wal.append_delete("t", np.array([4, 9], dtype=np.int64))
+        wal.append_merge_begin("t", 1)
+        wal.append_merge_commit("t", 1)
+        frames = wal.frames()
+        assert [len(f) for f in frames] == [163, 45, 37, 37]
+        assert frames[1].hex() == (
+            "524957310200000000000000020000000100000010000000f91cc527"
+            "7404000000000000000900000000000000"
+        )
+        assert hashlib.sha256(b"".join(frames)).hexdigest() == (
+            "3be99bcfe9132fad022a161ded9d53d921b2c212b038bb4a83bb8b4513265f8b"
+        )
 
     def test_frames_carry_sequence_across_reopen(self):
         wal = IngestWal()
