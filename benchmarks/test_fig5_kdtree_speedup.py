@@ -38,9 +38,11 @@ def _run_pair(kd, poly):
     start = time.perf_counter()
     _, scan_stats = polyhedron_full_scan(kd.table, list(BANDS), poly, use_zone_maps=False)
     scan_time = time.perf_counter() - start
+    start = time.perf_counter()
     _, zone_stats = polyhedron_full_scan(kd.table, list(BANDS), poly)
+    zone_time = time.perf_counter() - start
     assert kd_stats.rows_returned == scan_stats.rows_returned == zone_stats.rows_returned
-    return kd_stats, kd_time, scan_stats, scan_time, zone_stats.pages_touched
+    return kd_stats, kd_time, scan_stats, scan_time, zone_stats.pages_touched, zone_time
 
 
 def _sweep(bench_kd, bench_sample):
@@ -49,15 +51,19 @@ def _sweep(bench_kd, bench_sample):
     rows = []
     page_ratios = {}
     for target in SELECTIVITIES:
-        kd_pages, scan_pages, zone_pages, kd_times, scan_times, sels = [], [], [], [], [], []
+        kd_pages, scan_pages, zone_pages, sels = [], [], [], []
+        kd_times, scan_times, zone_times = [], [], []
         for _ in range(4):
             poly = workload.box_query(target).polyhedron(list(BANDS))
-            kd_stats, kd_time, scan_stats, scan_time, zoned = _run_pair(bench_kd, poly)
+            kd_stats, kd_time, scan_stats, scan_time, zoned, zone_time = _run_pair(
+                bench_kd, poly
+            )
             kd_pages.append(kd_stats.pages_touched)
             scan_pages.append(scan_stats.pages_touched)
             zone_pages.append(zoned)
             kd_times.append(kd_time)
             scan_times.append(scan_time)
+            zone_times.append(zone_time)
             sels.append(selectivity(scan_stats, total_rows))
         page_ratio = np.mean(scan_pages) / max(np.mean(kd_pages), 1e-9)
         page_ratios[target] = page_ratio
@@ -66,8 +72,11 @@ def _sweep(bench_kd, bench_sample):
                 target,
                 float(np.mean(sels)),
                 float(np.mean(kd_pages)),
-                float(np.mean(scan_pages)),
+                1e3 * float(np.mean(kd_times)),
                 float(np.mean(zone_pages)),
+                1e3 * float(np.mean(zone_times)),
+                float(np.mean(scan_pages)),
+                1e3 * float(np.mean(scan_times)),
                 page_ratio,
                 float(np.mean(scan_times) / max(np.mean(kd_times), 1e-9)),
             ]
@@ -86,8 +95,11 @@ def test_fig5_selectivity_sweep(benchmark, bench_kd, bench_sample):
             "target_sel",
             "actual_sel",
             "kd_pages",
-            "scan_pages",
+            "kd_ms",
             "zone_pages",
+            "zone_ms",
+            "scan_pages",
+            "scan_ms",
             "page_speedup",
             "time_speedup",
         ],

@@ -419,9 +419,6 @@ class Table:
                 return spec.dtype
         raise KeyError(f"no column {name!r} in table {self.name!r}")
 
-    # Backwards-compatible internal alias.
-    _dtype_of = dtype_of
-
     def __repr__(self) -> str:
         cols = ", ".join(self.column_names)
         return (

@@ -8,9 +8,10 @@ This package adds the LSM-flavored write tier that opens that scenario:
   table (inserted rows + delete tombstones) with immutable snapshots,
   matched against a query in one vectorised pass behind a bounding-box
   reject;
-* :mod:`repro.ingest.wal` -- a write-ahead log in the framing of
-  :class:`~repro.db.recovery.LoggedStorage`, appended before any delta
-  mutation is applied, replayable after a crash;
+* :mod:`repro.ingest.wal` -- the logical write-ahead log, appended
+  before any delta mutation is applied and replayable after a crash; it
+  and :class:`~repro.db.recovery.LoggedStorage` are one
+  :class:`~repro.db.recovery.RecordLog` (one frame format, one reader);
 * :mod:`repro.ingest.merge` -- the background merge: drain the delta
   out-of-place into a freshly bulk-loaded kd layout (median-split
   rebuild over old + new points), regenerate zone maps, and swap the
@@ -34,7 +35,7 @@ from repro.ingest.delta import (
 )
 from repro.ingest.manager import IngestManager, IngestState, MergeDaemon
 from repro.ingest.merge import MergeReport, merge_table
-from repro.ingest.wal import IngestRecord, IngestWal
+from repro.ingest.wal import IngestWal
 
 __all__ = [
     "DELTA_BASE",
@@ -42,7 +43,6 @@ __all__ = [
     "DeltaSnapshot",
     "DeltaTier",
     "IngestManager",
-    "IngestRecord",
     "IngestState",
     "IngestWal",
     "MergeDaemon",

@@ -40,7 +40,7 @@ from repro.service.errors import (
     QueryFault,
     ServiceClosed,
 )
-from repro.service.replay import ReplayReport
+from repro.service.replay import ReplayReport, _as_polyhedron
 
 __all__ = ["QueryClient", "RemoteOutcome", "replay_over_network"]
 
@@ -206,12 +206,6 @@ class QueryClient:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _as_polyhedron(query, dims):
-    if isinstance(query, Polyhedron):
-        return query
-    return query.polyhedron(dims)
 
 
 def replay_over_network(

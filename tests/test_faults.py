@@ -411,9 +411,9 @@ class TestWalUnderFaults:
         injector.quiesce()
 
         # Tear a mid-log record (a page of "t"), then crash-recover.
-        raw = bytearray(logged._log[1])
+        raw = bytearray(logged.log._log[1])
         raw[-1] ^= 0xFF
-        logged._log[1] = bytes(raw)
+        logged.log._log[1] = bytes(raw)
         fresh = MemoryStorage()
         with caplog.at_level("WARNING", logger="repro.db.recovery"):
             applied = logged.replay(fresh)

@@ -210,10 +210,10 @@ class TestIngestWal:
         records = wal.records()
         assert [r.kind for r in records] == [RecordKind.INSERT, RecordKind.DELETE]
         assert all(r.verify() for r in records)
-        decoded = records[0].decode_insert()
+        decoded = records[0].decode_page().columns
         assert np.array_equal(decoded["x"], columns["x"])
         assert np.array_equal(decoded["oid"], columns["oid"])
-        assert list(records[1].decode_delete()) == [4, 9]
+        assert list(np.frombuffer(records[1].payload, dtype=np.int64)) == [4, 9]
 
     def test_frame_bytes_are_pinned(self):
         # ``ingest_mix`` counts these bytes in write_amp and space_amp, so
@@ -243,6 +243,21 @@ class TestIngestWal:
         seq = reopened.append_merge_commit("t", 1)
         assert seq == 3  # continues, never reuses, the crashed log's numbering
 
+    def test_log_bytes_is_the_sum_of_frame_lengths(self):
+        def framed(log):
+            return sum(len(raw) for raw in log.frames())
+
+        wal = IngestWal()
+        wal.append_insert("t", {"x": np.arange(4.0)})
+        wal.append_delete("t", np.array([1], dtype=np.int64))
+        wal.append_insert("other", {"x": np.arange(2.0)})
+        commit = wal.append_merge_commit("t", 1)
+        assert wal.log_bytes() == framed(wal)
+        assert wal.truncate_table("t", commit) == 2
+        assert wal.log_bytes() == framed(wal)
+        reopened = IngestWal(wal.frames())
+        assert reopened.log_bytes() == framed(reopened) == wal.log_bytes()
+
     def test_truncate_keeps_fences(self):
         wal = IngestWal()
         wal.append_insert("t", {"x": np.arange(2.0)})
@@ -252,7 +267,7 @@ class TestIngestWal:
         commit = wal.append_merge_commit("t", 1)
         dropped = wal.truncate_table("t", commit)
         assert dropped == 2
-        kinds = [(r.table, r.kind) for r in wal.records()]
+        kinds = [(r.name, r.kind) for r in wal.records()]
         assert ("other", RecordKind.INSERT) in kinds
         assert ("t", RecordKind.MERGE_BEGIN) in kinds
         assert ("t", RecordKind.MERGE_COMMIT) in kinds
@@ -369,7 +384,7 @@ class TestTableWritePath:
         table.insert_rows(_batch(np.random.default_rng(3), 3, 600))
         records = db.ingest_wal.records()
         assert [r.kind for r in records] == [RecordKind.INSERT]
-        assert records[0].table == "t"
+        assert records[0].name == "t"
 
     def test_insert_visible_to_scan_kd_and_knn(self, setup):
         db, index, _ = setup
@@ -691,7 +706,7 @@ class TestMerge:
         db.table("t").insert_rows(_batch(np.random.default_rng(32), 6, 200))
         db.table("t").delete_rows(np.array([0, 1]))
         merge_table(db, "t")
-        kinds = [r.kind for r in db.ingest_wal.records() if r.table == "t"]
+        kinds = [r.kind for r in db.ingest_wal.records() if r.name == "t"]
         assert RecordKind.INSERT not in kinds
         assert RecordKind.DELETE not in kinds
         assert kinds[-2:] == [RecordKind.MERGE_BEGIN, RecordKind.MERGE_COMMIT]

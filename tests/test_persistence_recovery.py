@@ -16,6 +16,7 @@ from repro import (
 )
 from repro.db import MemoryStorage, full_scan
 from repro.db.persistence import CATALOG_FILENAME
+from repro.db.recovery import RecordLog
 from repro.geometry.sfc import morton_decode, morton_index
 
 
@@ -30,16 +31,25 @@ class TestLoggedStorage:
 
     def test_one_record_per_page_write(self, logged_db):
         _, logged, table = logged_db
-        assert len(logged.log_records()) == table.num_pages
+        assert len(logged.log.records()) == table.num_pages
 
     def test_log_amplifies_write_bytes(self, logged_db):
         # The "huge / slow log" effect: full recovery ~doubles bytes written.
         _, logged, _ = logged_db
-        assert logged.log_bytes() >= logged.inner.stats.bytes_written
+        assert logged.log.log_bytes() >= logged.inner.stats.bytes_written
+
+    def test_log_bytes_is_the_sum_of_frame_lengths(self, logged_db):
+        _, logged, _ = logged_db
+        frames = logged.log.frames()
+        assert logged.log.log_bytes() == sum(len(raw) for raw in frames)
+        assert logged.stats.bytes_written == (
+            logged.inner.stats.bytes_written + logged.log.log_bytes()
+        )
+        assert RecordLog(frames).log_bytes() == logged.log.log_bytes()
 
     def test_records_verify(self, logged_db):
         _, logged, _ = logged_db
-        assert all(record.verify() for record in logged.log_records())
+        assert all(record.verify() for record in logged.log.records())
 
     def test_replay_rebuilds_storage(self, logged_db):
         db, logged, table = logged_db
@@ -53,17 +63,17 @@ class TestLoggedStorage:
     def test_corrupt_record_rejected_in_strict_mode(self, logged_db):
         _, logged, _ = logged_db
         # Flip a payload byte in the last record.
-        raw = bytearray(logged._log[-1])
+        raw = bytearray(logged.log._log[-1])
         raw[-1] ^= 0xFF
-        logged._log[-1] = bytes(raw)
+        logged.log._log[-1] = bytes(raw)
         with pytest.raises(ValueError, match="checksum"):
             logged.replay(MemoryStorage(), on_corrupt="raise")
 
     def test_corrupt_record_skipped_with_warning_by_default(self, logged_db, caplog):
         _, logged, table = logged_db
-        raw = bytearray(logged._log[2])
+        raw = bytearray(logged.log._log[2])
         raw[-1] ^= 0xFF
-        logged._log[2] = bytes(raw)
+        logged.log._log[2] = bytes(raw)
         fresh = MemoryStorage()
         with caplog.at_level("WARNING", logger="repro.db.recovery"):
             applied = logged.replay(fresh)
@@ -75,7 +85,7 @@ class TestLoggedStorage:
     def test_corrupt_header_skipped_with_warning(self, logged_db, caplog):
         _, logged, table = logged_db
         # Mangle the magic itself: the record header is unreadable.
-        logged._log[0] = b"XXXX" + logged._log[0][4:]
+        logged.log._log[0] = b"XXXX" + logged.log._log[0][4:]
         fresh = MemoryStorage()
         with caplog.at_level("WARNING", logger="repro.db.recovery"):
             applied = logged.replay(fresh)
@@ -96,7 +106,7 @@ class TestLoggedStorage:
 
     def test_sequence_increases(self, logged_db):
         _, logged, _ = logged_db
-        sequences = [r.sequence for r in logged.log_records()]
+        sequences = [r.sequence for r in logged.log.records()]
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
 
@@ -112,8 +122,8 @@ class TestLogRecordVerify:
 
         return LR(
             sequence=1,
-            namespace="t",
-            page_id=0,
+            kind=0,
+            name="t",
             payload=payload,
             checksum=zlib.crc32(payload),
         )
