@@ -48,8 +48,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class LogRecord:
-    """One decoded log entry: a kind, the table or namespace it names,
-    and the payload that redoes it."""
+    """One decoded log entry: enough to redo a page or logical write."""
 
     sequence: int
     kind: int
