@@ -105,6 +105,12 @@ class PlannedQuery:
     fills them in.  ``partial`` means at least one shard died on an
     unrecoverable fault and the result covers only the surviving shards;
     ``failed_shards`` names the casualties.
+
+    The service fields stay at their defaults on an engine's answer; the
+    query service fills them in on the copy it hands its client
+    (:class:`~repro.service.QueryService`), and the TCP client gets the
+    same record back from the DONE frame.  A cache hit gets its own copy:
+    the cached record itself is never changed.
     """
 
     rows: dict
@@ -120,6 +126,13 @@ class PlannedQuery:
     shard_faults: int = 0
     partial: bool = False
     failed_shards: tuple = ()
+    cache_hit: bool = False
+    #: Seconds between submission and the start of execution.
+    queue_wait_s: float = 0.0
+    exec_time_s: float = 0.0
+    query_id: int = 0
+    session_id: str = ""
+    tag: str = ""
 
 
 class QueryEngine:

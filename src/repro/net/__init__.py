@@ -20,6 +20,10 @@ length-prefixed binary protocol (:mod:`repro.net.wire`):
   server in front of :class:`~repro.service.QueryService` (per-tenant
   sessions, admission backpressure, streamed results, graceful drain)
   and the synchronous client plus network replay driver.
+
+Every hop returns one record, :class:`~repro.core.planner.PlannedQuery`:
+a shard worker's answer to the pool, and the service's outcome to a TCP
+client, both through the one codec of :mod:`repro.net.wire`.
 """
 
 from repro.net.wire import (
@@ -32,7 +36,7 @@ from repro.net.wire import (
 from repro.net.pool import ShardWorkerPool, WorkerDied
 from repro.net.worker import WorkerConfig, worker_main
 from repro.net.server import QueryServer, serve
-from repro.net.client import QueryClient, RemoteOutcome, replay_over_network
+from repro.net.client import QueryClient, replay_over_network
 
 __all__ = [
     "Frame",
@@ -47,6 +51,5 @@ __all__ = [
     "QueryServer",
     "serve",
     "QueryClient",
-    "RemoteOutcome",
     "replay_over_network",
 ]

@@ -1,63 +1,47 @@
 """A thin synchronous client for the network front door.
 
 :class:`QueryClient` opens one TCP connection, HELLOs with a tenant
-name, and exposes a blocking ``query()`` that streams PAGE frames into a
-:class:`RemoteOutcome` -- the network twin of the in-process
-:class:`~repro.service.executor.QueryOutcome`.  Structured ERROR frames
-map back to the exception types of :mod:`repro.service.errors`, so
-client code handles backpressure and deadlines identically whether it
-talks to a service in-process or over the wire.
+name, and exposes a blocking ``query()`` that streams PAGE frames into
+the same :class:`~repro.core.planner.PlannedQuery` record the in-process
+service hands its clients, cache hit, queue wait and session included.
+Structured ERROR frames map back to the exception types of
+:mod:`repro.service.errors`, so client code handles backpressure and
+deadlines identically whether it talks to a service in-process or over
+the wire.
 
 One client is one conversation: ``query()`` is serial per connection
 (requests do not interleave on a single socket).  Concurrency comes from
 opening more clients -- which is exactly what
-:func:`replay_over_network` does, mirroring the in-process
-:func:`~repro.service.replay.replay_workload` driver thread-for-thread
-so their reports are comparable.
+:func:`replay_over_network` does, through the in-process replay's own
+driver (:func:`~repro.service.replay.drive_replay`), so their reports
+are comparable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
-import threading
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.db.stats import QueryStats
+from repro.core.planner import PlannedQuery
 from repro.geometry.halfspace import Polyhedron
 from repro.net.wire import (
     MessageType,
     SocketChannel,
     columns_from_blob,
     error_from_wire,
+    outcome_from_wire,
     polyhedron_to_wire,
-    stats_from_wire,
 )
 from repro.service.errors import (
     AdmissionRejected,
     QueryFault,
     ServiceClosed,
 )
-from repro.service.replay import ReplayReport, _as_polyhedron
+from repro.service.replay import ReplayReport, drive_replay
 
-__all__ = ["QueryClient", "RemoteOutcome", "replay_over_network"]
-
-
-@dataclass
-class RemoteOutcome:
-    """A completed network query: rows plus the DONE frame's plan fields."""
-
-    rows: dict
-    stats: QueryStats
-    chosen_path: str
-    estimated_selectivity: float
-    cache_hit: bool
-    fallback: bool = False
-    partial: bool = False
-    failed_shards: tuple = ()
-    metrics: dict = field(default_factory=dict)
+__all__ = ["QueryClient", "replay_over_network"]
 
 
 def _error_from_header(header: dict) -> BaseException:
@@ -129,7 +113,7 @@ class QueryClient:
         *,
         deadline: float | None = None,
         tag: str = "",
-    ) -> RemoteOutcome:
+    ) -> PlannedQuery:
         """Run one query and gather its streamed result (blocking)."""
         if self._closed:
             raise ConnectionError("client is closed")
@@ -155,29 +139,7 @@ class QueryClient:
             elif frame.type is MessageType.ERROR:
                 raise _error_from_header(frame.header)
             elif frame.type is MessageType.DONE:
-                return self._assemble(frame.header, pieces)
-
-    def _assemble(self, header: dict, pieces: list) -> RemoteOutcome:
-        if not pieces and "columns" in header:
-            pieces = [columns_from_blob(header["columns"], b"")]
-        if pieces:
-            names = list(pieces[0])
-            rows = {
-                name: np.concatenate([p[name] for p in pieces]) for name in names
-            }
-        else:
-            rows = {}
-        return RemoteOutcome(
-            rows=rows,
-            stats=stats_from_wire(header["stats"]),
-            chosen_path=header.get("chosen_path", ""),
-            estimated_selectivity=float(header.get("estimated_selectivity", 0.0)),
-            cache_hit=bool(header.get("cache_hit")),
-            fallback=bool(header.get("fallback")),
-            partial=bool(header.get("partial")),
-            failed_shards=tuple(header.get("failed_shards", ())),
-            metrics=header.get("metrics", {}),
-        )
+                return outcome_from_wire(frame.header, pieces)
 
     def ping(self) -> dict:
         """Round-trip a PING; returns the server's PONG header."""
@@ -221,66 +183,36 @@ def replay_over_network(
 ) -> ReplayReport:
     """Replay a workload through the network front door.
 
-    The network twin of :func:`~repro.service.replay.replay_workload`:
-    ``concurrency`` threads each own one connection (one tenant), submit
-    their share of the queries round-robin by index, back off and retry
-    on :class:`~repro.service.errors.AdmissionRejected`, and collect
+    The in-process replay's driver over TCP: ``concurrency`` threads each
+    own one connection (one tenant), send their share of the queries
+    round-robin by index, back off and retry on
+    :class:`~repro.service.errors.AdmissionRejected`, and collect
     failures instead of raising.  The returned report carries the
     server's own ``report()`` so utilization is visible client-side.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    polyhedra = [_as_polyhedron(q, dims) for q in queries]
-    outcomes: list[RemoteOutcome | None] = [None] * len(polyhedra)
-    errors: list[tuple[int, BaseException]] = []
-    errors_lock = threading.Lock()
-    resubmissions = [0] * concurrency
 
-    def client_loop(worker_idx: int) -> None:
-        client = QueryClient(host, port, tenant=f"{tenant_prefix}-{worker_idx}")
+    @contextlib.contextmanager
+    def connect(worker_idx: int):
+        with QueryClient(host, port, tenant=f"{tenant_prefix}-{worker_idx}") as client:
+
+            def send(polyhedron: Polyhedron, tag: str):
+                outcome = client.query(polyhedron, deadline=deadline, tag=tag)
+                return lambda: outcome
+
+            yield send
+
+    def report() -> dict:
         try:
-            for idx in range(worker_idx, len(polyhedra), concurrency):
-                while True:
-                    try:
-                        outcomes[idx] = client.query(
-                            polyhedra[idx], deadline=deadline, tag=f"q{idx}"
-                        )
-                        break
-                    except AdmissionRejected:
-                        resubmissions[worker_idx] += 1
-                        time.sleep(retry_sleep_s)
-                    except BaseException as exc:
-                        with errors_lock:
-                            errors.append((idx, exc))
-                        break
-        finally:
-            client.close()
+            with QueryClient(host, port, tenant=f"{tenant_prefix}-report") as client:
+                return client.report()
+        except (ConnectionError, OSError):
+            return {}
 
-    started = time.monotonic()
-    threads = [
-        threading.Thread(
-            target=client_loop, args=(i,), name=f"{tenant_prefix}-{i}"
-        )
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.monotonic() - started
-
-    report: dict = {}
-    try:
-        with QueryClient(host, port, tenant=f"{tenant_prefix}-report") as client:
-            report = client.report()
-    except (ConnectionError, OSError):
-        pass
-    errors.sort(key=lambda pair: pair[0])
-    return ReplayReport(
-        outcomes=outcomes,
-        errors=errors,
-        wall_time_s=wall,
+    return drive_replay(
+        queries,
+        dims=dims,
         concurrency=concurrency,
-        resubmissions=sum(resubmissions),
+        retry_sleep_s=retry_sleep_s,
+        connect=connect,
         report=report,
     )

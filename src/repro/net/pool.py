@@ -50,7 +50,6 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.kdtree import cluster
-from repro.core.planner import PlannedQuery
 from repro.db.errors import StorageFault
 from repro.db.stats import IOStats
 from repro.geometry.boxes import Box
@@ -62,8 +61,8 @@ from repro.net.wire import (
     columns_from_blob,
     columns_to_blob,
     error_from_wire,
+    outcome_from_wire,
     polyhedron_to_wire,
-    stats_from_wire,
 )
 from repro.net.worker import WorkerConfig, worker_main
 from repro.shard.coordinator import ShardCoordinator
@@ -266,7 +265,7 @@ class _WorkerHandle:
                 if frame.type is MessageType.ERROR:
                     outcome = error_from_wire(header)
                 elif member is not None:
-                    outcome = self._planned(header, pieces.pop(member, []))
+                    outcome = outcome_from_wire(header, pieces.pop(member, []))
                 else:
                     outcome = header.get("counters", frame)
                 out.put((shard_id, member, outcome))
@@ -276,19 +275,6 @@ class _WorkerHandle:
             current = generation == self._generation
         if current:
             self.mark_dead()
-
-    def _planned(self, header: dict, parts: list) -> PlannedQuery:
-        if not parts and "columns" in header:
-            parts = [columns_from_blob(header["columns"], b"")]
-        return PlannedQuery(
-            rows=self.pool._merge_pieces(parts),
-            stats=stats_from_wire(header["stats"]),
-            chosen_path=header["chosen_path"],
-            estimated_selectivity=float(header.get("estimated_selectivity", float("nan"))),
-            sampled_pages=int(header.get("sampled_pages", 0)),
-            fallback=bool(header.get("fallback")),
-            fallback_reason=header.get("fallback_reason", ""),
-        )
 
     def stats(self) -> dict:
         """Per-worker utilization snapshot (for replay summaries)."""

@@ -9,7 +9,8 @@ speaks the same length-prefixed framing as the worker IPC
 * **Sessions** -- each connection HELLOs with a tenant name and gets its
   own service :class:`~repro.service.session.Session`, so the service's
   per-session accounting and the report's ``sessions`` block see network
-  tenants exactly like in-process clients.
+  tenants exactly like in-process clients.  The session closes with its
+  connection, so a long-running server keeps one per open connection.
 * **Admission and backpressure** -- queries pass two gates: a
   per-connection in-flight cap (``max_inflight``, the per-tenant gate)
   and the service's own :class:`~repro.service.AdmissionQueue`.  Both
@@ -17,8 +18,9 @@ speaks the same length-prefixed framing as the worker IPC
   the client which gate refused, and a well-behaved client backs off and
   resubmits -- the same cooperative discipline as in-process replay.
 * **Streaming** -- results leave as ``PAGE`` frames (raw column chunks)
-  followed by one ``DONE`` frame with plan fields, stats, and metrics,
-  so a big result never materializes as one giant message.
+  followed by one ``DONE`` frame with the rest of the query's record
+  (:func:`~repro.net.wire.outcome_frames`), so a big result never
+  materializes as one giant message.
 * **Structured errors** -- service exceptions cross the wire as typed
   ERROR frames (``rejected`` / ``deadline`` / ``draining`` /
   ``query_fault`` / ``storage_fault``), which the client maps back to
@@ -39,18 +41,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-from dataclasses import asdict
 
 from repro.net.wire import (
     FrameDecoder,
     FrameError,
     MessageType,
-    columns_to_blob,
     encode_frame,
     error_to_wire,
+    outcome_frames,
     polyhedron_from_wire,
     read_frame_async,
-    stats_to_wire,
 )
 from repro.service.errors import AdmissionRejected, QueryFault, ServiceClosed
 from repro.service.executor import QueryService
@@ -260,6 +260,7 @@ class QueryServer:
                 if conn.tasks:
                     await asyncio.gather(*conn.tasks, return_exceptions=True)
                 self._connections.discard(conn)
+                self.service.sessions.close(conn.session.session_id)
             with contextlib.suppress(ConnectionError):
                 writer.close()
                 await writer.wait_closed()
@@ -328,38 +329,11 @@ class QueryServer:
                     },
                 )
             return
-        rows = outcome.rows
-        names = list(rows)
-        total = int(rows["_row_id"].shape[0]) if "_row_id" in rows else (
-            int(rows[names[0]].shape[0]) if names else 0
-        )
         try:
-            for start in range(0, total, self.page_rows):
-                piece = {n: rows[n][start : start + self.page_rows] for n in names}
-                meta, blob = columns_to_blob(piece)
-                await self._send(
-                    writer,
-                    conn,
-                    MessageType.PAGE,
-                    {"request_id": request_id, "columns": meta},
-                    blob,
-                )
-            header = {
-                "request_id": request_id,
-                "rows": total,
-                "chosen_path": outcome.chosen_path,
-                "estimated_selectivity": float(outcome.estimated_selectivity),
-                "cache_hit": bool(outcome.cache_hit),
-                "fallback": bool(outcome.fallback),
-                "partial": bool(outcome.partial),
-                "failed_shards": list(outcome.failed_shards),
-                "stats": stats_to_wire(outcome.stats),
-                "metrics": _json_safe(asdict(outcome.metrics)),
-            }
-            if total == 0:
-                meta, _ = columns_to_blob({n: rows[n][:0] for n in names})
-                header["columns"] = meta
-            await self._send(writer, conn, MessageType.DONE, header)
+            for msg_type, header, blob in outcome_frames(
+                outcome, self.page_rows, {"request_id": request_id}
+            ):
+                await self._send(writer, conn, msg_type, header, blob)
         except ConnectionError:
             pass
 

@@ -17,7 +17,11 @@ cover them together:
 
 Headers are JSON so every message is introspectable; bulk row data rides
 in the binary section as raw column bytes (dtype-tagged in the header's
-``columns`` metadata), so result pages never pay a text encoding.
+``columns`` metadata), so result pages never pay a text encoding.  One
+query's answer -- a :class:`~repro.core.planner.PlannedQuery` -- crosses
+every hop (shard worker to pool, service to TCP client) through one
+codec: :func:`outcome_frames` writes it as PAGE frames and a DONE, and
+:func:`outcome_from_wire` reads it back.
 Python's ``json`` emits floats via ``repr``, which round-trips IEEE-754
 doubles exactly -- predicates survive the wire bit-for-bit.
 
@@ -36,10 +40,11 @@ import socket
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.core.planner import PlannedQuery
 from repro.db.stats import QueryStats
 from repro.geometry.boxes import Box
 from repro.geometry.halfspace import Polyhedron
@@ -57,6 +62,8 @@ __all__ = [
     "encode_frame",
     "error_from_wire",
     "error_to_wire",
+    "outcome_frames",
+    "outcome_from_wire",
     "polyhedron_from_wire",
     "polyhedron_to_wire",
     "read_frame_async",
@@ -387,6 +394,59 @@ def stats_from_wire(wire: dict) -> QueryStats:
         for page_id in range(int(count)):
             stats.record_page(namespace, page_id)
     return stats
+
+
+# -- one query's answer over the wire ----------------------------------------
+
+#: The record's scalar fields, each with the type its DONE header value
+#: is read back as (rows, stats and ``failed_shards`` travel apart).
+_CASTS = {"bool": bool, "int": int, "float": float, "str": str}
+_RECORD = tuple(
+    (f.name, _CASTS[f.type]) for f in fields(PlannedQuery) if f.type in _CASTS
+)
+
+
+def outcome_frames(planned: PlannedQuery, page_rows: int, routing: dict):
+    """Yield one answer as ``(type, header, blob)`` frames.
+
+    PAGE frames carry ``page_rows`` rows each; the DONE header carries
+    every other field of the record, and the column schema when no PAGE
+    frame went out, so the receiver builds typed empty columns.  Every
+    header carries the sender's ``routing`` fields.
+    """
+    rows = planned.rows
+    names = list(rows)
+    total = len(rows[names[0]]) if names else 0
+    step = max(1, page_rows)
+    for start in range(0, total, step):
+        meta, blob = columns_to_blob({n: rows[n][start : start + step] for n in names})
+        yield MessageType.PAGE, {**routing, "columns": meta}, blob
+    done = {name: cast(getattr(planned, name)) for name, cast in _RECORD}
+    done.update(
+        routing,
+        failed_shards=[int(shard) for shard in planned.failed_shards],
+        stats=stats_to_wire(planned.stats),
+    )
+    if total == 0:
+        done["columns"] = columns_to_blob({n: rows[n][:0] for n in names})[0]
+    yield MessageType.DONE, done, b""
+
+
+def outcome_from_wire(done: dict, pages: list[dict]) -> PlannedQuery:
+    """Inverse of :func:`outcome_frames`, from the DONE header and the
+    columns of the answer's PAGE frames in arrival order."""
+    if not pages and "columns" in done:
+        pages = [columns_from_blob(done["columns"], b"")]
+    if len(pages) == 1:
+        rows = pages[0]
+    else:
+        rows = {n: np.concatenate([p[n] for p in pages]) for n in pages[0]} if pages else {}
+    return PlannedQuery(
+        rows=rows,
+        stats=stats_from_wire(done["stats"]),
+        failed_shards=tuple(done["failed_shards"]),
+        **{name: cast(done[name]) for name, cast in _RECORD},
+    )
 
 
 # -- structured errors over the wire -----------------------------------------

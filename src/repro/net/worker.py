@@ -24,8 +24,10 @@ the thread transport builds.
 
 Result streaming: each member's rows leave in ``PAGE`` frames of
 ``page_rows`` rows each (raw column bytes, no text encoding), followed
-by one ``DONE`` frame carrying the plan fields and stats -- or one
-``ERROR`` frame -- so a large result never needs to exist as one giant
+by one ``DONE`` frame carrying the rest of the
+:class:`~repro.core.planner.PlannedQuery` -- both written by
+:func:`~repro.net.wire.outcome_frames` -- or one ``ERROR`` frame, so a
+large result never needs to exist as one giant
 message on either side.  A memberless ``DONE`` closes the group with its
 shared-decode counters.
 """
@@ -41,17 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.planner import PlannedQuery, QueryPlanner
+from repro.core.planner import QueryPlanner
 from repro.net.wire import (
     Frame,
     MessageType,
     SocketChannel,
     box_to_wire,
     columns_from_blob,
-    columns_to_blob,
     error_to_wire,
+    outcome_frames,
     polyhedron_from_wire,
-    stats_to_wire,
 )
 from repro.service.executor import Deadline
 from repro.shard.coordinator import cancellable, run_member_group
@@ -213,38 +214,11 @@ class _Worker:
             header.update(request_id=request_id, member=member)
             self.channel.send(MessageType.ERROR, header)
             return
-        planned: PlannedQuery = outcome
-        rows = planned.rows
-        names = list(rows)
-        total = int(rows["_row_id"].shape[0])
-        chunk = max(1, self.config.page_rows)
-        for start in range(0, total, chunk):
-            piece = {n: rows[n][start : start + chunk] for n in names}
-            meta, blob = columns_to_blob(piece)
-            self.channel.send(
-                MessageType.PAGE,
-                {"request_id": request_id, "member": member, "columns": meta},
-                blob,
-            )
-        header = {
-            "request_id": request_id,
-            "member": member,
-            "rows": total,
-            "chosen_path": planned.chosen_path,
-            "estimated_selectivity": float(planned.estimated_selectivity),
-            "sampled_pages": int(planned.sampled_pages),
-            "fallback": bool(planned.fallback),
-            "fallback_reason": planned.fallback_reason,
-            "stats": stats_to_wire(planned.stats),
-            "busy_s": self.busy_s,
-            "requests": self.requests_served,
-        }
-        if total == 0:
-            # No PAGE frame went out; ship the schema so the parent can
-            # build correctly-typed empty columns.
-            meta, _ = columns_to_blob({n: rows[n][:0] for n in names})
-            header["columns"] = meta
-        self.channel.send(MessageType.DONE, header)
+        routing = {"request_id": request_id, "member": member}
+        for msg_type, header, blob in outcome_frames(outcome, self.config.page_rows, routing):
+            if msg_type is MessageType.DONE:
+                header.update(busy_s=self.busy_s, requests=self.requests_served)
+            self.channel.send(msg_type, header, blob)
 
     def _serve_batch(self, frame: Frame) -> None:
         """This shard's member group: every member answers on its own,

@@ -23,7 +23,7 @@ from repro.service.errors import (
     ServiceClosed,
     ServiceError,
 )
-from repro.service.executor import Deadline, QueryOutcome, QueryService, QueryTicket
+from repro.service.executor import Deadline, QueryService, QueryTicket
 from repro.service.metrics import MetricsRegistry, QueryMetrics
 from repro.service.replay import ReplayReport, replay_workload, rows_equal, run_serial
 from repro.service.result_cache import ResultCache, query_fingerprint
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "QueryFault",
     "QueryMetrics",
-    "QueryOutcome",
     "QueryService",
     "QueryTicket",
     "ReplayReport",

@@ -9,8 +9,12 @@ threads pulls admitted queries, routes each through the *engine* -- a
 either transport -- consults the result cache, and enforces per-query deadlines with
 cooperative cancellation checks inside the scan/kd-tree iteration loops
 (for a sharded engine the check propagates into every in-flight shard
-worker).  Every query leaves one
-:class:`~repro.service.metrics.QueryMetrics` record behind.
+worker).  A finished query's outcome is the engine's
+:class:`~repro.core.planner.PlannedQuery` with the service fields filled
+in (cache hit, queue wait, execution time, query id, session and tag),
+and it leaves one :class:`~repro.service.metrics.QueryMetrics` record
+behind.  Queries submitted without a session share one service-owned
+session, so the session table grows with clients, not with queries.
 
 Sharded engines may degrade instead of failing: a query whose engine
 lost some shards to storage faults completes with ``partial=True`` and
@@ -24,12 +28,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
 from repro.core.planner import PlannedQuery, QueryEngine
 from repro.db.catalog import Database
 from repro.db.errors import StorageFault
+from repro.db.stats import QueryStats
 from repro.geometry.halfspace import Polyhedron
 from repro.service.admission import AdmissionQueue
 from repro.service.errors import (
@@ -38,11 +42,20 @@ from repro.service.errors import (
     QueryFault,
     ServiceClosed,
 )
-from repro.service.metrics import MetricsRegistry, QueryMetrics, shard_paths_of
+from repro.service.metrics import MetricsRegistry, QueryMetrics
 from repro.service.result_cache import ResultCache, query_fingerprint
 from repro.service.session import Session, SessionManager
 
-__all__ = ["Deadline", "QueryOutcome", "QueryTicket", "QueryService"]
+__all__ = ["Deadline", "QueryTicket", "QueryService"]
+
+#: What a failed query's outcome starts from: no rows, no plan.
+_NO_ANSWER = PlannedQuery(
+    rows={},
+    stats=QueryStats(),
+    chosen_path="",
+    estimated_selectivity=float("nan"),
+    sampled_pages=0,
+)
 
 
 class Deadline:
@@ -75,24 +88,6 @@ class Deadline:
             )
 
 
-@dataclass
-class QueryOutcome:
-    """What a completed query hands back to its client."""
-
-    rows: dict
-    stats: Any
-    chosen_path: str
-    estimated_selectivity: float
-    cache_hit: bool
-    metrics: QueryMetrics
-    #: The planner degraded to a different access path on a storage fault.
-    fallback: bool = False
-    #: Sharded engines only: the rows cover only the surviving shards.
-    partial: bool = False
-    #: Shard ids that died mid-query (empty unless ``partial``).
-    failed_shards: tuple = ()
-
-
 class QueryTicket:
     """A future-like handle for one submitted query."""
 
@@ -100,14 +95,14 @@ class QueryTicket:
         self.query_id = query_id
         self.session = session
         self._event = threading.Event()
-        self._outcome: QueryOutcome | None = None
+        self._outcome: PlannedQuery | None = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
         """Whether the query has finished (successfully or not)."""
         return self._event.is_set()
 
-    def result(self, timeout: float | None = None) -> QueryOutcome:
+    def result(self, timeout: float | None = None) -> PlannedQuery:
         """Block for the outcome; re-raises the query's error if it failed."""
         if not self._event.wait(timeout):
             raise TimeoutError(f"query {self.query_id} still pending")
@@ -118,7 +113,7 @@ class QueryTicket:
 
     # -- completion (service side) -----------------------------------------
 
-    def _complete(self, outcome: QueryOutcome) -> None:
+    def _complete(self, outcome: PlannedQuery) -> None:
         self._outcome = outcome
         self._event.set()
 
@@ -201,6 +196,8 @@ class QueryService:
         self.database = database
         self.planner = planner
         self.sessions = SessionManager()
+        self._shared_session: Session | None = None
+        self._session_lock = threading.Lock()
         self.admission = AdmissionQueue(queue_depth)
         self.cache = (
             ResultCache(cache_entries, max_bytes=cache_bytes)
@@ -299,7 +296,7 @@ class QueryService:
         if not self._running:
             raise ServiceClosed("service is not running; call start()")
         if session is None:
-            session = self.sessions.open()
+            session = self._session_for_anonymous()
         if deadline is None and self.default_deadline is not None:
             deadline = self.default_deadline
         if deadline is not None and not isinstance(deadline, Deadline):
@@ -320,6 +317,13 @@ class QueryService:
         self.metrics.note_submitted()
         return ticket
 
+    def _session_for_anonymous(self) -> Session:
+        """The one session every session-less submit is accounted to."""
+        with self._session_lock:
+            if self._shared_session is None:
+                self._shared_session = self.sessions.open("anonymous")
+            return self._shared_session
+
     def execute(
         self,
         polyhedron: Polyhedron,
@@ -329,7 +333,7 @@ class QueryService:
         tag: str = "",
         timeout: float | None = None,
         memberships: dict | None = None,
-    ) -> QueryOutcome:
+    ) -> PlannedQuery:
         """Submit and wait: the blocking convenience wrapper."""
         return self.submit(
             polyhedron,
@@ -443,81 +447,56 @@ class QueryService:
         cache_hit: bool,
         started: float,
     ) -> None:
-        queue_wait = started - item.enqueued_at
-        session = item.ticket.session
-        exec_time = time.monotonic() - started
-        fallback = planned.fallback and not cache_hit
-        metrics = QueryMetrics(
-            query_id=item.ticket.query_id,
-            session_id=session.session_id,
-            tag=item.tag,
-            queue_wait_s=queue_wait,
-            exec_time_s=exec_time,
-            pages_read=0 if cache_hit else planned.stats.pages_touched,
-            pages_skipped=0 if cache_hit else planned.stats.pages_skipped,
-            pages_prefetched=0 if cache_hit else planned.stats.pages_prefetched,
-            rows_examined=0 if cache_hit else planned.stats.rows_examined,
-            rows_returned=planned.stats.rows_returned,
-            cache_hit=cache_hit,
-            chosen_path="cache" if cache_hit else planned.chosen_path,
-            estimated_selectivity=planned.estimated_selectivity,
-            actual_selectivity=(
-                float("nan") if cache_hit else planned.actual_selectivity
-            ),
-            shard_paths={} if cache_hit else shard_paths_of(planned.stats),
-            fallback=fallback,
-            fallback_reason=planned.fallback_reason if fallback else "",
-            shards_dispatched=0 if cache_hit else planned.shards_dispatched,
-            shards_pruned=0 if cache_hit else planned.shards_pruned,
-            shard_faults=0 if cache_hit else planned.shard_faults,
-            partial=planned.partial,
-        )
-        self.metrics.record(metrics)
-        session.note_completed(
-            rows_returned=planned.stats.rows_returned,
-            queue_wait_s=queue_wait,
-            exec_time_s=exec_time,
+        outcome = self._outcome(item, planned, started, cache_hit)
+        self.metrics.record(QueryMetrics.of(outcome))
+        item.ticket.session.note_completed(
+            rows_returned=outcome.stats.rows_returned,
+            queue_wait_s=outcome.queue_wait_s,
+            exec_time_s=outcome.exec_time_s,
             cache_hit=cache_hit,
         )
-        item.ticket._complete(
-            QueryOutcome(
-                rows=planned.rows,
-                stats=planned.stats,
-                chosen_path=planned.chosen_path,
-                estimated_selectivity=planned.estimated_selectivity,
-                cache_hit=cache_hit,
-                metrics=metrics,
-                fallback=fallback,
-                partial=planned.partial,
-                failed_shards=planned.failed_shards,
-            )
-        )
+        item.ticket._complete(outcome)
 
     def _fail_item(
         self, item: _WorkItem, exc: BaseException, started: float
     ) -> None:
-        queue_wait = started - item.enqueued_at
-        session = item.ticket.session
-        if isinstance(exc, DeadlineExceeded):
-            self._record_failure(item, queue_wait, started, deadline_missed=True)
-            session.note_failed(deadline_missed=True)
-            item.ticket._fail(exc)
-        elif isinstance(exc, StorageFault):
+        self.metrics.record(QueryMetrics.of(self._outcome(item, _NO_ANSWER, started), exc))
+        item.ticket.session.note_failed(
+            deadline_missed=isinstance(exc, DeadlineExceeded)
+        )
+        if isinstance(exc, StorageFault):
             # Every retry and fallback below us is exhausted: hand the
             # client a structured error, keep the worker alive.
-            self._record_failure(
-                item, queue_wait, started, error=type(exc).__name__, fault=True
-            )
-            session.note_failed()
             wrapped = QueryFault(item.ticket.query_id, item.tag, exc)
             wrapped.__cause__ = exc
-            item.ticket._fail(wrapped)
-        else:
-            self._record_failure(
-                item, queue_wait, started, error=type(exc).__name__
-            )
-            session.note_failed()
-            item.ticket._fail(exc)
+            exc = wrapped
+        item.ticket._fail(exc)
+
+    def _outcome(
+        self,
+        item: _WorkItem,
+        planned: PlannedQuery,
+        started: float,
+        cache_hit: bool = False,
+    ) -> PlannedQuery:
+        """A new record of ``planned`` as this service answered ``item``.
+
+        ``planned`` itself is never changed: it may be the cache's entry,
+        shared by every hit.  A hit ran no plan here, so it reports no
+        fallback.
+        """
+        fallback = planned.fallback and not cache_hit
+        return replace(
+            planned,
+            fallback=fallback,
+            fallback_reason=planned.fallback_reason if fallback else "",
+            cache_hit=cache_hit,
+            queue_wait_s=started - item.enqueued_at,
+            exec_time_s=time.monotonic() - started,
+            query_id=item.ticket.query_id,
+            session_id=item.ticket.session.session_id,
+            tag=item.tag,
+        )
 
     def _fingerprint(self, item: _WorkItem) -> str:
         return query_fingerprint(
@@ -540,26 +519,3 @@ class QueryService:
             self.cache.put(
                 self._fingerprint(item), self.planner.table_name, planned
             )
-
-    def _record_failure(
-        self,
-        item: _WorkItem,
-        queue_wait: float,
-        started: float,
-        *,
-        deadline_missed: bool = False,
-        error: str = "",
-        fault: bool = False,
-    ) -> None:
-        self.metrics.record(
-            QueryMetrics(
-                query_id=item.ticket.query_id,
-                session_id=item.ticket.session.session_id,
-                tag=item.tag,
-                queue_wait_s=queue_wait,
-                exec_time_s=time.monotonic() - started,
-                deadline_missed=deadline_missed,
-                error=error or ("DeadlineExceeded" if deadline_missed else ""),
-                storage_fault=fault,
-            )
-        )

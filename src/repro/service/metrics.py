@@ -5,7 +5,10 @@ examined/returned, cache hits -- flows from :class:`repro.db.stats`
 counters; this module adds the serving dimension on top: queue wait,
 execution time, planner choice, deadline misses, per-procedure wall
 time.  One :class:`QueryMetrics` record is made per finished query
-(completed, failed, or deadline-missed).  The registry folds it into
+(completed, failed, or deadline-missed), by :meth:`QueryMetrics.of` from
+the query's outcome: the service's
+:class:`~repro.core.planner.PlannedQuery`, without its rows.  The
+registry folds it into
 running counts, sums and maxima as it arrives, so
 :meth:`MetricsRegistry.summary` (the service-level view a replay prints)
 costs the same after a million queries as after one; only the
@@ -16,20 +19,24 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.engines import ENGINES
+from repro.core.planner import PlannedQuery
+from repro.db.errors import StorageFault
 from repro.db.procedures import ProcedureRegistry
 from repro.db.stats import QueryStats
+from repro.service.errors import DeadlineExceeded
 
-__all__ = ["RECENT_RECORDS", "QueryMetrics", "MetricsRegistry", "shard_paths_of"]
+__all__ = ["RECENT_RECORDS", "QueryMetrics", "MetricsRegistry"]
 
 #: Records :meth:`MetricsRegistry.per_query` keeps, most recent last.
 RECENT_RECORDS = 10_000
 
 _SHARD_PATH = "shard_path_"
 
-def shard_paths_of(stats: QueryStats) -> dict[str, int]:
+
+def _shard_paths(stats: QueryStats) -> dict[str, int]:
     """A sharded answer's shard count per access path (from its extras)."""
     return {
         key[len(_SHARD_PATH):]: int(count)
@@ -79,6 +86,52 @@ class QueryMetrics:
     partial: bool = False
     #: Sharded engines only: shard answers per access path.
     shard_paths: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(
+        cls, outcome: PlannedQuery, error: BaseException | None = None
+    ) -> "QueryMetrics":
+        """The record of one finished query: ``outcome``'s counts, or the
+        ``error`` that ended it (``outcome`` then carries only the
+        service fields).  A cache hit read no pages and ran no plan here,
+        so its page, shard and selectivity counts stay at zero / NaN."""
+        if outcome.cache_hit:
+            outcome = replace(
+                outcome,
+                stats=QueryStats(rows_returned=outcome.stats.rows_returned),
+                chosen_path="cache",
+                actual_selectivity=float("nan"),
+                shards_dispatched=0,
+                shards_pruned=0,
+                shard_faults=0,
+            )
+        stats = outcome.stats
+        return cls(
+            query_id=outcome.query_id,
+            session_id=outcome.session_id,
+            tag=outcome.tag,
+            queue_wait_s=outcome.queue_wait_s,
+            exec_time_s=outcome.exec_time_s,
+            pages_read=stats.pages_touched,
+            pages_skipped=stats.pages_skipped,
+            pages_prefetched=stats.pages_prefetched,
+            rows_examined=stats.rows_examined,
+            rows_returned=stats.rows_returned,
+            cache_hit=outcome.cache_hit,
+            chosen_path=outcome.chosen_path,
+            estimated_selectivity=outcome.estimated_selectivity,
+            actual_selectivity=outcome.actual_selectivity,
+            deadline_missed=isinstance(error, DeadlineExceeded),
+            error=type(error).__name__ if error is not None else "",
+            fallback=outcome.fallback,
+            fallback_reason=outcome.fallback_reason,
+            storage_fault=isinstance(error, StorageFault),
+            shards_dispatched=outcome.shards_dispatched,
+            shards_pruned=outcome.shards_pruned,
+            shard_faults=outcome.shard_faults,
+            partial=outcome.partial,
+            shard_paths=_shard_paths(stats),
+        )
 
     @property
     def ok(self) -> bool:

@@ -8,23 +8,27 @@ spreads them over ``concurrency`` client threads each with its own
 session, and drives them through a running :class:`QueryService`,
 honoring admission backpressure by retrying rejected submissions.  The
 returned report aligns results with the input order, so a serial rerun
-can be compared row for row.
+can be compared row for row.  :func:`drive_replay` is the one client
+driver: the in-process replay and the network replay
+(:func:`~repro.net.client.replay_over_network`) differ only in how a
+client opens and sends one query.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.planner import QueryEngine
+from repro.core.planner import PlannedQuery, QueryEngine
 from repro.geometry.halfspace import Polyhedron
 from repro.service.errors import AdmissionRejected
-from repro.service.executor import QueryOutcome, QueryService
+from repro.service.executor import QueryService
 
-__all__ = ["ReplayReport", "replay_workload", "run_serial", "rows_equal"]
+__all__ = ["ReplayReport", "drive_replay", "replay_workload", "run_serial", "rows_equal"]
 
 
 def _as_polyhedron(query, dims: list[str] | None) -> Polyhedron:
@@ -38,7 +42,7 @@ def _as_polyhedron(query, dims: list[str] | None) -> Polyhedron:
 class ReplayReport:
     """Outcome of one replay run, aligned with the input query order."""
 
-    outcomes: list[QueryOutcome | None]
+    outcomes: list[PlannedQuery | None]
     errors: list[tuple[int, BaseException]]
     wall_time_s: float
     concurrency: int
@@ -65,54 +69,50 @@ class ReplayReport:
         return outcome.rows
 
 
-def replay_workload(
-    service: QueryService,
+def drive_replay(
     queries,
     *,
-    dims: list[str] | None = None,
-    concurrency: int = 8,
-    deadline: float | None = None,
-    retry_sleep_s: float = 0.001,
+    dims: list[str] | None,
+    concurrency: int,
+    retry_sleep_s: float,
+    connect,
+    report,
 ) -> ReplayReport:
-    """Replay ``queries`` through a running service at a given concurrency.
+    """Run ``concurrency`` client threads over ``queries`` and report.
 
-    Each client thread owns one session and submits its share of the
-    queries (round-robin by index), retrying on
-    :class:`AdmissionRejected` -- the cooperative reaction to
-    backpressure a well-behaved SkyServer client exhibits.  Failures
-    (e.g. deadline misses) are collected, not raised.
+    Client ``i`` takes the queries at indices ``i, i + concurrency, ...``.
+    ``connect(i)`` is a context manager that yields the client's
+    ``send(polyhedron, tag)``, which returns a zero-argument callable for
+    the outcome.  A client sends its whole share before it collects any
+    outcome, retrying each send on :class:`AdmissionRejected`; failures
+    are collected, not raised.  ``report()`` supplies the server's
+    self-report once every client is done.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     polyhedra = [_as_polyhedron(q, dims) for q in queries]
-    outcomes: list[QueryOutcome | None] = [None] * len(polyhedra)
+    outcomes: list[PlannedQuery | None] = [None] * len(polyhedra)
     errors: list[tuple[int, BaseException]] = []
-    errors_lock = threading.Lock()
     resubmissions = [0] * concurrency
 
     def client(worker_idx: int) -> None:
-        session = service.open_session(name=f"replay-client-{worker_idx}")
-        my_indices = range(worker_idx, len(polyhedra), concurrency)
-        tickets = []
-        for idx in my_indices:
-            while True:
+        with connect(worker_idx) as send:
+            pending = []
+            for idx in range(worker_idx, len(polyhedra), concurrency):
+                while True:
+                    try:
+                        pending.append((idx, send(polyhedra[idx], f"q{idx}")))
+                        break
+                    except AdmissionRejected:
+                        resubmissions[worker_idx] += 1
+                        time.sleep(retry_sleep_s)
+                    except BaseException as exc:
+                        errors.append((idx, exc))
+                        break
+            for idx, outcome in pending:
                 try:
-                    ticket = service.submit(
-                        polyhedra[idx],
-                        session=session,
-                        deadline=deadline,
-                        tag=f"q{idx}",
-                    )
-                    break
-                except AdmissionRejected:
-                    resubmissions[worker_idx] += 1
-                    time.sleep(retry_sleep_s)
-            tickets.append((idx, ticket))
-        for idx, ticket in tickets:
-            try:
-                outcomes[idx] = ticket.result()
-            except BaseException as exc:
-                with errors_lock:
+                    outcomes[idx] = outcome()
+                except BaseException as exc:
                     errors.append((idx, exc))
 
     started = time.monotonic()
@@ -132,7 +132,42 @@ def replay_workload(
         wall_time_s=wall,
         concurrency=concurrency,
         resubmissions=sum(resubmissions),
-        report=service.report(),
+        report=report(),
+    )
+
+
+def replay_workload(
+    service: QueryService,
+    queries,
+    *,
+    dims: list[str] | None = None,
+    concurrency: int = 8,
+    deadline: float | None = None,
+    retry_sleep_s: float = 0.001,
+) -> ReplayReport:
+    """Replay ``queries`` through a running service at a given concurrency.
+
+    Each client thread owns one session and submits its share of the
+    queries (round-robin by index), retrying on
+    :class:`AdmissionRejected` -- the cooperative reaction to
+    backpressure a well-behaved SkyServer client exhibits.  Failures
+    (e.g. deadline misses) are collected, not raised.
+    """
+
+    @contextlib.contextmanager
+    def connect(worker_idx: int):
+        session = service.open_session(name=f"replay-client-{worker_idx}")
+        yield lambda polyhedron, tag: service.submit(
+            polyhedron, session=session, deadline=deadline, tag=tag
+        ).result
+
+    return drive_replay(
+        queries,
+        dims=dims,
+        concurrency=concurrency,
+        retry_sleep_s=retry_sleep_s,
+        connect=connect,
+        report=service.report,
     )
 
 

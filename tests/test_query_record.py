@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.net.client import QueryClient
 from repro.net.pool import ShardWorkerPool
 from repro.net.server import QueryServer
 from repro.service import rows_equal
+from repro.service.result_cache import query_fingerprint
 from repro.shard import KdPartitioner
 
 DIMS = ["x", "y", "z"]
@@ -88,6 +90,14 @@ def _both_paths(engine):
     db, planner = engine
     with QueryService(db, planner, workers=2) as service:
         local = service.execute(QUERY, timeout=60), service.execute(QUERY, timeout=60)
+        key = query_fingerprint(
+            planner.table_name, planner.dims, QUERY, layout_version=planner.layout_version
+        )
+        cached = service.cache.get(key)
+    # A hit is a new record over the cached one, which stays as the
+    # engine returned it.
+    assert local[1] is not cached and local[1].rows is cached.rows
+    assert not cached.cache_hit and cached.query_id == 0 and cached.session_id == ""
     service = QueryService(db, planner, workers=2).start()
     front = ServerThread(service)
     try:
@@ -109,6 +119,45 @@ def test_service_and_client_agree_on_the_record(engine):
     assert remote.partial == local.partial
     assert remote.fallback == local.fallback
     assert tuple(remote.failed_shards) == tuple(local.failed_shards)
+    assert remote.actual_selectivity == local.actual_selectivity
+    assert remote.sampled_pages == local.sampled_pages
+    assert remote.fallback_reason == local.fallback_reason
     assert not local.cache_hit and not remote.cache_hit
     assert local_again.cache_hit and remote_again.cache_hit
     assert rows_equal(local_again.rows, remote_again.rows)
+
+
+def test_the_record_crosses_the_wire_whole(engine):
+    """Every scalar field but the service's own timings and ids arrives
+    unchanged, and the client learns its session and query id."""
+    (local, _), (remote, remote_again) = _both_paths(engine)
+    same = {
+        "chosen_path", "estimated_selectivity", "sampled_pages", "fallback",
+        "fallback_reason", "actual_selectivity", "shards_dispatched",
+        "shards_pruned", "shard_faults", "partial", "cache_hit",
+    }
+    for name in same:
+        assert getattr(remote, name) == getattr(local, name), name
+    assert remote.stats.pages_skipped == local.stats.pages_skipped
+    assert remote.stats.rows_examined == local.stats.rows_examined
+    assert remote.session_id and remote.session_id == remote_again.session_id
+    assert remote_again.query_id == remote.query_id + 1
+    assert remote.queue_wait_s >= 0.0 and remote.exec_time_s >= 0.0
+
+
+def test_closed_connections_leave_no_session_behind(engine):
+    db, planner = engine
+    service = QueryService(db, planner, workers=2).start()
+    front = ServerThread(service)
+    try:
+        start = len(service.sessions)
+        for cycle in range(20):
+            with front.client(f"cycle-{cycle}") as client:
+                assert client.query(QUERY).session_id
+        # The server closes a session once it sees its connection end.
+        deadline = time.monotonic() + 10
+        while len(service.sessions) != start and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(service.sessions) == start
+    finally:
+        front.drain()

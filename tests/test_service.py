@@ -298,7 +298,21 @@ class TestServiceBasics:
         assert np.array_equal(
             np.sort(first.rows["_row_id"]), np.sort(second.rows["_row_id"])
         )
-        assert second.metrics.pages_read == 0
+        (record,) = [
+            r for r in service.metrics.per_query() if r.query_id == second.query_id
+        ]
+        assert record.pages_read == 0
+
+    def test_sessionless_submits_share_one_session(self, served):
+        db, _, planner, workload = served
+        poly = workload.box_query(0.01).polyhedron(BANDS)
+        with QueryService(db, planner, workers=2, queue_depth=1024) as service:
+            tickets = [service.submit(poly) for _ in range(1000)]
+            outcomes = [ticket.result(timeout=60) for ticket in tickets]
+            assert len(service.sessions) <= 1
+            assert len({outcome.session_id for outcome in outcomes}) == 1
+            (stats,) = service.report()["sessions"].values()
+        assert stats["submitted"] == stats["completed"] == 1000
 
     def test_admission_rejection_counts(self, served):
         db, _, planner, workload = served

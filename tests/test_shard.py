@@ -440,7 +440,7 @@ class TestServiceIntegration:
         with QueryService(None, engine, workers=2) as service:
             outcome = service.execute(poly)
             assert _oids(outcome.rows) == _oids(reference.execute(poly).rows)
-            assert outcome.metrics.shards_pruned > 0
+            assert outcome.shards_pruned > 0
             assert outcome.chosen_path == "sharded"
             # Same query again: served from cache, no new shard work.
             again = service.execute(poly)
@@ -475,7 +475,7 @@ class TestServiceIntegration:
             assert f"{name} {count}" in report
         # The gather measures the actual selectivity against the same
         # row total as its estimate, so the error is a real number.
-        actual = outcome.metrics.actual_selectivity
+        actual = outcome.actual_selectivity
         assert actual == pytest.approx(len(outcome.rows["_row_id"]) / shard_set.total_rows)
         assert summary["max_selectivity_error"] == pytest.approx(
             abs(outcome.estimated_selectivity - actual)
