@@ -196,8 +196,8 @@ class QueryService:
         self.database = database
         self.planner = planner
         self.sessions = SessionManager()
-        self._shared_session: Session | None = None
-        self._session_lock = threading.Lock()
+        #: Where every session-less submit is accounted.
+        self._anonymous = self.sessions.open("anonymous")
         self.admission = AdmissionQueue(queue_depth)
         self.cache = (
             ResultCache(cache_entries, max_bytes=cache_bytes)
@@ -296,7 +296,7 @@ class QueryService:
         if not self._running:
             raise ServiceClosed("service is not running; call start()")
         if session is None:
-            session = self._session_for_anonymous()
+            session = self._anonymous
         if deadline is None and self.default_deadline is not None:
             deadline = self.default_deadline
         if deadline is not None and not isinstance(deadline, Deadline):
@@ -316,13 +316,6 @@ class QueryService:
         session.note_submitted()
         self.metrics.note_submitted()
         return ticket
-
-    def _session_for_anonymous(self) -> Session:
-        """The one session every session-less submit is accounted to."""
-        with self._session_lock:
-            if self._shared_session is None:
-                self._shared_session = self.sessions.open("anonymous")
-            return self._shared_session
 
     def execute(
         self,
@@ -460,7 +453,8 @@ class QueryService:
     def _fail_item(
         self, item: _WorkItem, exc: BaseException, started: float
     ) -> None:
-        self.metrics.record(QueryMetrics.of(self._outcome(item, _NO_ANSWER, started), exc))
+        outcome = self._outcome(item, _NO_ANSWER, started)
+        self.metrics.record(QueryMetrics.of(outcome, exc))
         item.ticket.session.note_failed(
             deadline_missed=isinstance(exc, DeadlineExceeded)
         )

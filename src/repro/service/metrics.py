@@ -6,10 +6,9 @@ counters; this module adds the serving dimension on top: queue wait,
 execution time, planner choice, deadline misses, per-procedure wall
 time.  One :class:`QueryMetrics` record is made per finished query
 (completed, failed, or deadline-missed), by :meth:`QueryMetrics.of` from
-the query's outcome: the service's
+the query's outcome, the service's
 :class:`~repro.core.planner.PlannedQuery`, without its rows.  The
-registry folds it into
-running counts, sums and maxima as it arrives, so
+registry folds it into running counts, sums and maxima as it arrives, so
 :meth:`MetricsRegistry.summary` (the service-level view a replay prints)
 costs the same after a million queries as after one; only the
 :data:`RECENT_RECORDS` most recent records are kept whole.

@@ -77,7 +77,8 @@ def test_serve_structures_stay_bounded(monkeypatch):
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(60)
+                assert not thread.is_alive()
             assert not errors, errors
             assert len(service.metrics.per_query()) <= RING
             assert len(service.cache) <= CACHE_ENTRIES
