@@ -17,13 +17,14 @@ cover them together:
 
 Headers are JSON so every message is introspectable; bulk row data rides
 in the binary section as raw column bytes (dtype-tagged in the header's
-``columns`` metadata), so result pages never pay a text encoding.  One
-query's answer -- a :class:`~repro.core.planner.PlannedQuery` -- crosses
+``columns`` metadata), so result pages never pay a text encoding.
+Python's ``json`` emits floats via ``repr``, which round-trips IEEE-754
+doubles exactly -- predicates survive the wire bit-for-bit.
+
+One query's answer, a :class:`~repro.core.planner.PlannedQuery`, crosses
 every hop (shard worker to pool, service to TCP client) through one
 codec: :func:`outcome_frames` writes it as PAGE frames and a DONE, and
 :func:`outcome_from_wire` reads it back.
-Python's ``json`` emits floats via ``repr``, which round-trips IEEE-754
-doubles exactly -- predicates survive the wire bit-for-bit.
 
 A frame that cannot be parsed raises a structured :class:`FrameError`
 (``kind`` of ``magic`` / ``version`` / ``oversized`` / ``checksum`` /
@@ -437,10 +438,7 @@ def outcome_from_wire(done: dict, pages: list[dict]) -> PlannedQuery:
     columns of the answer's PAGE frames in arrival order."""
     if not pages and "columns" in done:
         pages = [columns_from_blob(done["columns"], b"")]
-    if len(pages) == 1:
-        rows = pages[0]
-    else:
-        rows = {n: np.concatenate([p[n] for p in pages]) for n in pages[0]} if pages else {}
+    rows = {n: np.concatenate([p[n] for p in pages]) for n in pages[0]} if pages else {}
     return PlannedQuery(
         rows=rows,
         stats=stats_from_wire(done["stats"]),

@@ -27,9 +27,8 @@ Result streaming: each member's rows leave in ``PAGE`` frames of
 by one ``DONE`` frame carrying the rest of the
 :class:`~repro.core.planner.PlannedQuery` -- both written by
 :func:`~repro.net.wire.outcome_frames` -- or one ``ERROR`` frame, so a
-large result never needs to exist as one giant
-message on either side.  A memberless ``DONE`` closes the group with its
-shared-decode counters.
+large result never needs to exist as one giant message on either side.
+A memberless ``DONE`` closes the group with its shared-decode counters.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.shard import KdPartitioner
 DIMS = ["x", "y", "z"]
 
 
-def _data(n: int = 3000, seed: int = 5) -> dict[str, np.ndarray]:
+def make_data(n: int = 3000, seed: int = 5) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     pts = rng.normal([0.0, 0.0, 0.0], [0.6, 0.4, 0.5], size=(n, 3))
     data = {d: pts[:, i] for i, d in enumerate(DIMS)}
@@ -73,7 +73,7 @@ class ServerThread:
 
 @pytest.fixture(scope="module", params=["planner", "pool"])
 def engine(request):
-    data = _data()
+    data = make_data()
     if request.param == "planner":
         db = Database.in_memory(buffer_pages=None)
         index = KdTreeIndex.build(db, "rec", data, DIMS)

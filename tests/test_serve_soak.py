@@ -22,7 +22,7 @@ from repro.net.pool import ShardWorkerPool
 from repro.service import metrics as service_metrics
 from repro.shard import KdPartitioner
 
-from tests.test_query_record import DIMS, ServerThread, _data
+from tests.test_query_record import DIMS, ServerThread, make_data
 
 pytestmark = pytest.mark.faultsweep
 
@@ -49,7 +49,7 @@ def _workload(n: int, seed: int = 3) -> list[Polyhedron]:
 
 def test_serve_structures_stay_bounded(monkeypatch):
     monkeypatch.setattr(service_metrics, "RECENT_RECORDS", RING)
-    specs = KdPartitioner(2, buffer_pages=None).plan("soak", _data(), DIMS)
+    specs = KdPartitioner(2, buffer_pages=None).plan("soak", make_data(), DIMS)
     pool = ShardWorkerPool(specs, sample_pages=4, seed=0)
     service = QueryService(
         None, pool, workers=2, cache_entries=CACHE_ENTRIES, cache_bytes=CACHE_BYTES
