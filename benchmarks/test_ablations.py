@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.datasets.sdss import BANDS
 from repro.db.scan import range_scan
+from repro.db.table import Table
 
 from .conftest import print_table, scaled
 
@@ -210,13 +211,27 @@ def test_ablation_clustering(benchmark, bench_sample):
     assert unclustered > 10 * clustered
 
 
-def test_ablation_sfc_curve(benchmark, bench_sample):
+def test_ablation_sfc_curve(benchmark, bench_sample, monkeypatch):
     """Morton vs Hilbert numbering: locality of multi-cell queries.
 
     Both curves produce the same per-cell ranges; the difference is how
     *contiguous* the set of touched cell ranges is for a spatial query --
-    fewer, longer runs mean fewer seeks on a real disk.
+    fewer, longer runs mean fewer seeks on a real disk.  The page ids
+    come from the table's reads themselves.
     """
+    read: dict[str, set[int]] = {}
+    read_page, read_pages = Table.read_page, Table.read_pages
+
+    def noting_page(table, page_id):
+        read.setdefault(table.name, set()).add(page_id)
+        return read_page(table, page_id)
+
+    def noting_pages(table, page_ids):
+        read.setdefault(table.name, set()).update(page_ids)
+        return read_pages(table, page_ids)
+
+    monkeypatch.setattr(Table, "read_page", noting_page)
+    monkeypatch.setattr(Table, "read_pages", noting_pages)
 
     def run():
         workload = QueryWorkload(bench_sample.magnitudes, seed=10)
@@ -234,8 +249,9 @@ def test_ablation_sfc_curve(benchmark, bench_sample):
             )
             run_counts = []
             for poly in polys:
-                _, stats = index.query_polyhedron(poly)
-                pages = sorted(p for _, p in stats._pages)
+                read.clear()
+                index.query_polyhedron(poly)
+                pages = sorted(read.get(index.table.name, ()))
                 runs = 1 + sum(
                     1 for a, b in zip(pages, pages[1:]) if b != a + 1
                 ) if pages else 0

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.index_base import refuse_pending_inserts, stack_coordinates
 from repro.db.catalog import Database
-from repro.db.fetch import fetch_ranges, query_members
+from repro.db.fetch import fetch_ranges, query_members, solo
 from repro.db.stats import QueryStats
 from repro.db.table import DEFAULT_ROWS_PER_PAGE, Table
 from repro.geometry.boxes import Box
@@ -206,9 +206,15 @@ class LayeredGridIndex:
         intersecting cells of every layer yields the exact result --
         the layered grid doubles as a plain multidimensional grid index.
         Page cost is bounded by the cells overlapping the box across all
-        layers, which for selective boxes is far below a full scan.
+        layers, which for selective boxes is far below a full scan.  One
+        fetch serves every layer, so a page two layers share is read (and
+        counted) once.
         """
-        return _sample_result(self._fetch_layers(box, range(1, self.num_layers + 1)))
+        layers = range(1, self.num_layers + 1)
+        points, row_ids, stats = self._fetch_layers(box, layers)
+        return SampleResult(
+            points=points, row_ids=row_ids, layers_used=len(layers), stats=stats
+        )
 
     def sample_box_stream(
         self, box: Box, n: int
@@ -233,30 +239,27 @@ class LayeredGridIndex:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, QueryStats]]:
         """Per-layer in-box points, fetched one layer at a time."""
         for l_index in range(1, self.num_layers + 1):
-            yield from self._fetch_layers(box, [l_index])
+            yield self._fetch_layers(box, [l_index])
 
     def _fetch_layers(
         self, box: Box, layers: Sequence[int]
-    ) -> list[tuple[np.ndarray, np.ndarray, QueryStats]]:
-        """In-box ``(points, row_ids, stats)`` of each of ``layers``.
+    ) -> tuple[np.ndarray, np.ndarray, QueryStats]:
+        """In-box ``(points, row_ids, stats)`` over the cells of ``layers``.
 
-        One range fetch over the intersecting cells of every layer named,
-        one member per layer, so a page two layers share is read once.
+        One range fetch, one member, over the intersecting cells of every
+        layer named.
         """
         refuse_pending_inserts(self._table, "layered grid")
         query = box.intersection(self._bounds)
-        members = query_members([Polyhedron.from_box(box)] * len(layers), self._dims)
+        (member,) = query_members([Polyhedron.from_box(box)], self._dims)
         ranges = [
-            (m, *self._cell_ranges[l_index - 1][cell], True)
-            for m, l_index in enumerate(layers)
+            (0, *self._cell_ranges[l_index - 1][cell], True)
+            for l_index in layers
             if query is not None
             for cell in self._intersecting_cells(query, l_index, 2**l_index)
         ]
-        outcomes, _ = fetch_ranges(self._table, members, ranges, columns=self._dims)
-        return [
-            (np.column_stack([rows[d] for d in self._dims]), rows["_row_id"], stats)
-            for rows, stats, _ in outcomes
-        ]
+        rows, stats = solo(fetch_ranges(self._table, [member], ranges, columns=self._dims))
+        return np.column_stack([rows[d] for d in self._dims]), rows["_row_id"], stats
 
     def _intersecting_cells(
         self, query: Box, l_index: int, resolution: int
@@ -415,7 +418,7 @@ class TableSampleBaseline:
         total = 0
         for page_id in np.sort(chosen):
             page = self._table.read_page(int(page_id))
-            stats.record_page(self._table.name, int(page_id))
+            stats.pages_touched += 1
             stats.rows_examined += page.num_rows
             pts = np.column_stack([page.columns[d] for d in self._dims])
             inside = box.contains_points(pts)

@@ -58,7 +58,7 @@ def aggregate_scan(
     maxs: dict[str, float] = {}
 
     for page in table.scan():
-        stats.record_page(table.name, page.page_id)
+        stats.pages_touched += 1
         stats.rows_examined += page.num_rows
         if predicate is None:
             view = page.columns

@@ -23,8 +23,9 @@ selection, needs_filter)``:
 
 The kernel owns the rest: the page plan and its coalesced read-ahead
 runs, one read of each page (per-member ``cancel_check`` before the
-member consumes a page, per-member ``QueryStats``, the ``pages_decoded``
-/ ``shared_decode_hits`` sharing counters), the gather of the selected
+member consumes a page, per-member ``QueryStats`` counting that page once
+in ``pages_touched``, the ``pages_decoded`` / ``shared_decode_hits``
+sharing counters), the gather of the selected
 rows, the residual, tombstone suppression, and the delta tier's
 merge-on-read piece.  Pages are read in the order the segment list first
 names them, and a page serves all of its segments at that one read.
@@ -526,7 +527,6 @@ def fetch(
                 runs_at[run[0]] = run
     ready: dict[int, Page] = {}  # pages of the current run not yet served
 
-    namespace = table.name
     checked_at = [-1] * len(members)
     for page_id in page_ids:
         live = []
@@ -547,6 +547,7 @@ def fetch(
                         member.error = exc
                         continue
                 sharers += 1
+                member.stats.pages_touched += 1
             live.append(taker)
         if not live:
             if all(member.error is not None for member in members):
@@ -571,7 +572,6 @@ def fetch(
         for m, selection, needs_filter in live:
             acc = accumulators[m]
             member = acc.member
-            member.stats.record_page(namespace, page_id)
             if type(selection) is tuple:
                 rows = selection[1] - selection[0]
                 selection = slice(*selection)

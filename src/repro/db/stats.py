@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 __all__ = ["IOStats", "QueryStats"]
 
@@ -58,25 +59,7 @@ class IOStats:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-
-    _COUNTERS = (
-        "page_reads",
-        "page_writes",
-        "bytes_read",
-        "bytes_written",
-        "cache_hits",
-        "cache_misses",
-        "read_faults",
-        "read_retries",
-        "checksum_verifications",
-        "decode_hits",
-        "pages_prefetched",
-        "coalesced_reads",
-        "index_pages_decoded",
-        "node_cache_hits",
-        "node_cache_misses",
-        "node_cache_evictions",
-    )
+    _COUNTERS: ClassVar[tuple[str, ...]]  # every init-able field, set below
 
     def add(self, **deltas: int) -> None:
         """Atomically increment any subset of the counters."""
@@ -109,19 +92,20 @@ class IOStats:
         )
 
 
-# Every counter must be an init-able dataclass field (snapshot relies on it).
-assert set(IOStats._COUNTERS) == {
-    f.name for f in fields(IOStats) if f.init
-}, "IOStats._COUNTERS out of sync with its fields"
+IOStats._COUNTERS = tuple(f.name for f in fields(IOStats) if f.init)
 
 
 @dataclass
 class QueryStats:
     """Per-query execution statistics returned next to result sets.
 
-    ``pages_touched`` counts *distinct* pages: two leaf ranges sharing a
-    boundary page cost one page fetch, exactly as they do through the
-    buffer pool.  Executors report pages via :meth:`record_page`.
+    ``pages_touched`` counts page *reads*: the fetch kernel adds one per
+    page per member per call, however many of the member's ranges share
+    the page, so within one call it is the distinct pages read.  Counts
+    add up across calls and merges: a query that fetches more than once
+    (k-NN leaf by leaf, Voronoi cells, the edge store) counts a page
+    once per fetch that reads it, as the buffer pool sees one lookup per
+    fetch.
 
     ``pages_skipped`` counts candidate pages a zone map proved
     non-contributing before any read or decode; ``pages_prefetched``
@@ -134,19 +118,10 @@ class QueryStats:
     cells_outside: int = 0
     cells_partial: int = 0
     nodes_visited: int = 0
+    pages_touched: int = 0
     pages_skipped: int = 0
     pages_prefetched: int = 0
     extra: dict = field(default_factory=dict)
-    _pages: set = field(default_factory=set, repr=False)
-
-    @property
-    def pages_touched(self) -> int:
-        """Number of distinct pages this query read."""
-        return len(self._pages)
-
-    def record_page(self, namespace: str, page_id: int) -> None:
-        """Note that a page was read on behalf of this query."""
-        self._pages.add((namespace, page_id))
 
     @property
     def filter_efficiency(self) -> float:
@@ -158,21 +133,18 @@ class QueryStats:
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another query's counters into this one.
 
-        ``extra`` entries are summed when numeric (so per-shard counters
-        like ``boxes_examined`` aggregate across a scatter-gather merge)
-        and first-writer-wins otherwise.
+        Every ``int`` field adds, ``pages_touched`` included.  ``extra``
+        entries are summed when numeric (so per-shard counters like
+        ``boxes_examined`` aggregate across a scatter-gather merge) and
+        first-writer-wins otherwise.
         """
-        self._pages |= other._pages
-        self.rows_examined += other.rows_examined
-        self.rows_returned += other.rows_returned
-        self.cells_inside += other.cells_inside
-        self.cells_outside += other.cells_outside
-        self.cells_partial += other.cells_partial
-        self.nodes_visited += other.nodes_visited
-        self.pages_skipped += other.pages_skipped
-        self.pages_prefetched += other.pages_prefetched
+        for name in _QUERY_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, value in other.extra.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 self.extra.setdefault(key, value)
             else:
                 self.extra[key] = self.extra.get(key, 0) + value
+
+
+_QUERY_COUNTERS = tuple(f.name for f in fields(QueryStats) if f.type == "int")

@@ -114,22 +114,22 @@ class MemoryStorage(Storage):
 
     def __init__(self) -> None:
         super().__init__()
-        self._pages: dict[str, dict[int, bytes]] = {}
+        self._blobs: dict[str, dict[int, bytes]] = {}
 
     def write_page(self, namespace: str, page: Page) -> None:
         data = PageCodec.encode(page)
-        self._pages.setdefault(namespace, {})[page.page_id] = data
+        self._blobs.setdefault(namespace, {})[page.page_id] = data
         self.stats.add(page_writes=1, bytes_written=len(data))
 
     def read_page_bytes(self, namespace: str, page_id: int) -> bytes:
-        data = self._pages[namespace][page_id]
+        data = self._blobs[namespace][page_id]
         self.stats.add(page_reads=1, bytes_read=len(data))
         return data
 
     def read_pages_bytes(
         self, namespace: str, page_ids: Sequence[int]
     ) -> list[bytes]:
-        store = self._pages[namespace]
+        store = self._blobs[namespace]
         blobs = [store[page_id] for page_id in page_ids]
         self.stats.add(
             page_reads=len(blobs), bytes_read=sum(len(b) for b in blobs)
@@ -137,10 +137,10 @@ class MemoryStorage(Storage):
         return blobs
 
     def num_pages(self, namespace: str) -> int:
-        return len(self._pages.get(namespace, {}))
+        return len(self._blobs.get(namespace, {}))
 
     def drop_namespace(self, namespace: str) -> None:
-        self._pages.pop(namespace, None)
+        self._blobs.pop(namespace, None)
 
 
 class FileStorage(Storage):

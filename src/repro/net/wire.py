@@ -353,47 +353,30 @@ def columns_from_blob(meta: list, blob: bytes) -> dict[str, np.ndarray]:
 
 # -- query stats over the wire ----------------------------------------------
 
-_STAT_COUNTERS = (
-    "rows_examined",
-    "rows_returned",
-    "cells_inside",
-    "cells_outside",
-    "cells_partial",
-    "nodes_visited",
-    "pages_skipped",
-    "pages_prefetched",
-)
+#: The ``int`` fields of :class:`QueryStats`, ``pages_touched`` included.
+_STAT_COUNTERS = tuple(f.name for f in fields(QueryStats) if f.type == "int")
 
 
 def stats_to_wire(stats: QueryStats) -> dict:
-    """JSON-safe form of per-query stats.
+    """JSON-safe form of per-query stats: every counter, and scalar ``extra``.
 
-    The distinct-page *set* is compressed to per-namespace counts; the
-    receiving side reconstructs synthetic page ids.  That preserves
-    ``pages_touched`` and cross-shard merge additivity (shard namespaces
-    are disjoint) without shipping every page id.
+    ``pages_touched`` travels as the count it is: page reads summed over
+    the answer's fetch calls, so a scatter-gather merge of shard answers
+    adds their counts as it adds every other counter.
     """
-    pages: dict[str, int] = {}
-    for namespace, _ in stats._pages:
-        pages[namespace] = pages.get(namespace, 0) + 1
-    extra = {
+    wire = {name: int(getattr(stats, name)) for name in _STAT_COUNTERS}
+    wire["extra"] = {
         k: v
         for k, v in stats.extra.items()
         if isinstance(v, (bool, int, float, str))
     }
-    wire = {name: int(getattr(stats, name)) for name in _STAT_COUNTERS}
-    wire["pages"] = pages
-    wire["extra"] = extra
     return wire
 
 
 def stats_from_wire(wire: dict) -> QueryStats:
-    """Inverse of :func:`stats_to_wire` (synthetic per-namespace page ids)."""
+    """Inverse of :func:`stats_to_wire`."""
     stats = QueryStats(**{name: int(wire.get(name, 0)) for name in _STAT_COUNTERS})
     stats.extra.update(wire.get("extra", {}))
-    for namespace, count in wire.get("pages", {}).items():
-        for page_id in range(int(count)):
-            stats.record_page(namespace, page_id)
     return stats
 
 

@@ -151,24 +151,33 @@ def replay_workload(
     queries (round-robin by index), retrying on
     :class:`AdmissionRejected` -- the cooperative reaction to
     backpressure a well-behaved SkyServer client exhibits.  Failures
-    (e.g. deadline misses) are collected, not raised.
+    (e.g. deadline misses) are collected, not raised.  The sessions are
+    closed once the service's report is taken, so the report still sums
+    every submission and repeated replays leave the session table as
+    they found it.
     """
+    sessions = []
 
     @contextlib.contextmanager
     def connect(worker_idx: int):
         session = service.open_session(name=f"replay-client-{worker_idx}")
+        sessions.append(session)
         yield lambda polyhedron, tag: service.submit(
             polyhedron, session=session, deadline=deadline, tag=tag
         ).result
 
-    return drive_replay(
-        queries,
-        dims=dims,
-        concurrency=concurrency,
-        retry_sleep_s=retry_sleep_s,
-        connect=connect,
-        report=service.report,
-    )
+    try:
+        return drive_replay(
+            queries,
+            dims=dims,
+            concurrency=concurrency,
+            retry_sleep_s=retry_sleep_s,
+            connect=connect,
+            report=service.report,
+        )
+    finally:
+        for session in sessions:
+            service.sessions.close(session.session_id)
 
 
 def run_serial(

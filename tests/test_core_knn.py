@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Database, KdTreeIndex
 from repro.core import (
     knn_best_first,
     knn_boundary_points,
@@ -101,6 +102,21 @@ class TestEfficiency:
         truth = knn_brute_force(kd_index.table, kd_index.dims, query, 10)
         bp = knn_boundary_points(kd_index, query, 10)
         assert bp.stats.pages_touched < truth.stats.pages_touched
+
+    @pytest.mark.parametrize("search", [knn_boundary_points, knn_best_first])
+    def test_pages_touched_equals_pool_lookups(self, search):
+        """Each leaf fetch counts its pages: the sum is the pool's data-page lookups."""
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(20_000, 3))
+        db = Database.in_memory(buffer_pages=None)
+        index = KdTreeIndex.build(
+            db, "knn_pages", {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}, ["x", "y", "z"]
+        )
+        search(index, np.zeros(3), 10)  # the first query also looks up node pages
+        io = db.io_stats
+        before = io.cache_hits + io.cache_misses
+        pages = sum(search(index, q, 10).stats.pages_touched for q in pts[:20])
+        assert io.cache_hits + io.cache_misses - before == pages
 
     def test_results_sorted_ascending(self, kd_index):
         result = knn_boundary_points(kd_index, np.zeros(3), 20)

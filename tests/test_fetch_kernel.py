@@ -129,6 +129,7 @@ def _reference(table, members, segments, tombstones, snapshot):
     stats = [QueryStats() for _ in range(n)]
     errors = [None] * n
     found = [[] for _ in range(n)]  # (row id, *every column) tuples
+    read = [set() for _ in range(n)]  # page ids each member consumed
     counters = {"pages_decoded": 0, "shared_decode_hits": 0}
 
     def residual(member, columns, geometry):
@@ -183,7 +184,7 @@ def _reference(table, members, segments, tombstones, snapshot):
             mask = residual(members[m], columns, needs_filter)
             if tombstones is not None:
                 mask &= ~np.isin(row_ids, tombstones)
-            stats[m].record_page(table.name, page_id)
+            read[m].add(page_id)
             stats[m].rows_examined += len(local)
             stats[m].rows_returned += int(mask.sum())
             found[m] += _tuples(row_ids[mask], columns, table.column_names, mask)
@@ -196,6 +197,8 @@ def _reference(table, members, segments, tombstones, snapshot):
                 found[m] += _tuples(
                     snapshot.row_ids[mask], snapshot.columns, table.column_names, mask
                 )
+    for m in range(n):
+        stats[m].pages_touched = len(read[m])
     return stats, errors, found, counters
 
 

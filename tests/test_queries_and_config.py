@@ -153,7 +153,7 @@ class TestFailureInjection:
         table = db.create_table("t", {"a": np.arange(100.0)}, rows_per_page=10)
         db.cold_cache()
         # Remove a page behind the engine's back.
-        del db.storage._pages["t"][5]
+        del db.storage._blobs["t"][5]
         with pytest.raises(KeyError):
             table.read_column("a")
 

@@ -112,6 +112,18 @@ class TestConcurrentReplay:
         assert admission["admitted"] == 60
         assert admission["high_water"] <= 2
 
+    def test_replays_close_their_sessions(self, setup):
+        db, planner, queries = setup
+        service = QueryService(db, planner, workers=2, queue_depth=32)
+        with service:
+            before = len(service.sessions)
+            for _ in range(50):
+                report = replay_workload(service, queries[:4], concurrency=8)
+                assert report.completed == 4
+            assert len(service.sessions) == before
+        # The last report was taken while its clients' sessions were open.
+        assert sum(s["submitted"] for s in report.report["sessions"].values()) == 4
+
     def test_serial_service_matches_direct_planner(self, setup):
         db, planner, queries = setup
         subset = queries[:10]
